@@ -1,13 +1,14 @@
 /**
  * @file
  * Camera-path sequence figure: frame-to-frame texel-block reuse and
- * the prefetch-aware tile schedule. The paper's inter-frame argument
- * (§V-C) is usually shown through A-TFIM recalculations
+ * the tile-issue schedules. The paper's inter-frame argument (§V-C)
+ * is usually shown through A-TFIM recalculations
  * (bench/ablation_sequence); this bench shows the substrate those
  * ride on — how much of each frame's texel working set the previous
  * frame already touched, how much of it the tag caches actually
- * retain, and what reordering tile issue toward first-use blocks
- * (gpu.schedule=prefetch) does to the cycle count.
+ * retain, and what the pinned round-robin tile schedule
+ * (gpu.schedule=rr) costs in cycles against the default horizon
+ * schedule.
  */
 
 #include "bench_common.hh"
@@ -19,9 +20,9 @@ int
 main(int argc, char **argv)
 {
     SuiteOptions opt = parseSuiteArgs(argc, argv);
-    printHeader("Sequence - inter-frame reuse and prefetch schedule",
+    printHeader("Sequence - inter-frame reuse and tile schedules",
                 "consecutive frames share most of their texel working "
-                "set; schedules can exploit the recorded footprints");
+                "set");
 
     const Workload wl{Game::Doom3, 640, 480};
     constexpr unsigned kFrames = 8;
@@ -70,9 +71,8 @@ main(int argc, char **argv)
     }
 
     // --- Tile-issue schedules ---------------------------------------
-    // Prefetch rides on the pinned round-robin arm, so round-robin is
-    // its fair reference; the timing-fed horizon schedule is the
-    // default the rest of the repo reports.
+    // The timing-fed horizon schedule is the default the rest of the
+    // repo reports; rr pins the functional order (see GpuParams).
     struct Sched
     {
         const char *name;
@@ -81,12 +81,10 @@ main(int argc, char **argv)
     const Sched scheds[] = {
         {"horizon", GpuParams::Schedule::Horizon},
         {"rr", GpuParams::Schedule::RoundRobin},
-        {"prefetch", GpuParams::Schedule::Prefetch},
     };
     std::printf("\n  baseline tile-issue schedule, total cycles over %u "
                 "frames:\n",
                 kFrames);
-    double rr_total = 0.0;
     for (const Sched &s : scheds) {
         SimConfig cfg;
         cfg.design = Design::Baseline;
@@ -96,13 +94,7 @@ main(int argc, char **argv)
         double total = 0.0;
         for (const SimResult &f : frames)
             total += double(f.frame.frameCycles);
-        if (s.schedule == GpuParams::Schedule::RoundRobin)
-            rr_total = total;
-        if (s.schedule == GpuParams::Schedule::Prefetch && rr_total > 0.0)
-            std::printf("  %-10s %14.0f  (%+.2f%% vs rr)\n", s.name,
-                        total, 100.0 * (total - rr_total) / rr_total);
-        else
-            std::printf("  %-10s %14.0f\n", s.name, total);
+        std::printf("  %-10s %14.0f\n", s.name, total);
     }
     return 0;
 }

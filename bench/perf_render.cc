@@ -13,21 +13,19 @@
  *
  * Usage:
  *   perf_render [width=640] [height=480] [frame=3] [design=baseline]
- *               [threads=0,1,4] [reps=3] [out=BENCH_PERF.json] [gate=0]
- *               [sampler=quad|scalar] [record_budget=0]
+ *               [threads=1,4] [reps=3] [out=BENCH_PERF.json] [gate=0]
+ *               [record_budget=0]
  *               [frames=0] [depths=1,2,4] [seq_threads=4] [seq_gate=0]
  *
- * threads=0 is the pre-split fused loop (the pre-PR serial renderer);
- * 1 is the serial two-phase pipeline; N>1 parallelizes phase 1. With
- * gate=1 the bench fails if the largest thread count is slower than
+ * threads=1 is the serial two-phase pipeline; N>1 parallelizes
+ * phase 1. Every thread count must be at least 1. With gate=1 the
+ * bench fails if the largest thread count is slower than
  * render_threads=1 beyond a noise band — and on a host without at
  * least 2 cores the band widens to a thread-overhead bound, because a
  * parallel phase 1 cannot be faster there, only not-pathological.
  * With record_budget=N the bench fails if any two-phase run's
  * *encoded* record bytes exceed N — the CI guard against the stream
- * codec regressing back toward raw-array sizes. sampler= selects the
- * phase-1 sampling path (gpu.sampler); both must produce the
- * identical image and cycles.
+ * codec regressing back toward raw-array sizes.
  *
  * With frames=N > 0 the bench additionally times an N-frame camera-
  * path sequence (renderSequence) at each gpu.pipeline_depth in
@@ -44,13 +42,10 @@
  * holds render_threads, wall_sec, fps, wall_phase1_sec,
  * wall_phase2_sec, record_bytes (encoded stream bytes — what phase 1
  * hands to phase 2) and record_bytes_decoded (the raw record arrays
- * those streams decode to; the ratio is the codec's compression). The
- * fused loop (render_threads=0) has no phase split or record streams,
- * so its wall_phase*_sec fields are JSON null — never 0.0, which
- * would read as "a phase took no time". Consumers (tools/perf_history)
- * must treat null as "not applicable"; perf_history accepts v1, v2
- * and v3 snapshots interchangeably. v3 adds the optional "sequence"
- * object described above (absent when frames=0).
+ * those streams decode to; the ratio is the codec's compression).
+ * perf_history accepts v1, v2 and v3 snapshots interchangeably. v3
+ * adds the optional "sequence" object described above (absent when
+ * frames=0).
  */
 
 #include <chrono>
@@ -136,11 +131,10 @@ main(int argc, char **argv)
 {
     unsigned width = 640, height = 480, frame = 3, reps = 3;
     Design design = Design::Baseline;
-    std::vector<unsigned> threads = {0, 1, 4};
+    std::vector<unsigned> threads = {1, 4};
     std::string out_path = "BENCH_PERF.json";
     bool gate = false;
     u64 record_budget = 0; // 0 = no encoded-size gate
-    GpuParams::SamplerKind sampler = GpuParams::SamplerKind::Quad;
     unsigned seq_frames = 0; // 0 = no sequence sweep
     std::vector<unsigned> depths = {1, 2, 4};
     unsigned seq_threads = 4;
@@ -180,17 +174,6 @@ main(int argc, char **argv)
             seq_gate = std::atof(v);
         else if (const char *v = val("design"))
             design = parseDesign(v);
-        else if (const char *v = val("sampler")) {
-            if (std::strcmp(v, "scalar") == 0)
-                sampler = GpuParams::SamplerKind::Scalar;
-            else if (std::strcmp(v, "quad") == 0)
-                sampler = GpuParams::SamplerKind::Quad;
-            else {
-                std::fprintf(stderr,
-                             "perf_render: unknown sampler '%s'\n", v);
-                return 2;
-            }
-        }
         else {
             std::fprintf(stderr, "perf_render: unknown arg '%s'\n", a);
             return 2;
@@ -200,6 +183,11 @@ main(int argc, char **argv)
         std::fprintf(stderr, "perf_render: empty threads/reps\n");
         return 2;
     }
+    for (unsigned t : threads)
+        if (t == 0) {
+            std::fprintf(stderr, "perf_render: threads must be >= 1\n");
+            return 2;
+        }
 
     Workload wl{Game::Doom3, width, height};
     Scene scene = buildGameScene(wl, frame, 0x7e01d);
@@ -220,9 +208,8 @@ main(int argc, char **argv)
             SimContext::Scope scope(ctx);
             SimConfig cfg;
             cfg.design = design;
-            cfg.gpu.deterministicSchedule = true;
+            cfg.gpu.schedule = GpuParams::Schedule::RoundRobin;
             cfg.gpu.renderThreads = t;
-            cfg.gpu.sampler = sampler;
             RenderingSimulator sim(cfg);
             double t0 = wallSeconds();
             SimResult res = sim.renderScene(scene);
@@ -237,15 +224,9 @@ main(int argc, char **argv)
             pt.frameCycles = res.frame.frameCycles;
             pt.imageHash = imageHash(*res.image);
         }
-        if (t == 0)
-            std::printf("%8u %10.3f %8.2f %9s %9s %11.2f\n", pt.threads,
-                        pt.wallSec, 1.0 / pt.wallSec, "-", "-",
-                        double(pt.recordBytes) / (1024 * 1024));
-        else
-            std::printf("%8u %10.3f %8.2f %9.3f %9.3f %11.2f\n",
-                        pt.threads, pt.wallSec, 1.0 / pt.wallSec,
-                        pt.phase1Sec, pt.phase2Sec,
-                        double(pt.recordBytes) / (1024 * 1024));
+        std::printf("%8u %10.3f %8.2f %9.3f %9.3f %11.2f\n", pt.threads,
+                    pt.wallSec, 1.0 / pt.wallSec, pt.phase1Sec,
+                    pt.phase2Sec, double(pt.recordBytes) / (1024 * 1024));
         points.push_back(pt);
     }
 
@@ -287,10 +268,9 @@ main(int argc, char **argv)
                 SimContext::Scope scope(ctx);
                 SimConfig cfg;
                 cfg.design = design;
-                cfg.gpu.deterministicSchedule = true;
+                cfg.gpu.schedule = GpuParams::Schedule::RoundRobin;
                 cfg.gpu.renderThreads = seq_threads;
                 cfg.gpu.pipelineDepth = depth;
-                cfg.gpu.sampler = sampler;
                 RenderingSimulator sim(cfg);
                 double t0 = wallSeconds();
                 auto res = sim.renderSequence(wl, seq_frames, frame);
@@ -331,9 +311,6 @@ main(int argc, char **argv)
     JsonWriter w;
     w.beginObject();
     w.keyValue("schema", "texpim-perf-v3");
-    w.keyValue("sampler", sampler == GpuParams::SamplerKind::Quad
-                              ? "quad"
-                              : "scalar");
     w.keyValue("bench", "perf_render");
     w.keyValue("workload", wl.label());
     w.keyValue("design", std::string(designName(design)));
@@ -352,14 +329,8 @@ main(int argc, char **argv)
         w.keyValue("render_threads", pt.threads);
         w.keyValue("wall_sec", pt.wallSec);
         w.keyValue("fps", 1.0 / pt.wallSec);
-        // The fused loop has no phases; null, not a misleading 0.0.
-        if (pt.threads == 0) {
-            w.keyNull("wall_phase1_sec");
-            w.keyNull("wall_phase2_sec");
-        } else {
-            w.keyValue("wall_phase1_sec", pt.phase1Sec);
-            w.keyValue("wall_phase2_sec", pt.phase2Sec);
-        }
+        w.keyValue("wall_phase1_sec", pt.phase1Sec);
+        w.keyValue("wall_phase2_sec", pt.phase2Sec);
         w.keyValue("record_bytes", pt.recordBytes);
         w.keyValue("record_bytes_decoded", pt.recordBytesDecoded);
         w.endObject();
@@ -402,8 +373,6 @@ main(int argc, char **argv)
         // checked-in budget (a codec or batching regression shows up
         // here long before wall time moves on a noisy runner).
         for (const ThreadPoint &pt : points) {
-            if (pt.threads == 0)
-                continue; // fused loop records nothing
             if (pt.recordBytes > record_budget) {
                 std::fprintf(stderr,
                              "FAIL: render_threads=%u encoded record "

@@ -14,9 +14,9 @@
  *
  * Determinism contract (rules D1-D4, see DESIGN.md "Deterministic
  * attribution"): counts and simulated cycles are charged only from
- * serial code — the geometry phase, the fused loop, the phase-2 replay
- * and post-phase summaries on the coordinating thread — never from
- * phase-1 worker threads. Host wall-clock is recorded only at coarse
+ * serial code — the geometry phase, the phase-2 replay and post-phase
+ * summaries on the coordinating thread — never from phase-1 worker
+ * threads. Host wall-clock is recorded only at coarse
  * phase granularity by ScopedZone on the coordinating thread and is
  * excluded from the deterministic export (writeJson) unless explicitly
  * requested, exactly like FrameStats' wall fields. The deterministic

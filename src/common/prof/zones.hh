@@ -39,10 +39,10 @@ namespace prof {
     Z(kZoneReplay, "frame/replay", kZoneFrame,                                \
       "phase-2 timing replay of the recorded streams")                        \
     Z(kZoneSchedule, "frame/replay/tiles", kZoneReplay,                       \
-      "per-tile work scheduled by the cluster scheduleLoop")                  \
+      "per-tile work scheduled by the phase-2 cluster scheduler")             \
     Z(kZoneDecode, "frame/replay/decode", kZoneReplay,                        \
       "host wall-clock spent decoding encoded tile streams during replay "    \
-      "(wall-only, like the phase scopes; zero in the fused loop)")           \
+      "(wall-only, like the phase scopes)")                                   \
     Z(kZoneTagCache, "mem/tagcache", kZoneNone,                               \
       "tag-cache lookups (texture L1/L2 and ROP Z/color caches)")             \
     Z(kZoneHmcLink, "mem/hmc/link", kZoneNone,                                \

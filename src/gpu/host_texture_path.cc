@@ -41,42 +41,6 @@ HostTexturePath::HostTexturePath(const GpuParams &params, MemorySystem &mem)
 }
 
 void
-HostTexturePath::sample(const TexRequest &req, ReplayStream &stream,
-                        SamplerScratch &scratch) const
-{
-    TEXPIM_ASSERT(req.tex != nullptr, "texture request without texture");
-    TEXPIM_ASSERT(req.clusterId < params_.clusters, "bad cluster id");
-
-    // Functional filtering + the exact texel-fetch trace.
-    SampleResult &res = scratch.conventional;
-    sampleConventional(*req.tex, req.coords, req.mode, req.maxAniso, res,
-                       scratch);
-
-    TexSampleRec rec;
-    rec.color = res.color;
-    rec.texels = unsigned(res.fetches.size());
-    rec.filterOps = res.filterOps;
-    rec.anisoRatio = res.anisoRatio;
-    rec.route = res.fetches.empty() ? 0 : res.fetches[0].addr;
-
-    // Deduplicate texel fetches to cache lines (the fetch unit
-    // coalesces within one request) — in place on the stream tail.
-    const TagCache &l1 = *l1_[req.clusterId];
-    rec.blockOff = u32(stream.blocks.size());
-    for (const auto &f : res.fetches)
-        stream.blocks.push_back(l1.lineAddr(f.addr));
-    auto tail = stream.blocks.begin() + rec.blockOff;
-    // tie-break: line addresses are u64 (total order); duplicates are
-    // interchangeable values and the following unique() removes them.
-    std::sort(tail, stream.blocks.end());
-    stream.blocks.erase(std::unique(tail, stream.blocks.end()),
-                        stream.blocks.end());
-    rec.blockCount = u32(stream.blocks.size()) - rec.blockOff;
-
-    stream.samples.push_back(rec);
-}
-
-void
 HostTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
                             unsigned count, ReplayStream &stream,
                             SamplerScratch &scratch) const
@@ -86,8 +50,8 @@ HostTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
 
     // The quad sampler coalesces each lane's fetch trace to cache
     // lines directly (same mask TagCache::lineAddr applies), yielding
-    // the identical sorted/deduplicated block list sample() derives
-    // from the scalar TexFetch vector.
+    // the sorted/deduplicated block list of the scalar sampler's
+    // TexFetch trace (the differential suite pins the equality).
     const Addr mask = ~Addr(l1_[base.clusterId]->lineBytes() - 1);
     QuadConvOut &out = scratch.quadConv;
     sampleConventionalQuad(*base.tex, coords, count, base.mode, base.maxAniso,

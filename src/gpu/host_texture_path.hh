@@ -25,8 +25,6 @@ class HostTexturePath : public TexturePath
   public:
     HostTexturePath(const GpuParams &params, MemorySystem &mem);
 
-    void sample(const TexRequest &req, ReplayStream &stream,
-                SamplerScratch &scratch) const override;
     void sampleQuad(const TexRequest &base, const SampleCoords *coords,
                     unsigned count, ReplayStream &stream,
                     SamplerScratch &scratch) const override;

@@ -1,14 +1,60 @@
 #include "gpu/params.hh"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace texpim {
 
+namespace {
+
+/**
+ * Keys the simulator no longer reads. Unknown keys only warn, so a
+ * script still passing one would silently run a different
+ * configuration; these fail instead, naming what replaced them.
+ */
+const std::pair<const char *, const char *> kRetiredKeys[] = {
+    {"gpu.deterministic_schedule", "use gpu.schedule=rr instead"},
+    {"gpu.sampler",
+     "the quad sampler is the only phase-1 sampler; drop the key"},
+};
+
+/** Narrow a count that must be at least 1. The check runs on the
+ *  signed value, so -1 cannot wrap to 4294967295. */
+unsigned
+atLeastOne(const char *key, i64 v)
+{
+    if (v < 1 || v > i64(std::numeric_limits<unsigned>::max()))
+        TEXPIM_FATAL(key, " must be between 1 and ",
+                     std::numeric_limits<unsigned>::max(), ", got ", v);
+    return unsigned(v);
+}
+
+/** Strict integer parse of an environment variable's value. */
+i64
+parseEnvInt(const char *name, const char *raw)
+{
+    char *end = nullptr;
+    errno = 0;
+    long long v = std::strtoll(raw, &end, 10);
+    if (end == raw || *end != '\0' || errno == ERANGE)
+        TEXPIM_FATAL(name, " = '", raw, "' is not an integer");
+    return v;
+}
+
+} // namespace
+
 GpuParams
 GpuParams::fromConfig(const Config &cfg)
 {
+    for (const std::string &key : cfg.keys())
+        for (const auto &[retired, hint] : kRetiredKeys)
+            if (key == retired)
+                TEXPIM_FATAL("config key '", key, "' was removed: ", hint);
+
     GpuParams p;
     p.clusters = unsigned(cfg.getInt("gpu.clusters", p.clusters));
     p.shadersPerCluster =
@@ -41,31 +87,24 @@ GpuParams::fromConfig(const Config &cfg)
         "gpu.fragment_pipeline_cycles", p.fragmentPipelineCycles));
     p.triangleSetupCycles =
         unsigned(cfg.getInt("gpu.setup_cycles", p.triangleSetupCycles));
-    p.deterministicSchedule =
-        cfg.getBool("gpu.deterministic_schedule", p.deterministicSchedule);
-    i64 threads_default = i64(p.renderThreads);
-    if (const char *env = std::getenv("TEXPIM_RENDER_THREADS"))
-        threads_default = std::atol(env);
-    p.renderThreads =
-        unsigned(cfg.getInt("gpu.render_threads", threads_default));
-    std::string sampler = cfg.getString("gpu.sampler", "quad");
-    TEXPIM_ASSERT(sampler == "quad" || sampler == "scalar",
-                  "gpu.sampler must be \"quad\" or \"scalar\", got \"",
-                  sampler, "\"");
-    p.sampler = sampler == "scalar" ? SamplerKind::Scalar : SamplerKind::Quad;
+    i64 threads = p.renderThreads;
+    const char *threads_src = "gpu.render_threads";
+    if (cfg.has("gpu.render_threads")) {
+        threads = cfg.getInt("gpu.render_threads");
+    } else if (const char *env = std::getenv("TEXPIM_RENDER_THREADS")) {
+        threads_src = "TEXPIM_RENDER_THREADS";
+        threads = parseEnvInt(threads_src, env);
+    }
+    p.renderThreads = atLeastOne(threads_src, threads);
     std::string schedule = cfg.getString("gpu.schedule", "horizon");
-    TEXPIM_ASSERT(schedule == "horizon" || schedule == "rr" ||
-                      schedule == "prefetch",
-                  "gpu.schedule must be \"horizon\", \"rr\" or "
-                  "\"prefetch\", got \"",
-                  schedule, "\"");
-    p.schedule = schedule == "rr"         ? Schedule::RoundRobin
-                 : schedule == "prefetch" ? Schedule::Prefetch
-                                          : Schedule::Horizon;
-    p.pipelineDepth =
-        unsigned(cfg.getInt("gpu.pipeline_depth", p.pipelineDepth));
-    TEXPIM_ASSERT(p.pipelineDepth >= 1,
-                  "gpu.pipeline_depth must be at least 1");
+    if (schedule != "horizon" && schedule != "rr")
+        TEXPIM_FATAL("gpu.schedule must be \"horizon\" or \"rr\", got \"",
+                     schedule, "\"");
+    p.schedule =
+        schedule == "rr" ? Schedule::RoundRobin : Schedule::Horizon;
+    p.pipelineDepth = atLeastOne(
+        "gpu.pipeline_depth",
+        cfg.getInt("gpu.pipeline_depth", p.pipelineDepth));
     return p;
 }
 
@@ -113,11 +152,10 @@ knownConfigKeys()
         "gddr5.channels", "gddr5.command_latency",
 
         // Host GPU.
-        "gpu.clusters", "gpu.deterministic_schedule",
-        "gpu.fragment_cycles", "gpu.fragment_pipeline_cycles",
-        "gpu.frequency_ghz", "gpu.max_inflight_tex",
-        "gpu.pipeline_depth", "gpu.render_threads", "gpu.sampler",
-        "gpu.schedule", "gpu.setup_cycles",
+        "gpu.clusters", "gpu.fragment_cycles",
+        "gpu.fragment_pipeline_cycles", "gpu.frequency_ghz",
+        "gpu.max_inflight_tex", "gpu.pipeline_depth",
+        "gpu.render_threads", "gpu.schedule", "gpu.setup_cycles",
         "gpu.shaders_per_cluster", "gpu.tex_address_alus",
         "gpu.tex_filter_alus", "gpu.tex_l1_bytes", "gpu.tex_l1_latency",
         "gpu.tex_l1_ways", "gpu.tex_l2_bytes", "gpu.tex_l2_latency",

@@ -59,77 +59,35 @@ struct GpuParams
     unsigned fragmentPipelineCycles = 6;
 
     /**
-     * Pin the functional processing order: clusters take tiles in
-     * fixed round-robin instead of lowest-issue-horizon-first. The
-     * horizon schedule feeds completion times back into cluster
-     * selection, so *any* timing perturbation (a faulted link, a
-     * different link latency) can reorder the request stream — which
-     * changes A-TFIM's shared angle-cache reuse and hence its image.
-     * With the pinned schedule the request stream, and therefore the
-     * image, is invariant under timing perturbations, at a small cost
-     * in timing fidelity (shared resources see rougher time order).
-     * Use it on *both* sides of an image A/B across fault knobs.
-     */
-    bool deterministicSchedule = false;
-
-    /**
      * Worker threads for the two-phase renderer's functional phase.
-     * 0 runs the pre-split fused loop (functional and timing work
-     * interleaved in one serial pass); 1 runs record/replay serially;
-     * N > 1 rasterizes tiles on N workers before the serial timing
-     * replay. Every value produces bit-identical framebuffers, cycle
-     * counts and statistics — the knob only trades host wall clock.
-     * Config key `gpu.render_threads`; the TEXPIM_RENDER_THREADS
-     * environment variable overrides the built-in default when the
-     * config key is absent.
+     * 1 runs record/replay serially; N > 1 rasterizes tiles on N
+     * workers before the serial timing replay. Every value produces
+     * bit-identical framebuffers, cycle counts and statistics — the
+     * knob only trades host wall clock. Must be at least 1. Config key
+     * `gpu.render_threads`; the TEXPIM_RENDER_THREADS environment
+     * variable overrides the built-in default when the config key is
+     * absent.
      */
     unsigned renderThreads = 1;
-
-    /**
-     * Phase-1 texture-sampling implementation. `Quad` (the default)
-     * batches shaded fragments into 2x2 screen quads and filters them
-     * through the SoA quad samplers (sampleConventionalQuad /
-     * sampleDecomposedQuad), which share texel fetches and vectorize
-     * the weight math; `Scalar` keeps the original one-fragment-at-a-
-     * time path as the differential-testing reference. Both produce
-     * bit-identical records, images and statistics — the knob only
-     * trades host wall clock. The fused loop (renderThreads == 0) is
-     * always scalar. Config key `gpu.sampler` = "quad" | "scalar".
-     */
-    enum class SamplerKind { Scalar, Quad };
-    SamplerKind sampler = SamplerKind::Quad;
 
     /**
      * Tile-issue schedule for the timing replay. `Horizon` (the
      * default) picks the cluster whose next texture request would
      * issue earliest, keeping the shared memory system in near-global
-     * time order. `RoundRobin` is the pinned functional order of
-     * `deterministicSchedule` (see that knob for when it matters).
-     * `Prefetch` mimics WaSP-style prefetch-aware warp scheduling: it
-     * keeps the pinned round-robin cluster order but reorders each
-     * cluster's tile queue to front-load the tiles whose recorded
-     * replay streams touch the most first-use texel blocks, so cold
-     * fetches start as early as possible. Prefetch needs recorded
-     * streams (gpu.render_threads >= 1) and, like RoundRobin, is
-     * invariant under timing perturbations since no completion time
-     * feeds back into the order. Config key `gpu.schedule` =
-     * "horizon" | "rr" | "prefetch".
+     * time order. `RoundRobin` pins the functional processing order:
+     * clusters take tiles in fixed round-robin. The horizon schedule
+     * feeds completion times back into cluster selection, so *any*
+     * timing perturbation (a faulted link, a different link latency)
+     * can reorder the request stream — which changes A-TFIM's shared
+     * angle-cache reuse and hence its image. With the pinned schedule
+     * the request stream, and therefore the image, is invariant under
+     * timing perturbations, at a small cost in timing fidelity (shared
+     * resources see rougher time order). Use it on *both* sides of an
+     * image A/B across fault knobs. Config key `gpu.schedule` =
+     * "horizon" | "rr".
      */
-    enum class Schedule { Horizon, RoundRobin, Prefetch };
+    enum class Schedule { Horizon, RoundRobin };
     Schedule schedule = Schedule::Horizon;
-
-    /**
-     * The schedule after folding in the legacy bool: an explicit
-     * gpu.schedule wins; otherwise deterministicSchedule selects
-     * RoundRobin exactly as before the enum existed.
-     */
-    Schedule
-    effectiveSchedule() const
-    {
-        if (schedule == Schedule::Horizon && deterministicSchedule)
-            return Schedule::RoundRobin;
-        return schedule;
-    }
 
     /**
      * Frames in flight for sequence rendering (SequenceRunner): while
@@ -138,7 +96,7 @@ struct GpuParams
      * the render_threads worker pool. 1 (the default) renders frames
      * strictly one after another. Replay always consumes frames in
      * order, so images, cycles and statistics are bit-identical at
-     * any depth. Config key `gpu.pipeline_depth`.
+     * any depth. Must be at least 1. Config key `gpu.pipeline_depth`.
      */
     unsigned pipelineDepth = 1;
 

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <thread>
-#include <unordered_set>
 
 #include "common/logging.hh"
 #include "common/prof/profiler.hh"
@@ -18,7 +17,7 @@ namespace texpim {
 
 namespace {
 
-/** One buffered fragment awaiting quad-batched sampling (quad path). */
+/** One buffered fragment awaiting quad-batched sampling. */
 struct PendingFrag
 {
     FragRecord fr;
@@ -31,7 +30,7 @@ struct PendingFrag
 } // namespace
 
 /**
- * Per-worker phase-1 state: the sampler scratch plus the quad path's
+ * Per-worker phase-1 state: the sampler scratch plus the quad
  * batching buffers. One instance per worker thread; capacities persist
  * across tiles so the steady state allocates nothing.
  */
@@ -93,7 +92,7 @@ struct Renderer::FrameCtx
     std::vector<std::vector<u32>> bins; //!< triangle ids per tile
     std::vector<std::vector<u32>> clusterTiles;
 
-    // Timing-model state (phase 2 / fused loop only).
+    // Timing-model state (phase 2 only).
     std::vector<Cycle> clusterTime;
     std::vector<InflightWindow> windows;
     std::vector<size_t> nextTile;
@@ -103,21 +102,19 @@ struct Renderer::FrameCtx
     double angleSum = 0.0;
     u64 anisoSum = 0;
 
-    // Phase-1 output, indexed by tile index (two-phase mode only).
+    // Phase-1 output, indexed by tile index.
     std::vector<TileRecord> records;
 
-    // Per-tile sorted-unique texel block footprints (prefetch schedule
-    // and sequence reuse accounting; empty when neither asked).
+    // Per-tile sorted-unique texel block footprints (sequence reuse
+    // accounting; empty unless asked).
     bool collectBlocks = false;
     std::vector<std::vector<Addr>> tileBlocks;
 
     FrameCtx(const Scene &s, FrameBuffer &f) : scene(s), fb(f) {}
 };
 
-namespace {
-
 /** Fragment work each tile contributes to the cluster clock. */
-struct TileWork
+struct Renderer::TileWork
 {
     Cycle aluFrontier = 0;
     Cycle issueFrontier = 0;
@@ -126,6 +123,8 @@ struct TileWork
     u64 zLineMisses = 0;
     u64 cLineMisses = 0;
 };
+
+namespace {
 
 /** Front-to-back within the tile approximates the depth-sorted
  *  submission real engines use, letting early Z do its job. The
@@ -154,6 +153,8 @@ Renderer::Renderer(const GpuParams &params, MemorySystem &mem,
 {
     TEXPIM_ASSERT(params_.clusters > 0 && params_.shadersPerCluster > 0,
                   "GPU needs clusters and shaders");
+    TEXPIM_ASSERT(params_.renderThreads >= 1,
+                  "gpu.render_threads must be at least 1");
 
     stats_.counter("frames", "frames rendered through this pipeline");
     stats_.counter("fragments_shaded",
@@ -230,29 +231,30 @@ Renderer::geometryFunctional(const Scene &scene,
     return vertex_cycles + setup_cycles;
 }
 
-template <typename TileBody>
 void
-Renderer::scheduleLoop(FrameCtx &ctx, FrameStats &fs, TileBody &&body)
+Renderer::replayPhase(FrameCtx &ctx, FrameStats &fs)
 {
     FrameBuffer &fb = ctx.fb;
+
+    // One reusable decode scratch for the whole (serial) phase: after
+    // the first few tiles its arrays stop growing, so decoding churns
+    // no allocator state.
+    TileRecord decoded;
 
     // Cooperative cancellation at tile granularity: a single branch
     // per tile when no watchdog deadline is armed (the zero-overhead
     // contract), a SimTimeout unwind when a hung job's budget runs out.
     const Deadline &deadline = SimContext::current().deadline();
-    const GpuParams::Schedule sched = params_.effectiveSchedule();
+    const GpuParams::Schedule sched = params_.schedule;
 
     while (true) {
         deadline.check("renderer.tile");
         unsigned cluster = params_.clusters;
-        if (sched != GpuParams::Schedule::Horizon) {
+        if (sched == GpuParams::Schedule::RoundRobin) {
             // Pinned functional order: fixed round-robin over clusters
             // with tiles remaining, independent of any completion
             // time. Keeps the request stream (and A-TFIM's image)
             // invariant under timing perturbations; see GpuParams.
-            // The prefetch schedule reorders each cluster's tile queue
-            // up front (prefetchOrderTiles) but picks clusters the
-            // same pinned way, so it shares this arm.
             for (unsigned i = 0; i < params_.clusters; ++i) {
                 unsigned c = (ctx.rrNext + i) % params_.clusters;
                 if (ctx.nextTile[c] < ctx.clusterTiles[c].size()) {
@@ -295,7 +297,7 @@ Renderer::scheduleLoop(FrameCtx &ctx, FrameStats &fs, TileBody &&body)
         w.issueFrontier = tile_start;
         Cycle last_rop = tile_start;
 
-        body(cluster, ti, tile_start, w);
+        replayTile(ctx, decoded, cluster, ti, tile_start, w, fs);
 
         // ROP traffic for this tile: Z read-modify-write on Z-cache
         // misses, color writeback on color-cache misses. The ROP
@@ -346,144 +348,9 @@ Renderer::scheduleLoop(FrameCtx &ctx, FrameStats &fs, TileBody &&body)
 }
 
 void
-Renderer::fusedLoop(FrameCtx &ctx, FrameStats &fs)
-{
-    const Scene &scene = ctx.scene;
-    FrameBuffer &fb = ctx.fb;
-    Vec3 eye = ctx.eye;
-
-    scheduleLoop(ctx, fs, [&](unsigned cluster, u32 ti, Cycle tile_start,
-                              TileWork &w) {
-        (void)tile_start;
-        auto &bin = ctx.bins[ti];
-
-        unsigned tx = ti % ctx.tilesX;
-        unsigned ty = ti / ctx.tilesX;
-        unsigned x0 = tx * ctx.tile;
-        unsigned y0 = ty * ctx.tile;
-        unsigned x1 = std::min(x0 + ctx.tile, ctx.width);
-        unsigned y1 = std::min(y0 + ctx.tile, ctx.height);
-        unsigned tile_pixels = (x1 - x0) * (y1 - y0);
-
-        sortBinFrontToBack(bin, ctx.tris);
-
-        unsigned covered_count = 0;
-        float tile_zmax = -1.0f;
-        std::vector<bool> covered(tile_pixels, false);
-
-        FragmentSample frag;
-        for (u32 t_idx : bin) {
-            const SetupTriangle &st = ctx.tris[t_idx];
-
-            // Hierarchical Z: once the tile is fully covered, any
-            // triangle strictly behind the tile's max depth is skipped.
-            if (covered_count == tile_pixels && st.minDepth() > tile_zmax) {
-                ++fs.hierZTrianglesSkipped;
-                continue;
-            }
-
-            unsigned px0 = std::max(int(x0), st.minX);
-            unsigned px1 = std::min(int(x1) - 1, st.maxX);
-            unsigned py0 = std::max(int(y0), st.minY);
-            unsigned py1 = std::min(int(y1) - 1, st.maxY);
-
-            for (unsigned y = py0; y <= py1; ++y) {
-                for (unsigned x = px0; x <= px1; ++x) {
-                    if (!evalPixel(st, x, y, eye, kLightDir, frag))
-                        continue;
-                    ++fs.fragmentsCovered;
-
-                    // Early Z (before shading), through the Z cache.
-                    if (z_cache_.access(fb.depthAddr(x, y)) ==
-                        CacheOutcome::Miss)
-                        ++w.zLineMisses;
-                    if (frag.depth >= fb.depth(x, y)) {
-                        ++w.killed;
-                        continue;
-                    }
-
-                    // Shade: one texture sample modulated by N.L.
-                    ++w.shaded;
-                    ctx.angleSum += frag.cameraAngle;
-
-                    TexRequest req;
-                    req.tex = &scene.textures->texture(st.textureId);
-                    req.coords.uv = frag.uv;
-                    req.coords.ddx = frag.dUvDx;
-                    req.coords.ddy = frag.dUvDy;
-                    req.coords.cameraAngle = frag.cameraAngle;
-                    req.mode = scene.settings.filterMode;
-                    req.maxAniso = scene.settings.maxAniso;
-                    req.clusterId = cluster;
-
-                    w.aluFrontier += ctx.computePerFrag;
-                    req.wanted = w.aluFrontier;
-                    req.issue = std::max(w.aluFrontier,
-                                         ctx.windows[cluster].oldest());
-                    w.issueFrontier = std::max(w.issueFrontier, req.issue);
-                    TexResponse resp = tex_.process(req);
-                    ctx.windows[cluster].push(resp.complete);
-
-                    LodInfo lod = computeLod(*req.tex, req.coords,
-                                             req.maxAniso);
-                    ctx.anisoSum += lod.anisoRatio;
-
-                    ColorF texel = resp.color;
-                    i32 detail = ctx.detailOf[st.textureId];
-                    if (detail >= 0) {
-                        // Second layer: detail/lightmap modulate, the
-                        // classic 2x multiply.
-                        float s = ctx.detailScaleOf[st.textureId];
-                        TexRequest dreq = req;
-                        dreq.tex = &scene.textures->texture(u32(detail));
-                        dreq.coords.uv = frag.uv * s;
-                        dreq.coords.ddx = frag.dUvDx * s;
-                        dreq.coords.ddy = frag.dUvDy * s;
-                        dreq.wanted = w.aluFrontier;
-                        dreq.issue = std::max(w.aluFrontier,
-                                              ctx.windows[cluster].oldest());
-                        w.issueFrontier =
-                            std::max(w.issueFrontier, dreq.issue);
-                        TexResponse dresp = tex_.process(dreq);
-                        ctx.windows[cluster].push(dresp.complete);
-                        texel = (texel * dresp.color * 2.0f).clamped();
-                    }
-
-                    ColorF out = (texel * frag.diffuse).clamped();
-                    fb.setPixel(x, y, packColor(out));
-                    fb.setDepth(x, y, frag.depth);
-
-                    if (color_cache_.access(fb.colorAddr(x, y)) ==
-                        CacheOutcome::Miss)
-                        ++w.cLineMisses;
-
-                    unsigned local =
-                        (y - y0) * (x1 - x0) + (x - x0);
-                    if (!covered[local]) {
-                        covered[local] = true;
-                        ++covered_count;
-                    }
-                }
-            }
-
-            // Refresh the tile's max depth once fully covered.
-            if (covered_count == tile_pixels) {
-                tile_zmax = -1.0f;
-                for (unsigned y = y0; y < y1; ++y)
-                    for (unsigned x = x0; x < x1; ++x)
-                        tile_zmax = std::max(tile_zmax, fb.depth(x, y));
-            }
-        }
-    });
-}
-
-void
 Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileWorker &worker)
 {
-    const Scene &scene = ctx.scene;
     FrameBuffer &fb = ctx.fb;
-    SamplerScratch &scratch = worker.scratch;
-    const bool quad = params_.sampler == GpuParams::SamplerKind::Quad;
     TileRecord &rec = ctx.records[ti];
     auto &bin = ctx.bins[ti];
     // Same assignment binTilesToClusters used, so the recorded stream
@@ -525,8 +392,6 @@ Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileWorker &worker)
         unsigned py1 = std::min(int(y1) - 1, st.maxY);
 
         i32 detail = ctx.detailOf[st.textureId];
-        if (quad)
-            worker.pending.clear();
 
         for (unsigned y = py0; y <= py1; ++y) {
             for (unsigned x = px0; x <= px1; ++x) {
@@ -538,13 +403,11 @@ Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileWorker &worker)
                 fr.y = u16(y);
 
                 // Tile-local early Z: tiles are disjoint framebuffer
-                // regions, so this is the exact test the fused loop
-                // performs (phase 2 replays only the Z-cache traffic).
+                // regions, so this test reads exactly the depths a
+                // serial pass would (phase 2 replays only the Z-cache
+                // traffic).
                 if (frag.depth >= fb.depth(x, y)) {
-                    if (quad)
-                        worker.pending.push_back(PendingFrag{fr, {}, {}});
-                    else
-                        rec.frags.push_back(fr);
+                    worker.pending.push_back(PendingFrag{fr, {}, {}});
                     continue;
                 }
 
@@ -554,57 +417,23 @@ Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileWorker &worker)
                 if (detail >= 0)
                     fr.flags |= FragRecord::kHasDetail;
 
-                if (quad) {
-                    // Defer sampling: the triangle's fragments are
-                    // filtered in 2x2 quads at flushQuadBatch, and the
-                    // records re-emitted in this (raster) order.
-                    PendingFrag p;
-                    p.fr = fr;
-                    p.coords.uv = frag.uv;
-                    p.coords.ddx = frag.dUvDx;
-                    p.coords.ddy = frag.dUvDy;
-                    p.coords.cameraAngle = frag.cameraAngle;
-                    if (detail >= 0) {
-                        float s = ctx.detailScaleOf[st.textureId];
-                        p.detailCoords.uv = frag.uv * s;
-                        p.detailCoords.ddx = frag.dUvDx * s;
-                        p.detailCoords.ddy = frag.dUvDy * s;
-                        p.detailCoords.cameraAngle = frag.cameraAngle;
-                    }
-                    worker.pending.push_back(p);
-                } else {
-                    fr.sample = u32(rec.stream.samples.size());
-
-                    TexRequest req;
-                    req.tex = &scene.textures->texture(st.textureId);
-                    req.coords.uv = frag.uv;
-                    req.coords.ddx = frag.dUvDx;
-                    req.coords.ddy = frag.dUvDy;
-                    req.coords.cameraAngle = frag.cameraAngle;
-                    req.mode = scene.settings.filterMode;
-                    req.maxAniso = scene.settings.maxAniso;
-                    req.clusterId = cluster;
-                    tex_.sample(req, rec.stream, scratch);
-
-                    // The renderer's own LOD probe (aniso-ratio
-                    // telemetry; can differ from the sampler's for
-                    // Nearest mode).
-                    LodInfo lod =
-                        computeLod(*req.tex, req.coords, req.maxAniso);
-                    fr.lodAniso = u8(lod.anisoRatio);
-
-                    if (detail >= 0) {
-                        float s = ctx.detailScaleOf[st.textureId];
-                        TexRequest dreq = req;
-                        dreq.tex = &scene.textures->texture(u32(detail));
-                        dreq.coords.uv = frag.uv * s;
-                        dreq.coords.ddx = frag.dUvDx * s;
-                        dreq.coords.ddy = frag.dUvDy * s;
-                        tex_.sample(dreq, rec.stream, scratch);
-                    }
-
-                    rec.frags.push_back(fr);
+                // Defer sampling: the triangle's fragments are filtered
+                // in 2x2 quads at flushQuadBatch, and the records
+                // re-emitted in this (raster) order.
+                PendingFrag p;
+                p.fr = fr;
+                p.coords.uv = frag.uv;
+                p.coords.ddx = frag.dUvDx;
+                p.coords.ddy = frag.dUvDy;
+                p.coords.cameraAngle = frag.cameraAngle;
+                if (detail >= 0) {
+                    float s = ctx.detailScaleOf[st.textureId];
+                    p.detailCoords.uv = frag.uv * s;
+                    p.detailCoords.ddx = frag.dUvDx * s;
+                    p.detailCoords.ddy = frag.dUvDy * s;
+                    p.detailCoords.cameraAngle = frag.cameraAngle;
                 }
+                worker.pending.push_back(p);
 
                 fb.setDepth(x, y, frag.depth);
 
@@ -616,8 +445,7 @@ Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileWorker &worker)
             }
         }
 
-        if (quad)
-            flushQuadBatch(ctx, st, cluster, worker, rec);
+        flushQuadBatch(ctx, st, cluster, worker, rec);
 
         if (covered_count == tile_pixels) {
             tile_zmax = -1.0f;
@@ -628,8 +456,8 @@ Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileWorker &worker)
     }
 
     if (ctx.collectBlocks) {
-        // Tile texel-block footprint for the prefetch schedule and the
-        // sequence reuse census, taken before the raw arrays go away.
+        // Tile texel-block footprint for the sequence reuse census,
+        // taken before the raw arrays go away.
         std::vector<Addr> &blk = ctx.tileBlocks[ti];
         blk.reserve(rec.stream.blocks.size() +
                     rec.stream.childBlocks.size());
@@ -720,8 +548,8 @@ Renderer::flushQuadBatch(FrameCtx &ctx, const SetupTriangle &st,
         }
     }
 
-    // Emit in the original fragment order so the record layout is
-    // identical to the scalar path's.
+    // Emit in the original (raster) fragment order: the order the
+    // timing replay walks the tile, which the golden images pin.
     for (PendingFrag &p : pending) {
         FragRecord fr = p.fr;
         if ((fr.flags & FragRecord::kShaded) != 0) {
@@ -743,14 +571,14 @@ Renderer::recordPhase(FrameCtx &ctx)
     // Flat work list of non-empty tiles; workers pull with an atomic
     // cursor. Tiles are disjoint framebuffer regions and every record
     // is tile-private, so phase 1 shares no mutable state between
-    // workers (the texture paths' sample() is const and pure).
+    // workers (the texture paths' sampleQuad() is const and pure).
     std::vector<u32> work;
     for (u32 ti = 0; ti < ctx.bins.size(); ++ti)
         if (!ctx.bins[ti].empty())
             work.push_back(ti);
 
-    unsigned threads = std::max(1u, params_.renderThreads);
-    threads = std::min<unsigned>(threads, std::max<size_t>(1, work.size()));
+    unsigned threads = std::min<unsigned>(params_.renderThreads,
+                                          std::max<size_t>(1, work.size()));
 
     if (threads == 1) {
         TileWorker worker;
@@ -780,90 +608,82 @@ Renderer::recordPhase(FrameCtx &ctx)
 }
 
 void
-Renderer::replayPhase(FrameCtx &ctx, FrameStats &fs)
+Renderer::replayTile(FrameCtx &ctx, TileRecord &decoded, unsigned cluster,
+                     u32 ti, Cycle tile_start, TileWork &w, FrameStats &fs)
 {
     FrameBuffer &fb = ctx.fb;
 
-    // One reusable decode scratch for the whole (serial) phase: after
-    // the first few tiles its arrays stop growing, so decoding churns
-    // no allocator state.
-    TileRecord decoded;
+    // Consuming end of the record-stream flow arrow (the producing
+    // "s" event is emitted after recordPhase joins its workers).
+    TEXPIM_TRACE_FLOW_END("replay", "tile_stream", cluster, tile_start, ti);
+    const TileRecord &enc = ctx.records[ti];
+    bool ok;
+    {
+        // Wall-only zone (this phase is serial, so charging here
+        // respects rule D2; wall never enters the deterministic
+        // export).
+        TEXPIM_PROF_SCOPE(prof::kZoneDecode);
+        ok = decodeTileRecord(enc.encoded.data(), enc.encoded.size(),
+                              decoded);
+    }
+    TEXPIM_ASSERT(ok, "tile ", ti, ": corrupt encoded replay stream");
+    const TileRecord &rec = decoded;
+    // Peak of the decode-on-demand scratch: with per-tile decoding
+    // the replay never holds more than one tile's raw arrays.
+    fs.recordBytesPeak =
+        std::max(fs.recordBytesPeak, decoded.decodedSizeBytes());
+    fs.hierZTrianglesSkipped += rec.hierZSkipped;
 
-    scheduleLoop(ctx, fs, [&](unsigned cluster, u32 ti, Cycle tile_start,
-                              TileWork &w) {
-        // Consuming end of the record-stream flow arrow (the producing
-        // "s" event is emitted after recordPhase joins its workers).
-        TEXPIM_TRACE_FLOW_END("replay", "tile_stream", cluster, tile_start,
-                              ti);
-        const TileRecord &enc = ctx.records[ti];
-        bool ok;
-        {
-            // Wall-only zone (this phase is serial, so charging here
-            // respects rule D2; wall never enters the deterministic
-            // export).
-            TEXPIM_PROF_SCOPE(prof::kZoneDecode);
-            ok = decodeTileRecord(enc.encoded.data(), enc.encoded.size(),
-                                  decoded);
+    for (const FragRecord &fr : rec.frags) {
+        ++fs.fragmentsCovered;
+
+        if (z_cache_.access(fb.depthAddr(fr.x, fr.y)) ==
+            CacheOutcome::Miss)
+            ++w.zLineMisses;
+        if (!(fr.flags & FragRecord::kShaded)) {
+            ++w.killed;
+            continue;
         }
-        TEXPIM_ASSERT(ok, "tile ", ti, ": corrupt encoded replay stream");
-        const TileRecord &rec = decoded;
-        // Peak of the decode-on-demand scratch: with per-tile decoding
-        // the replay never holds more than one tile's raw arrays.
-        fs.recordBytesPeak =
-            std::max(fs.recordBytesPeak, decoded.decodedSizeBytes());
-        fs.hierZTrianglesSkipped += rec.hierZSkipped;
 
-        for (const FragRecord &fr : rec.frags) {
-            ++fs.fragmentsCovered;
+        ++w.shaded;
+        ctx.angleSum += fr.angle;
 
-            if (z_cache_.access(fb.depthAddr(fr.x, fr.y)) ==
-                CacheOutcome::Miss)
-                ++w.zLineMisses;
-            if (!(fr.flags & FragRecord::kShaded)) {
-                ++w.killed;
-                continue;
-            }
+        // Timing context only: the functional work is in the
+        // record, so replay() never dereferences req.tex.
+        TexRequest req;
+        req.coords.cameraAngle = fr.angle;
+        req.clusterId = cluster;
 
-            ++w.shaded;
-            ctx.angleSum += fr.angle;
+        w.aluFrontier += ctx.computePerFrag;
+        req.wanted = w.aluFrontier;
+        req.issue =
+            std::max(w.aluFrontier, ctx.windows[cluster].oldest());
+        w.issueFrontier = std::max(w.issueFrontier, req.issue);
+        TexResponse resp = tex_.replay(req, rec.stream, fr.sample);
+        ctx.windows[cluster].push(resp.complete);
 
-            // Timing context only: the functional work is in the
-            // record, so replay() never dereferences req.tex.
-            TexRequest req;
-            req.coords.cameraAngle = fr.angle;
-            req.clusterId = cluster;
+        ctx.anisoSum += fr.lodAniso;
 
-            w.aluFrontier += ctx.computePerFrag;
-            req.wanted = w.aluFrontier;
-            req.issue =
+        ColorF texel = resp.color;
+        if (fr.flags & FragRecord::kHasDetail) {
+            TexRequest dreq = req;
+            dreq.wanted = w.aluFrontier;
+            dreq.issue =
                 std::max(w.aluFrontier, ctx.windows[cluster].oldest());
-            w.issueFrontier = std::max(w.issueFrontier, req.issue);
-            TexResponse resp = tex_.replay(req, rec.stream, fr.sample);
-            ctx.windows[cluster].push(resp.complete);
-
-            ctx.anisoSum += fr.lodAniso;
-
-            ColorF texel = resp.color;
-            if (fr.flags & FragRecord::kHasDetail) {
-                TexRequest dreq = req;
-                dreq.wanted = w.aluFrontier;
-                dreq.issue =
-                    std::max(w.aluFrontier, ctx.windows[cluster].oldest());
-                w.issueFrontier = std::max(w.issueFrontier, dreq.issue);
-                TexResponse dresp =
-                    tex_.replay(dreq, rec.stream, fr.sample + 1);
-                ctx.windows[cluster].push(dresp.complete);
-                texel = (texel * dresp.color * 2.0f).clamped();
-            }
-
-            ColorF out = (texel * fr.diffuse).clamped();
-            fb.setPixel(fr.x, fr.y, packColor(out));
-
-            if (color_cache_.access(fb.colorAddr(fr.x, fr.y)) ==
-                CacheOutcome::Miss)
-                ++w.cLineMisses;
+            w.issueFrontier = std::max(w.issueFrontier, dreq.issue);
+            TexResponse dresp =
+                tex_.replay(dreq, rec.stream, fr.sample + 1);
+            ctx.windows[cluster].push(dresp.complete);
+            texel = (texel * dresp.color * 2.0f).clamped();
         }
-    });
+
+        ColorF out = (texel * fr.diffuse).clamped();
+        fb.setPixel(fr.x, fr.y, packColor(out));
+
+        if (color_cache_.access(fb.colorAddr(fr.x, fr.y)) ==
+            CacheOutcome::Miss)
+            ++w.cLineMisses;
+    }
 }
 
 void
@@ -919,33 +739,6 @@ Renderer::setupFrameCtx(FrameCtx &ctx)
             params_.shadersPerCluster);
 }
 
-void
-Renderer::prefetchOrderTiles(FrameCtx &ctx)
-{
-    // First-use census: walking tiles in index order, a texel block
-    // counts toward the first tile that touches it. Within each
-    // cluster the tiles carrying the most first-use blocks issue
-    // first, so cold memory fetches start as early as possible and
-    // later tiles hit what the front-loaded tiles already pulled in —
-    // the prefetch-mimicking issue order of WaSP, driven by the
-    // recorded streams instead of a predictor. Inputs are functional
-    // only, so the order is deterministic and invariant under timing
-    // perturbations (like the pinned round-robin it rides on).
-    std::vector<u32> firstUse(ctx.bins.size(), 0);
-    std::unordered_set<Addr> seen; // insert/lookup only, never iterated
-    for (u32 ti = 0; ti < u32(ctx.tileBlocks.size()); ++ti)
-        for (Addr a : ctx.tileBlocks[ti])
-            if (seen.insert(a).second)
-                ++firstUse[ti];
-    for (auto &tiles : ctx.clusterTiles) {
-        std::stable_sort(tiles.begin(), tiles.end(), [&](u32 a, u32 b) {
-            if (firstUse[a] != firstUse[b])
-                return firstUse[a] > firstUse[b]; // most first-use first
-            return a < b; // tie-break: tile index (total order)
-        });
-    }
-}
-
 // texpim-lint: phase-root functional phase-1 entry; runs off-thread in
 // pipelined sequences and fans out to the render pool
 std::unique_ptr<Renderer::FrameJob>
@@ -954,9 +747,6 @@ Renderer::recordFrame(const Scene &scene, FrameBuffer &fb)
     TEXPIM_ASSERT(fb.width() == scene.settings.width &&
                       fb.height() == scene.settings.height,
                   "framebuffer does not match scene resolution");
-    TEXPIM_ASSERT(params_.renderThreads >= 1,
-                  "recordFrame needs the two-phase pipeline "
-                  "(gpu.render_threads >= 1)");
 
     std::unique_ptr<FrameJob> job(new FrameJob);
     job->ctx_ = std::make_unique<FrameCtx>(scene, fb);
@@ -968,9 +758,7 @@ Renderer::recordFrame(const Scene &scene, FrameBuffer &fb)
     ctx.geomComputeCycles = geometryFunctional(scene, ctx.tris, fs);
     setupFrameCtx(ctx);
 
-    ctx.collectBlocks =
-        collect_frame_blocks_ ||
-        params_.effectiveSchedule() == GpuParams::Schedule::Prefetch;
+    ctx.collectBlocks = collect_frame_blocks_;
     if (ctx.collectBlocks)
         ctx.tileBlocks.assign(ctx.bins.size(), {});
 
@@ -982,9 +770,6 @@ Renderer::recordFrame(const Scene &scene, FrameBuffer &fb)
         TEXPIM_PROF_SCOPE(prof::kZoneSample);
         recordPhase(ctx);
     }
-
-    if (params_.effectiveSchedule() == GpuParams::Schedule::Prefetch)
-        prefetchOrderTiles(ctx);
 
     // FNV-1a over the encoded tiles in tile-index order: a cheap
     // fingerprint of the whole record stream, byte-invariant across
@@ -1011,7 +796,7 @@ Renderer::finishFrame(FrameJob &job)
     FrameStats fs = job.fs_;
 
     // Frame-granularity cancellation point (sequence frames past the
-    // first; tile-granularity checks in scheduleLoop cover the inside
+    // first; tile-granularity checks in replayPhase cover the inside
     // of a frame).
     SimContext::current().deadline().check("renderer.frame");
 
@@ -1095,53 +880,12 @@ Renderer::FrameJob::uniqueBlocks() const
 FrameStats
 Renderer::renderFrame(const Scene &scene, FrameBuffer &fb)
 {
-    TEXPIM_ASSERT(fb.width() == scene.settings.width &&
-                      fb.height() == scene.settings.height,
-                  "framebuffer does not match scene resolution");
-
     TEXPIM_PROF_SCOPE(prof::kZoneFrame); // wall-clock only (D1)
 
     // Frame-granularity cancellation point (renderSequence frames past
-    // the first; tile-granularity checks in scheduleLoop cover the
+    // the first; tile-granularity checks in replayPhase cover the
     // inside of a frame).
     SimContext::current().deadline().check("renderer.frame");
-
-    if (params_.renderThreads == 0) {
-        TEXPIM_ASSERT(params_.effectiveSchedule() !=
-                          GpuParams::Schedule::Prefetch,
-                      "gpu.schedule=prefetch needs recorded streams "
-                      "(gpu.render_threads >= 1)");
-
-        FrameStats fs;
-        fb.clear();
-        z_cache_.invalidateAll();
-        color_cache_.invalidateAll();
-        tex_.beginFrame();
-        mem_.beginFrame();
-
-        FrameCtx ctx(scene, fb);
-        {
-            TEXPIM_PROF_SCOPE(prof::kZoneGeometry);
-            Cycle mem_done = geometryTraffic(scene);
-            ctx.geomComputeCycles = geometryFunctional(scene, ctx.tris, fs);
-            ctx.geomEnd = std::max(mem_done, ctx.geomComputeCycles);
-        }
-        fs.geometryCycles = ctx.geomEnd;
-        TEXPIM_TRACE_SPAN("raster", "geometry_phase", 1001, 0, ctx.geomEnd);
-
-        setupFrameCtx(ctx);
-        ctx.clusterTime.assign(params_.clusters, ctx.geomEnd);
-        ctx.windows.assign(params_.clusters,
-                           InflightWindow(params_.maxInflightTexRequests));
-        ctx.nextTile.assign(params_.clusters, 0);
-
-        {
-            TEXPIM_PROF_SCOPE(prof::kZoneReplay); // fused: one timing pass
-            fusedLoop(ctx, fs);
-        }
-        finishTail(ctx, fs);
-        return fs;
-    }
 
     std::unique_ptr<FrameJob> job = recordFrame(scene, fb);
     return finishFrame(*job);
@@ -1187,8 +931,7 @@ Renderer::finishTail(FrameCtx &ctx, FrameStats &fs)
 
     // Deterministic cycle/count charges, all from this (coordinating)
     // thread so the profile is identical across gpu.render_threads and
-    // jobs settings (rule D2). The fused loop and the two-phase path
-    // charge the same quantities.
+    // jobs settings (rule D2).
     TEXPIM_PROF_CYCLES(prof::kZoneFrame, frame_end);
     TEXPIM_PROF_CYCLES(prof::kZoneGeometry, ctx.geomEnd);
     TEXPIM_PROF_CYCLES(prof::kZoneReplay, frame_end - ctx.geomEnd);

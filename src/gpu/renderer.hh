@@ -53,8 +53,7 @@ struct FrameStats
     double avgAnisoRatio = 0.0;
 
     // Host wall clock of the simulator itself (for bench/perf_render).
-    // Not simulated results: never exported by writeSimResultJson, and
-    // zero when the fused (render_threads = 0) loop runs.
+    // Not simulated results: never exported by writeSimResultJson.
     double wallPhase1Sec = 0.0; //!< functional raster phase
     double wallPhase2Sec = 0.0; //!< timing replay phase
     u64 recordBytes = 0;        //!< encoded replay-stream bytes (all tiles)
@@ -79,16 +78,12 @@ class Renderer
     Renderer(const GpuParams &params, MemorySystem &mem, TexturePath &tex);
 
     /**
-     * Render one frame functionally and temporally.
-     *
-     * With `params.renderThreads == 0` the original fused loop runs:
-     * one serial pass interleaving rasterization, texture filtering
-     * and the timing model. Any other value selects the two-phase
-     * pipeline — phase 1 rasterizes tiles (on that many worker
-     * threads) recording per-tile replay streams, phase 2 replays
-     * them serially through the timing model in the exact fused
-     * order. Both paths produce bit-identical framebuffers, cycle
-     * counts and statistics.
+     * Render one frame functionally and temporally: recordFrame()
+     * then finishFrame(). Phase 1 rasterizes tiles (on
+     * params.renderThreads worker threads) recording per-tile replay
+     * streams; phase 2 replays them serially through the timing
+     * model. Every thread count produces bit-identical framebuffers,
+     * cycle counts and statistics.
      */
     FrameStats renderFrame(const Scene &scene, FrameBuffer &fb);
 
@@ -105,11 +100,10 @@ class Renderer
      * Z, texture sampling into per-tile replay streams) on the
      * render_threads worker pool. Touches no simulation state — the
      * memory system, caches, texture-path timing and all statistics
-     * are untouched, and the texture paths' sample() is const and
-     * pure — so a later frame's recordFrame() may run concurrently
-     * with an earlier frame's finishFrame() (the inter-frame pipeline
-     * SequenceRunner builds). Requires renderThreads >= 1; the fused
-     * loop (renderThreads == 0) has no separable functional phase.
+     * are untouched, and the texture paths' sampleQuad() is const
+     * and pure — so a later frame's recordFrame() may run
+     * concurrently with an earlier frame's finishFrame() (the
+     * inter-frame pipeline SequenceRunner builds).
      */
     std::unique_ptr<FrameJob> recordFrame(const Scene &scene,
                                           FrameBuffer &fb);
@@ -125,8 +119,8 @@ class Renderer
     FrameStats finishFrame(FrameJob &job);
 
     /** Collect per-tile texel-block footprints during recordFrame()
-     *  even when the schedule does not need them (sequence reuse
-     *  accounting); see FrameJob::uniqueBlocks(). */
+     *  for the sequence reuse accounting; see
+     *  FrameJob::uniqueBlocks(). */
     void setCollectFrameBlocks(bool on) { collect_frame_blocks_ = on; }
 
     StatGroup &stats() { return stats_; }
@@ -164,6 +158,7 @@ class Renderer
 
     struct FrameCtx;   // per-frame working state, defined in renderer.cc
     struct TileWorker; // per-worker phase-1 scratch, defined in renderer.cc
+    struct TileWork;   // one tile's replayed fragment work, renderer.cc
 
     /** Geometry, functional half: vertex shading, clipping, triangle
      *  setup. Fills `tris` and returns the compute-cycle cost (vertex
@@ -182,14 +177,8 @@ class Renderer
      *  from the scene and `ctx.tris`. Functional only. */
     void setupFrameCtx(FrameCtx &ctx);
 
-    /** gpu.schedule=prefetch: reorder each cluster's tile queue to
-     *  front-load first-use texel blocks (WaSP-style). Needs the
-     *  per-tile block footprints recordPhase collected. */
-    void prefetchOrderTiles(FrameCtx &ctx);
-
-    /** End-of-frame accounting shared by the fused and two-phase
-     *  paths: frame-end resolution, scanout traffic, stats counters,
-     *  deterministic profile charges. */
+    /** End-of-frame accounting: frame-end resolution, scanout
+     *  traffic, stats counters, deterministic profile charges. */
     void finishTail(FrameCtx &ctx, FrameStats &fs);
 
     /** Phase 1, one tile: rasterize, tile-local early Z, functional
@@ -198,8 +187,8 @@ class Renderer
      *  state plus the caller-owned worker scratch). */
     void rasterizeTile(FrameCtx &ctx, u32 ti, TileWorker &worker);
 
-    /** Quad path: filter one triangle's buffered fragments in 2x2
-     *  screen quads, then emit records in original fragment order. */
+    /** Filter one triangle's buffered fragments in 2x2 screen quads,
+     *  then emit records in original fragment order. */
     void flushQuadBatch(FrameCtx &ctx, const SetupTriangle &st,
                         unsigned cluster, TileWorker &worker,
                         TileRecord &rec);
@@ -208,18 +197,16 @@ class Renderer
      *  params_.renderThreads workers when > 1. */
     void recordPhase(FrameCtx &ctx);
 
-    /** Phase 2: replay the records through the timing model in the
-     *  exact order the fused loop would process them. */
+    /** Phase 2: the cluster scheduler. Picks tiles in gpu.schedule
+     *  order, replays each through replayTile(), then settles ROP
+     *  traffic and the cluster clock. */
     void replayPhase(FrameCtx &ctx, FrameStats &fs);
 
-    /** The pre-split fused functional+timing loop (renderThreads=0). */
-    void fusedLoop(FrameCtx &ctx, FrameStats &fs);
-
-    /** The cluster scheduler shared by fusedLoop and replayPhase:
-     *  picks tiles, runs `body` for the fragment work, then settles
-     *  ROP traffic and the cluster clock. */
-    template <typename TileBody>
-    void scheduleLoop(FrameCtx &ctx, FrameStats &fs, TileBody &&body);
+    /** Phase 2, one tile: decode its record into `decoded` and replay
+     *  the fragments through the Z/color caches, the in-flight window
+     *  and the texture path, accumulating into `w`. */
+    void replayTile(FrameCtx &ctx, TileRecord &decoded, unsigned cluster,
+                    u32 ti, Cycle tile_start, TileWork &w, FrameStats &fs);
 
     GpuParams params_;
     MemorySystem &mem_;
@@ -244,8 +231,7 @@ class Renderer::FrameJob
 
     /** Sorted unique texel block/line addresses the frame's recorded
      *  streams touch (base blocks plus A-TFIM child blocks). Empty
-     *  unless setCollectFrameBlocks(true) or gpu.schedule=prefetch
-     *  enabled the census. */
+     *  unless setCollectFrameBlocks(true) enabled the census. */
     std::vector<Addr> uniqueBlocks() const;
 
   private:

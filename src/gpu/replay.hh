@@ -12,9 +12,9 @@
  *
  * Phase 2 (timing, serial) replays the records through the cluster
  * clocks, in-flight windows, caches, memory system and PIM paths in
- * exactly the order the fused single-thread loop would have produced,
- * so cycle counts, every statistic, and A-TFIM's state-dependent
- * angle-reuse image are bit-identical to the legacy renderer at any
+ * one fixed order — tiles in gpu.schedule order, fragments in raster
+ * order within a tile — so cycle counts, every statistic, and
+ * A-TFIM's state-dependent angle-reuse image are bit-identical at any
  * worker count.
  *
  * The flattened layout (per-tile arrays indexed by offset/count pairs
@@ -70,7 +70,8 @@ struct TexSampleRec
 
     /** Host-side bilinear/trilinear combine of four parent values per
      *  level (the exact expression DecomposedSampleResult::combine
-     *  evaluates, so replayed colors match the fused path bit-for-bit). */
+     *  evaluates, so replayed colors match the scalar sampler
+     *  bit-for-bit). */
     ColorF
     combine(const ColorF *parent_values) const
     {

@@ -68,69 +68,35 @@ class TexturePath
     TexturePath &operator=(const TexturePath &) = delete;
 
     /**
-     * Phase 1 — functional half. Filter the request mathematically and
-     * append one TexSampleRec (plus its block/parent streams) to
-     * `stream`. Pure: touches no caches, pipelines, statistics or
-     * memory-system state, so concurrent calls from phase-1 worker
-     * threads are safe (each worker owns its stream and scratch).
+     * Phase 1 — functional half. Filter up to kQuadLanes requests that
+     * share everything but coordinates (the renderer batches the 2x2
+     * fragment quads of one triangle; `base` supplies the shared
+     * texture / mode / maxAniso / cluster) through the quad-SoA
+     * samplers and append one TexSampleRec (plus its block/parent
+     * streams) per lane, in lane order. Every implementation also
+     * fills scratch.quadProbeAniso[0..count) with the renderer's
+     * LOD-probe aniso ratio (computeLod(tex, coords, maxAniso)
+     * .anisoRatio) per lane. Pure: touches no caches, pipelines,
+     * statistics or memory-system state, so concurrent calls from
+     * phase-1 worker threads are safe (each worker owns its stream
+     * and scratch).
      */
     // texpim-lint: phase-root functional phase-1 entry; every override
     // runs concurrently on the render pool
-    virtual void sample(const TexRequest &req, ReplayStream &stream,
-                        SamplerScratch &scratch) const = 0;
-
-    /**
-     * Phase 1, quad-batched: sample up to kQuadLanes requests that
-     * share everything but coordinates (the renderer batches the 2x2
-     * fragment quads of one triangle; `base` supplies the shared
-     * texture / mode / maxAniso / cluster) and append one TexSampleRec
-     * per lane, in lane order. Must be semantically identical to
-     * calling sample() per lane — this default does exactly that; the
-     * concrete paths override it with the quad-SoA fast path whose
-     * per-lane results are bit-identical to the scalar sampler. Every
-     * implementation also fills scratch.quadProbeAniso[0..count) with
-     * the renderer's LOD-probe aniso ratio
-     * (computeLod(tex, coords, maxAniso).anisoRatio) per lane. Pure,
-     * like sample().
-     */
-    // texpim-lint: phase-root functional phase-1 quad entry; overrides
-    // run concurrently on the render pool
-    virtual void
-    sampleQuad(const TexRequest &base, const SampleCoords *coords,
-               unsigned count, ReplayStream &stream,
-               SamplerScratch &scratch) const
-    {
-        for (unsigned q = 0; q < count; ++q) {
-            TexRequest req = base;
-            req.coords = coords[q];
-            sample(req, stream, scratch);
-            scratch.quadProbeAniso[q] =
-                computeLod(*base.tex, coords[q], base.maxAniso).anisoRatio;
-        }
-    }
+    virtual void sampleQuad(const TexRequest &base,
+                            const SampleCoords *coords, unsigned count,
+                            ReplayStream &stream,
+                            SamplerScratch &scratch) const = 0;
 
     /**
      * Phase 2 — timing half. Replay record `idx` of `stream` through
      * the caches, pipelines and memory system, updating every
-     * statistic exactly as the fused path did. Serial only. `req`
-     * supplies the timing context (clusterId / issue / wanted) and the
-     * camera angle; `req.tex` may be null — the functional work
-     * already happened in sample().
+     * statistic. Serial only. `req` supplies the timing context
+     * (clusterId / issue / wanted) and the camera angle; `req.tex` may
+     * be null — the functional work already happened in sampleQuad().
      */
     virtual TexResponse replay(const TexRequest &req,
                                const ReplayStream &stream, u32 idx) = 0;
-
-    /** Fused convenience path: sample + replay back to back. The
-     *  two-phase renderer never calls this; everything else (tests,
-     *  benches, the legacy renderer) does, which is what guarantees
-     *  the split halves compose to the original semantics. */
-    TexResponse
-    process(const TexRequest &req)
-    {
-        proc_stream_.clear();
-        sample(req, proc_stream_, proc_scratch_);
-        return replay(req, proc_stream_, 0);
-    }
 
     /** Prepare for a new frame (reset transient state, keep caches). */
     virtual void beginFrame() {}
@@ -175,8 +141,6 @@ class TexturePath
   private:
     u64 requests_ = 0;
     u64 latency_sum_ = 0;
-    ReplayStream proc_stream_;    //!< process()'s one-shot stream
-    SamplerScratch proc_scratch_; //!< process()'s sampling scratch
 };
 
 } // namespace texpim

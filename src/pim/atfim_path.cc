@@ -85,59 +85,6 @@ AtfimTexturePath::hostFallbackFetch(Cycle start, u64 total_children)
 }
 
 void
-AtfimTexturePath::sample(const TexRequest &req, ReplayStream &stream,
-                         SamplerScratch &scratch) const
-{
-    TEXPIM_ASSERT(req.tex != nullptr, "texture request without texture");
-    TEXPIM_ASSERT(req.clusterId < l1_.size(), "bad cluster id");
-    TEXPIM_ASSERT(req.mode != FilterMode::Nearest,
-                  "A-TFIM requires a linear filter mode");
-
-    // Functional decomposition: parent texels as if anisotropic
-    // filtering were off, plus the child texels the HMC would fetch.
-    // Which parents end up reused (and with which stale values) is a
-    // property of the serial cache state, so the record carries every
-    // parent's fresh value and recombination weights; replay() settles
-    // reuse and produces the final color.
-    DecomposedSampleResult &res = scratch.decomposed;
-    sampleDecomposed(*req.tex, req.coords, req.mode, req.maxAniso, res,
-                     scratch);
-
-    TexSampleRec rec;
-    rec.color = res.color;
-    rec.anisoRatio = res.anisoRatio;
-    rec.hostFilterOps = res.hostFilterOps;
-    rec.numLevels = u8(res.numLevels);
-    rec.fx[0] = res.fx[0];
-    rec.fx[1] = res.fx[1];
-    rec.fy[0] = res.fy[0];
-    rec.fy[1] = res.fy[1];
-    rec.levelWeight = res.levelWeight;
-
-    u64 gran = atfim_.childFetchGranularityBytes;
-    rec.parentOff = u32(stream.parents.size());
-    rec.parentCount = u32(res.parents.size());
-    for (const ParentTexel &p : res.parents) {
-        ParentRec pr;
-        pr.addr = p.addr;
-        pr.value = p.value;
-        u32 key = 0;
-        for (Addr a : p.children)
-            key = key * 1000003u + u32(a ^ (a >> 17));
-        pr.childKey = key;
-        // Masked to DRAM bursts but NOT consolidated: duplicates stay
-        // so replay can apply (or skip, for the ablation) Child Texel
-        // Consolidation over exactly the missing parents' children.
-        pr.childOff = u32(stream.childBlocks.size());
-        pr.childCount = u32(p.children.size());
-        for (Addr a : p.children)
-            stream.childBlocks.push_back(a & ~(gran - 1));
-        stream.parents.push_back(pr);
-    }
-    stream.samples.push_back(rec);
-}
-
-void
 AtfimTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
                              unsigned count, ReplayStream &stream,
                              SamplerScratch &scratch) const

@@ -73,8 +73,6 @@ class AtfimTexturePath : public TexturePath
                      const PimPacketParams &pkts, HmcMemory &hmc,
                      const RobustnessParams &robustness = {});
 
-    void sample(const TexRequest &req, ReplayStream &stream,
-                SamplerScratch &scratch) const override;
     void sampleQuad(const TexRequest &base, const SampleCoords *coords,
                     unsigned count, ReplayStream &stream,
                     SamplerScratch &scratch) const override;

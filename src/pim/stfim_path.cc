@@ -72,45 +72,6 @@ StfimTexturePath::beginFrame()
 }
 
 void
-StfimTexturePath::sample(const TexRequest &req, ReplayStream &stream,
-                         SamplerScratch &scratch) const
-{
-    TEXPIM_ASSERT(req.tex != nullptr, "texture request without texture");
-    TEXPIM_ASSERT(req.clusterId < mtus_.size(), "bad cluster id");
-
-    // Functional filtering is unchanged: S-TFIM moves computation, not
-    // math, so the output image is bit-identical to the baseline.
-    SampleResult &res = scratch.conventional;
-    sampleConventional(*req.tex, req.coords, req.mode, req.maxAniso, res,
-                       scratch);
-
-    TexSampleRec rec;
-    rec.color = res.color;
-    rec.texels = unsigned(res.fetches.size());
-    rec.filterOps = res.filterOps;
-    rec.anisoRatio = res.anisoRatio;
-    // Packages route to the cube owning this request's texture (§V-E).
-    rec.route = res.fetches.empty() ? 0 : res.fetches[0].addr;
-
-    // Coalesce texel fetches into DRAM bursts within this request
-    // (both the MTU and the degraded host path fetch these blocks) —
-    // in place on the stream tail.
-    u64 gran = mtu_params_.fetchGranularityBytes;
-    rec.blockOff = u32(stream.blocks.size());
-    for (const auto &f : res.fetches)
-        stream.blocks.push_back(f.addr & ~(gran - 1));
-    auto tail = stream.blocks.begin() + rec.blockOff;
-    // tie-break: block addresses are u64 (total order); duplicates are
-    // interchangeable values and the following unique() removes them.
-    std::sort(tail, stream.blocks.end());
-    stream.blocks.erase(std::unique(tail, stream.blocks.end()),
-                        stream.blocks.end());
-    rec.blockCount = u32(stream.blocks.size()) - rec.blockOff;
-
-    stream.samples.push_back(rec);
-}
-
-void
 StfimTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
                              unsigned count, ReplayStream &stream,
                              SamplerScratch &scratch) const

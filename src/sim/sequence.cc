@@ -43,10 +43,7 @@ SequenceRunner::run(const Workload &wl, unsigned num_frames,
     TEXPIM_ASSERT(num_frames > 0, "empty sequence");
     sim_.beginSequence();
 
-    const GpuParams &gpu = sim_.config().gpu;
-    if (gpu.renderThreads == 0)
-        return runFused(wl, num_frames, start_frame, seed);
-    unsigned depth = gpu.pipelineDepth;
+    unsigned depth = sim_.config().gpu.pipelineDepth;
     if (depth <= 1 || num_frames <= 1)
         return runSerial(wl, num_frames, start_frame, seed);
     return runPipelined(wl, num_frames, start_frame, seed, depth);
@@ -84,24 +81,6 @@ SequenceRunner::finishOne(PendingFrame &p)
     SimResult r = sim_.finishSequenceFrame(*p.job, std::move(p.fb));
     sim_.noteFrameReuse(r, p.uniqueBlocks, p.reusedPrev);
     return r;
-}
-
-std::vector<SimResult>
-SequenceRunner::runFused(const Workload &wl, unsigned num_frames,
-                         unsigned start_frame, u64 seed)
-{
-    // The fused loop keeps no per-tile records, so there is no
-    // separable functional phase and no block census: the classic
-    // per-frame loop, with zero seq block counts.
-    std::vector<SimResult> out;
-    out.reserve(num_frames);
-    for (unsigned f = 0; f < num_frames; ++f) {
-        sim_.resetFrameStats();
-        Scene scene = buildGameScene(wl, start_frame + f, seed);
-        out.push_back(sim_.renderOnce(scene));
-        sim_.noteFrameReuse(out.back(), 0, 0);
-    }
-    return out;
 }
 
 std::vector<SimResult>

@@ -17,10 +17,8 @@
  * construction (the functional phase cannot observe or perturb the
  * timing phase).
  *
- * Pipelining engages when gpu.pipeline_depth > 1, gpu.render_threads
- * >= 1 and the sequence has more than one frame; otherwise the serial
- * path runs (and with gpu.render_threads == 0 the fused loop, which
- * has no separable functional phase).
+ * Pipelining engages when gpu.pipeline_depth > 1 and the sequence has
+ * more than one frame; otherwise the serial path runs.
  *
  * The runner also accounts inter-frame reuse: per frame, the distinct
  * texel blocks touched, how many of them the previous frame also
@@ -77,11 +75,6 @@ class SequenceRunner
     /** Reset per-frame stats, replay and finalize one recorded frame.
      *  Coordinating thread only, in recording order. */
     SimResult finishOne(PendingFrame &p);
-
-    /** gpu.render_threads == 0: the original fused-loop sequence. */
-    std::vector<SimResult> runFused(const Workload &wl,
-                                    unsigned num_frames,
-                                    unsigned start_frame, u64 seed);
 
     /** Unpipelined two-phase sequence (record and finish alternate on
      *  the coordinating thread). */

@@ -69,9 +69,8 @@ struct SimResult
 
     // Inter-frame reuse accounting (§V-C). interFrameTagHits is filled
     // for every frame (always zero on cold renderScene frames); the
-    // seq* block counts are filled by renderSequence when the renderer
-    // records replay streams (gpu.render_threads >= 1) and stay zero
-    // under the fused loop, which keeps no per-tile block footprints.
+    // seq* block counts are filled by renderSequence from the recorded
+    // replay streams' block footprints.
     u64 interFrameTagHits = 0;   //!< texture L1/L2 hits on lines warm
                                  //!< from an earlier frame
     u64 seqUniqueBlocks = 0;     //!< distinct texel blocks this frame
@@ -156,7 +155,7 @@ class RenderingSimulator
      * recordFrame's contract), so it may run on a prep thread while
      * the coordinating thread replays an earlier frame. `scene` must
      * already be prepareFrameScene'd, and scene and fb must outlive
-     * the returned job. Requires gpu.render_threads >= 1.
+     * the returned job.
      */
     std::unique_ptr<Renderer::FrameJob>
     recordSequenceFrame(const Scene &scene, FrameBuffer &fb);
@@ -193,7 +192,7 @@ class RenderingSimulator
     const TrafficAttribution *attribution() const { return attrib_.get(); }
 
   private:
-    friend class SequenceRunner; //!< fused-loop fallback + reuse export
+    friend class SequenceRunner; //!< reuse export (noteFrameReuse)
 
     void build();
 

@@ -240,11 +240,6 @@ struct SamplerScratch
 
     AnisoOffsetCache offsetCache; //!< footprint-offset memo table
 
-    // Result buffers for callers that only need the records
-    // transiently (the texture paths' functional sample step).
-    SampleResult conventional;
-    DecomposedSampleResult decomposed;
-
     // Quad-path result buffers (TexturePath::sampleQuad overrides).
     QuadConvOut quadConv;
     QuadDecompOut quadDecomp;

@@ -4,10 +4,9 @@
  * (sampler.cc) and the quad-SoA sampler (sampler_quad.cc).
  *
  * The quad path must produce bit-identical results to the scalar
- * path — the repo's differential tests and the cross-`gpu.sampler`
- * golden images depend on it — so the per-level geometry and the
- * anisotropic footprint offsets live here once instead of being
- * re-derived (and drifting) in two places. Everything here is pure
+ * path — the differential tests use the scalar path as their oracle —
+ * so the per-level geometry and the anisotropic footprint offsets live
+ * here once instead of being re-derived (and drifting) in two places. Everything here is pure
  * float math with no state; both samplers call these with identical
  * arguments per fragment, so identical results follow from
  * `-ffp-contract=off` and the single definition.

@@ -4,6 +4,7 @@
 #include "mem/gddr5.hh"
 #include "mem/hmc.hh"
 #include "scene/procedural_texture.hh"
+#include "support/process_request.hh"
 
 namespace texpim {
 namespace {
@@ -40,7 +41,7 @@ TEST(HostTexturePath, ColorMatchesFunctionalSampler)
 {
     Fixture f;
     TexRequest r = f.request(0.3f, 0.6f);
-    TexResponse resp = f.path.process(r);
+    TexResponse resp = processRequest(f.path, r);
     SampleResult conv;
     sampleConventional(f.tex, r.coords, r.mode, r.maxAniso, conv);
     EXPECT_FLOAT_EQ(resp.color.r, conv.color.r);
@@ -50,10 +51,10 @@ TEST(HostTexturePath, ColorMatchesFunctionalSampler)
 TEST(HostTexturePath, ColdMissesThenWarmHits)
 {
     Fixture f;
-    f.path.process(f.request(0.5f, 0.5f));
+    processRequest(f.path, f.request(0.5f, 0.5f));
     u64 cold_misses = f.path.stats().findCounter("l1_misses").value();
     EXPECT_GT(cold_misses, 0u);
-    f.path.process(f.request(0.5f, 0.5f));
+    processRequest(f.path, f.request(0.5f, 0.5f));
     // Identical request: all lines now resident in L1.
     EXPECT_EQ(f.path.stats().findCounter("l1_misses").value(), cold_misses);
 }
@@ -61,20 +62,20 @@ TEST(HostTexturePath, ColdMissesThenWarmHits)
 TEST(HostTexturePath, WarmRequestsCompleteFaster)
 {
     Fixture f;
-    TexResponse cold = f.path.process(f.request(0.5f, 0.5f, 0, 0));
+    TexResponse cold = processRequest(f.path, f.request(0.5f, 0.5f, 0, 0));
     Cycle cold_latency = cold.complete;
-    TexResponse warm = f.path.process(f.request(0.5f, 0.5f, 0, 10'000));
+    TexResponse warm = processRequest(f.path, f.request(0.5f, 0.5f, 0, 10'000));
     EXPECT_LT(warm.complete - 10'000, cold_latency);
 }
 
 TEST(HostTexturePath, PerClusterL1sAreIndependent)
 {
     Fixture f;
-    f.path.process(f.request(0.5f, 0.5f, 0));
+    processRequest(f.path, f.request(0.5f, 0.5f, 0));
     u64 l2_after_first = f.path.stats().findCounter("l2_misses").value();
     // Another cluster touching the same texels misses its own L1 but
     // hits the shared L2.
-    f.path.process(f.request(0.5f, 0.5f, 1, 10'000));
+    processRequest(f.path, f.request(0.5f, 0.5f, 1, 10'000));
     EXPECT_EQ(f.path.stats().findCounter("l2_misses").value(),
               l2_after_first);
     EXPECT_GT(f.path.stats().findCounter("l2_hits").value(), 0u);
@@ -83,10 +84,10 @@ TEST(HostTexturePath, PerClusterL1sAreIndependent)
 TEST(HostTexturePath, MemoryTrafficOnlyOnMisses)
 {
     Fixture f;
-    f.path.process(f.request(0.25f, 0.25f));
+    processRequest(f.path, f.request(0.25f, 0.25f));
     u64 bytes_cold = f.mem.offChipTraffic().bytes(TrafficClass::Texture);
     EXPECT_GT(bytes_cold, 0u);
-    f.path.process(f.request(0.25f, 0.25f, 0, 50'000));
+    processRequest(f.path, f.request(0.25f, 0.25f, 0, 50'000));
     EXPECT_EQ(f.mem.offChipTraffic().bytes(TrafficClass::Texture),
               bytes_cold);
 }
@@ -95,13 +96,13 @@ TEST(HostTexturePath, HigherAnisoFetchesMoreTexels)
 {
     Fixture f;
     TexRequest iso = f.request(0.7f, 0.7f);
-    f.path.process(iso);
+    processRequest(f.path, iso);
     u64 texels_iso = f.path.stats().findCounter("texels").value();
 
     TexRequest aniso = f.request(0.2f, 0.2f);
     aniso.coords.ddx = {0.08f, 0}; // 8:1 stretched footprint
     aniso.coords.ddy = {0, 0.01f};
-    f.path.process(aniso);
+    processRequest(f.path, aniso);
     u64 texels_total = f.path.stats().findCounter("texels").value();
     EXPECT_GT(texels_total - texels_iso, texels_iso);
 }
@@ -128,15 +129,15 @@ TEST(HostTexturePath, MshrMergesRefetchOfInFlightLine)
         return r;
     };
 
-    path.process(make(0.1f, 0.1f, 0));
+    processRequest(path, make(0.1f, 0.1f, 0));
     // Flood the single L2 set from another cluster to evict the
     // first request's lines while their fills are still in flight.
     for (int i = 0; i < 6; ++i)
         for (int j = 0; j < 6; ++j)
-            path.process(make(0.3f + 0.1f * float(i),
-                              0.3f + 0.1f * float(j), 1));
+            processRequest(path, make(0.3f + 0.1f * float(i),
+                                      0.3f + 0.1f * float(j), 1));
     // Refetch the original texels at the original (early) time.
-    path.process(make(0.1f, 0.1f, 2));
+    processRequest(path, make(0.1f, 0.1f, 2));
     EXPECT_GT(path.stats().findCounter("mshr_merges").value(), 0u);
 }
 
@@ -151,7 +152,7 @@ TEST(HostTexturePath, WorksOverHmcToo)
     r.coords.uv = {0.4f, 0.4f};
     r.coords.ddx = {0.02f, 0};
     r.coords.ddy = {0, 0.02f};
-    TexResponse resp = path.process(r);
+    TexResponse resp = processRequest(path, r);
     EXPECT_GT(resp.complete, 0u);
     EXPECT_GT(hmc.offChipTraffic().bytes(TrafficClass::Texture), 0u);
 }
@@ -161,7 +162,7 @@ TEST(HostTexturePathDeath, NullTexturePanics)
     Fixture f;
     TexRequest r = f.request(0.1f, 0.1f);
     r.tex = nullptr;
-    EXPECT_DEATH({ f.path.process(r); }, "without texture");
+    EXPECT_DEATH({ processRequest(f.path, r); }, "without texture");
 }
 
 } // namespace

@@ -1,0 +1,132 @@
+/**
+ * @file
+ * GpuParams::fromConfig validation: thread and depth counts must be at
+ * least 1 (checked before the narrowing cast, so -1 cannot wrap),
+ * TEXPIM_RENDER_THREADS is parsed strictly, gpu.schedule accepts
+ * exactly "horizon" and "rr", and retired keys fail loudly instead of
+ * warning as unknown.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <string>
+
+#include "gpu/params.hh"
+
+namespace texpim {
+namespace {
+
+/** Sets an environment variable for one scope, restoring it after. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name)) {
+            had_ = true;
+            old_ = old;
+        }
+        setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (had_)
+            setenv(name_, old_.c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    bool had_ = false;
+    std::string old_;
+};
+
+TEST(GpuParams, RenderThreadsFromKeyOrEnvironment)
+{
+    ScopedEnv env("TEXPIM_RENDER_THREADS", "3");
+    EXPECT_EQ(GpuParams::fromConfig(Config{}).renderThreads, 3u);
+    Config cfg;
+    cfg.setInt("gpu.render_threads", 2);
+    EXPECT_EQ(GpuParams::fromConfig(cfg).renderThreads, 2u);
+}
+
+TEST(GpuParams, ScheduleAcceptsHorizonAndRr)
+{
+    Config cfg;
+    cfg.set("gpu.schedule", "rr");
+    EXPECT_EQ(GpuParams::fromConfig(cfg).schedule,
+              GpuParams::Schedule::RoundRobin);
+    cfg.set("gpu.schedule", "horizon");
+    EXPECT_EQ(GpuParams::fromConfig(cfg).schedule,
+              GpuParams::Schedule::Horizon);
+}
+
+TEST(GpuParamsDeath, CountsBelowOneAreFatal)
+{
+    for (const char *key : {"gpu.render_threads", "gpu.pipeline_depth"}) {
+        for (int v : {-1, 0}) {
+            SCOPED_TRACE(std::string(key) + "=" + std::to_string(v));
+            Config cfg;
+            cfg.setInt(key, v);
+            EXPECT_EXIT({ (void)GpuParams::fromConfig(cfg); },
+                        testing::ExitedWithCode(1),
+                        std::string(key) + " must be between 1 and " +
+                            "[0-9]+, got " + std::to_string(v));
+        }
+    }
+}
+
+TEST(GpuParamsDeath, RenderThreadsEnvironmentIsParsedStrictly)
+{
+    EXPECT_EXIT(
+        {
+            setenv("TEXPIM_RENDER_THREADS", "abc", 1);
+            (void)GpuParams::fromConfig(Config{});
+        },
+        testing::ExitedWithCode(1),
+        "TEXPIM_RENDER_THREADS = 'abc' is not an integer");
+    EXPECT_EXIT(
+        {
+            setenv("TEXPIM_RENDER_THREADS", "0", 1);
+            (void)GpuParams::fromConfig(Config{});
+        },
+        testing::ExitedWithCode(1),
+        "TEXPIM_RENDER_THREADS must be between 1 and [0-9]+, got 0");
+}
+
+TEST(GpuParamsDeath, UnknownScheduleIsFatal)
+{
+    Config cfg;
+    cfg.set("gpu.schedule", "prefetch");
+    EXPECT_EXIT({ (void)GpuParams::fromConfig(cfg); },
+                testing::ExitedWithCode(1),
+                "gpu.schedule must be \"horizon\" or \"rr\", got "
+                "\"prefetch\"");
+}
+
+TEST(GpuParamsDeath, RetiredDeterministicScheduleIsFatal)
+{
+    // Without strict_config an unknown key only warns, which would
+    // silently render A-TFIM under the horizon schedule instead.
+    Config cfg;
+    cfg.set("gpu.deterministic_schedule", "1");
+    EXPECT_EXIT({ (void)GpuParams::fromConfig(cfg); },
+                testing::ExitedWithCode(1),
+                "'gpu.deterministic_schedule' was removed: use "
+                "gpu.schedule=rr");
+}
+
+TEST(GpuParamsDeath, RetiredSamplerIsFatal)
+{
+    Config cfg;
+    cfg.set("gpu.sampler", "scalar");
+    EXPECT_EXIT({ (void)GpuParams::fromConfig(cfg); },
+                testing::ExitedWithCode(1), "'gpu.sampler' was removed");
+}
+
+} // namespace
+} // namespace texpim

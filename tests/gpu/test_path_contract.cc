@@ -17,6 +17,7 @@
 #include "pim/atfim_path.hh"
 #include "pim/stfim_path.hh"
 #include "scene/procedural_texture.hh"
+#include "support/process_request.hh"
 
 namespace texpim {
 namespace {
@@ -81,7 +82,7 @@ TEST_P(PathContract, CompletionNeverPrecedesIssue)
     Cycle t = 1000;
     for (int i = 0; i < 50; ++i) {
         TexRequest r = h.request(0.019f * float(i), 0.4f, t);
-        TexResponse resp = h.path->process(r);
+        TexResponse resp = processRequest(*h.path, r);
         EXPECT_GE(resp.complete, r.issue) << i;
         t = resp.complete; // chain: monotone requests
     }
@@ -93,7 +94,7 @@ TEST_P(PathContract, ColorTracksFunctionalSampler)
     SampleResult conv;
     for (int i = 0; i < 50; ++i) {
         TexRequest r = h.request(0.017f * float(i), 0.73f, 0);
-        TexResponse resp = h.path->process(r);
+        TexResponse resp = processRequest(*h.path, r);
         sampleConventional(h.tex, r.coords, r.mode, r.maxAniso, conv);
         // Exact paths match bit for bit; A-TFIM within the
         // decomposition's float-rounding band on first touch.
@@ -109,7 +110,7 @@ TEST_P(PathContract, LatencyAccountingIsConsistent)
     Cycle t = 0;
     for (int i = 0; i < 20; ++i) {
         TexRequest r = h.request(0.05f * float(i), 0.2f, t);
-        TexResponse resp = h.path->process(r);
+        TexResponse resp = processRequest(*h.path, r);
         total += resp.complete - r.wanted;
         t = resp.complete;
     }
@@ -120,9 +121,9 @@ TEST_P(PathContract, LatencyAccountingIsConsistent)
 TEST_P(PathContract, BeginFrameDoesNotBreakProcessing)
 {
     Harness h(GetParam());
-    h.path->process(h.request(0.5f, 0.5f, 0));
+    processRequest(*h.path, h.request(0.5f, 0.5f, 0));
     h.path->beginFrame();
-    TexResponse resp = h.path->process(h.request(0.5f, 0.5f, 0));
+    TexResponse resp = processRequest(*h.path, h.request(0.5f, 0.5f, 0));
     EXPECT_GE(resp.complete, 0u);
 }
 

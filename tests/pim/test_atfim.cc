@@ -3,6 +3,7 @@
 #include "pim/atfim_path.hh"
 #include "sim/design.hh"
 #include "scene/procedural_texture.hh"
+#include "support/process_request.hh"
 
 namespace texpim {
 namespace {
@@ -57,7 +58,7 @@ TEST(Atfim, FirstTouchMatchesConventionalFiltering)
     for (int i = 0; i < 40; ++i) {
         // Spread-out uvs so each request's parents are cold.
         TexRequest r = f.request(0.021f * float(i), 0.37f * float(i), 1.1f);
-        TexResponse resp = f.atfim->process(r);
+        TexResponse resp = processRequest(*f.atfim, r);
         sampleConventional(f.tex, r.coords, r.mode, r.maxAniso, conv);
         EXPECT_NEAR(resp.color.r, conv.color.r, 2e-4f) << i;
         EXPECT_NEAR(resp.color.g, conv.color.g, 2e-4f) << i;
@@ -69,9 +70,9 @@ TEST(Atfim, SameAngleRerequestHitsCaches)
 {
     Fixture f;
     TexRequest r = f.request(0.4f, 0.4f, 1.2f);
-    f.atfim->process(r);
+    processRequest(*f.atfim, r);
     u64 offloads_before = f.counter("offload_packages");
-    TexResponse again = f.atfim->process(r);
+    TexResponse again = processRequest(*f.atfim, r);
     EXPECT_EQ(f.counter("offload_packages"), offloads_before);
     EXPECT_GT(f.counter("l1_hits"), 0u);
     // And reuse is exact for identical footprints.
@@ -83,10 +84,10 @@ TEST(Atfim, SameAngleRerequestHitsCaches)
 TEST(Atfim, AngleChangePastThresholdForcesRecalculation)
 {
     Fixture f;
-    f.atfim->process(f.request(0.4f, 0.4f, 0.5f));
+    processRequest(*f.atfim, f.request(0.4f, 0.4f, 0.5f));
     u64 offloads_before = f.counter("offload_packages");
     // 10 degrees is far past the 1.8-degree default threshold.
-    f.atfim->process(f.request(0.4f, 0.4f, 0.5f + 0.1745f));
+    processRequest(*f.atfim, f.request(0.4f, 0.4f, 0.5f + 0.1745f));
     EXPECT_GT(f.counter("offload_packages"), offloads_before);
     EXPECT_GT(f.atfim->angleRecalcs(), 0u);
 }
@@ -94,10 +95,10 @@ TEST(Atfim, AngleChangePastThresholdForcesRecalculation)
 TEST(Atfim, AngleChangeWithinThresholdReuses)
 {
     Fixture f;
-    f.atfim->process(f.request(0.4f, 0.4f, 0.5f));
+    processRequest(*f.atfim, f.request(0.4f, 0.4f, 0.5f));
     u64 offloads_before = f.counter("offload_packages");
     // Half a degree: well within 1.8 degrees.
-    f.atfim->process(f.request(0.4f, 0.4f, 0.5f + 0.0087f));
+    processRequest(*f.atfim, f.request(0.4f, 0.4f, 0.5f + 0.0087f));
     EXPECT_EQ(f.counter("offload_packages"), offloads_before);
     EXPECT_EQ(f.atfim->angleRecalcs(), 0u);
 }
@@ -109,9 +110,9 @@ TEST(Atfim, NeverRecalcConfigIgnoresAngles)
     // texels coincide; with recalculation disabled the stale values
     // are reused as-is.
     Fixture f(kThresholdNoRecalc);
-    f.atfim->process(f.request(0.4f, 0.4f, 0.9f));
+    processRequest(*f.atfim, f.request(0.4f, 0.4f, 0.9f));
     u64 offloads_before = f.counter("offload_packages");
-    f.atfim->process(f.request(0.4f, 0.4f, 1.0f));
+    processRequest(*f.atfim, f.request(0.4f, 0.4f, 1.0f));
     EXPECT_EQ(f.counter("offload_packages"), offloads_before);
     EXPECT_EQ(f.atfim->angleRecalcs(), 0u);
 }
@@ -121,9 +122,9 @@ TEST(Atfim, DefaultThresholdRecalculatesWhatNoRecalcReuses)
     // The same 6-degree pair under the default threshold must force
     // recalculation instead.
     Fixture f;
-    f.atfim->process(f.request(0.4f, 0.4f, 0.9f));
+    processRequest(*f.atfim, f.request(0.4f, 0.4f, 0.9f));
     u64 offloads_before = f.counter("offload_packages");
-    f.atfim->process(f.request(0.4f, 0.4f, 1.0f));
+    processRequest(*f.atfim, f.request(0.4f, 0.4f, 1.0f));
     EXPECT_GT(f.counter("offload_packages"), offloads_before);
     EXPECT_GT(f.atfim->angleRecalcs(), 0u);
 }
@@ -132,7 +133,7 @@ TEST(Atfim, ConsolidationMergesOverlappingChildren)
 {
     Fixture f;
     TexRequest r = f.request(0.6f, 0.6f, 1.3f);
-    f.atfim->process(r);
+    processRequest(*f.atfim, r);
     // Neighboring parents' child sets overlap, so the consolidated
     // block count must be below the raw child count.
     EXPECT_LT(f.counter("child_blocks_fetched"),
@@ -142,7 +143,7 @@ TEST(Atfim, ConsolidationMergesOverlappingChildren)
 TEST(Atfim, OffloadTrafficIsPackagesNotTexels)
 {
     Fixture f;
-    f.atfim->process(f.request(0.3f, 0.7f, 1.0f));
+    processRequest(*f.atfim, f.request(0.3f, 0.7f, 1.0f));
     EXPECT_GT(f.hmc.offChipTraffic().bytes(TrafficClass::PimPackage), 0u);
     EXPECT_EQ(f.hmc.offChipTraffic().bytes(TrafficClass::Texture), 0u);
     EXPECT_GT(f.hmc.internalTraffic().bytes(TrafficClass::Texture), 0u);
@@ -155,7 +156,7 @@ TEST(Atfim, StricterThresholdNeverReducesRecalcs)
     for (float thr : {0.005f * kPiF, 0.01f * kPiF, 0.05f * kPiF}) {
         Fixture f(thr);
         for (float a : angles)
-            f.atfim->process(f.request(0.4f, 0.4f, a));
+            processRequest(*f.atfim, f.request(0.4f, 0.4f, a));
         u64 recalcs = f.atfim->angleRecalcs();
         EXPECT_LE(recalcs, prev);
         prev = recalcs;
@@ -167,7 +168,7 @@ TEST(AtfimDeath, NearestModeRejected)
     Fixture f;
     TexRequest r = f.request(0.5f, 0.5f, 1.0f);
     r.mode = FilterMode::Nearest;
-    EXPECT_DEATH({ f.atfim->process(r); }, "linear filter mode");
+    EXPECT_DEATH({ processRequest(*f.atfim, r); }, "linear filter mode");
 }
 
 } // namespace

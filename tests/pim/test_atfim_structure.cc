@@ -10,6 +10,7 @@
 
 #include "pim/atfim_path.hh"
 #include "scene/procedural_texture.hh"
+#include "support/process_request.hh"
 
 namespace texpim {
 namespace {
@@ -59,7 +60,7 @@ TEST(AtfimStructure, GeneratorAndCombinerProcessEveryChild)
 {
     Rig rig;
     for (int i = 0; i < 30; ++i)
-        rig.atfim->process(rig.request(0.03f * float(i), 0.61f));
+        processRequest(*rig.atfim, rig.request(0.03f * float(i), 0.61f));
     u64 children = rig.counter("children_generated");
     EXPECT_GT(children, 0u);
     EXPECT_EQ(rig.counter("texel_gen_ops"), children);
@@ -71,7 +72,7 @@ TEST(AtfimStructure, PackageBytesFollowTheFormula)
     // One fully cold request: every parent misses, so the measured
     // package traffic equals request(n) + response(n) exactly.
     Rig rig;
-    rig.atfim->process(rig.request(0.5f, 0.5f));
+    processRequest(*rig.atfim, rig.request(0.5f, 0.5f));
     u64 n = rig.counter("parents_offloaded");
     ASSERT_GT(n, 0u);
     ASSERT_EQ(rig.counter("offload_packages"), 1u);
@@ -86,7 +87,7 @@ TEST(AtfimStructure, ConsolidationRatioGrowsWithOverlap)
     // Neighboring parents share children: with 8 parents of N children
     // each, consolidated blocks must be well below parents x N.
     Rig rig;
-    rig.atfim->process(rig.request(0.25f, 0.25f));
+    processRequest(*rig.atfim, rig.request(0.25f, 0.25f));
     u64 children = rig.counter("children_generated");
     u64 blocks = rig.counter("child_blocks_fetched");
     EXPECT_LT(blocks * 2, children * 2); // sanity
@@ -101,8 +102,8 @@ TEST(AtfimStructure, WorksAcrossMultipleCubes)
     for (int i = 0; i < 20; ++i) {
         TexRequest r1 = one.request(0.04f * float(i), 0.3f);
         TexRequest r2 = two.request(0.04f * float(i), 0.3f);
-        TexResponse a = one.atfim->process(r1);
-        TexResponse b = two.atfim->process(r2);
+        TexResponse a = processRequest(*one.atfim, r1);
+        TexResponse b = processRequest(*two.atfim, r2);
         EXPECT_FLOAT_EQ(a.color.r, b.color.r) << i;
     }
     EXPECT_EQ(one.counter("parents_offloaded"),
@@ -114,7 +115,7 @@ TEST(AtfimStructure, WorksAcrossMultipleCubes)
 TEST(AtfimStructure, ResetStatsClearsPathCounters)
 {
     Rig rig;
-    rig.atfim->process(rig.request(0.5f, 0.5f));
+    processRequest(*rig.atfim, rig.request(0.5f, 0.5f));
     EXPECT_GT(rig.atfim->requests(), 0u);
     rig.atfim->resetStats();
     EXPECT_EQ(rig.atfim->requests(), 0u);
@@ -126,11 +127,11 @@ TEST(AtfimStructure, BeginFrameKeepsWarmCaches)
 {
     Rig rig;
     TexRequest r = rig.request(0.5f, 0.5f);
-    rig.atfim->process(r);
+    processRequest(*rig.atfim, r);
     u64 offloads = rig.counter("offload_packages");
     rig.atfim->beginFrame();
     // The same request after a frame boundary hits the (kept) caches.
-    rig.atfim->process(r);
+    processRequest(*rig.atfim, r);
     EXPECT_EQ(rig.counter("offload_packages"), offloads);
 }
 

@@ -4,6 +4,7 @@
 #include "mem/gddr5.hh"
 #include "pim/stfim_path.hh"
 #include "scene/procedural_texture.hh"
+#include "support/process_request.hh"
 
 namespace texpim {
 namespace {
@@ -46,7 +47,7 @@ TEST(Stfim, FunctionalColorMatchesConventional)
     for (int i = 0; i < 50; ++i) {
         float u = 0.017f * float(i);
         TexRequest r = f.request(u, 0.3f, 0.03f, 0.004f);
-        TexResponse resp = f.stfim.process(r);
+        TexResponse resp = processRequest(f.stfim, r);
         sampleConventional(f.tex, r.coords, r.mode, r.maxAniso, conv);
         EXPECT_FLOAT_EQ(resp.color.r, conv.color.r) << i;
         EXPECT_FLOAT_EQ(resp.color.g, conv.color.g) << i;
@@ -57,7 +58,8 @@ TEST(Stfim, EveryRequestShipsPackages)
 {
     Fixture f;
     for (int i = 0; i < 10; ++i)
-        f.stfim.process(f.request(0.01f * float(i), 0.5f, 0.02f, 0.02f));
+        processRequest(f.stfim,
+                       f.request(0.01f * float(i), 0.5f, 0.02f, 0.02f));
     EXPECT_EQ(f.stfim.stats().findCounter("packages").value(), 20u);
     EXPECT_GT(f.hmc.offChipTraffic().bytes(TrafficClass::PimPackage), 0u);
     // No host texture reads at all: texels move only inside the cube.
@@ -69,7 +71,7 @@ TEST(Stfim, LatencyIncludesRoundTrip)
 {
     Fixture f;
     TexRequest r = f.request(0.4f, 0.4f, 0.02f, 0.02f, 1000);
-    TexResponse resp = f.stfim.process(r);
+    TexResponse resp = processRequest(f.stfim, r);
     // At least two link crossings plus memory time.
     EXPECT_GT(resp.complete, r.issue + 2 * f.hmc.params().linkLatency);
 }
@@ -78,9 +80,9 @@ TEST(Stfim, NoCacheMeansRepeatedTrafficForSameTexels)
 {
     Fixture f;
     TexRequest r = f.request(0.25f, 0.25f, 0.02f, 0.02f);
-    f.stfim.process(r);
+    processRequest(f.stfim, r);
     u64 after_one = f.hmc.internalTraffic().totalBytes();
-    f.stfim.process(r);
+    processRequest(f.stfim, r);
     u64 after_two = f.hmc.internalTraffic().totalBytes();
     // The identical request refetches everything: no reuse anywhere.
     EXPECT_EQ(after_two, 2 * after_one);
@@ -92,15 +94,16 @@ TEST(Stfim, QueueBackpressureKicksInUnderBurst)
     // Fire far more requests at cycle 0 than the 256-entry queue
     // holds; later sends must stall.
     for (int i = 0; i < 600; ++i)
-        f.stfim.process(f.request(0.001f * float(i), 0.7f, 0.03f, 0.004f));
+        processRequest(f.stfim,
+                       f.request(0.001f * float(i), 0.7f, 0.03f, 0.004f));
     EXPECT_GT(f.stfim.stats().findCounter("queue_stalls").value(), 0u);
 }
 
 TEST(Stfim, LatencySumMatchesRecordedRequests)
 {
     Fixture f;
-    f.stfim.process(f.request(0.1f, 0.1f, 0.02f, 0.02f));
-    f.stfim.process(f.request(0.2f, 0.2f, 0.02f, 0.02f));
+    processRequest(f.stfim, f.request(0.1f, 0.1f, 0.02f, 0.02f));
+    processRequest(f.stfim, f.request(0.2f, 0.2f, 0.02f, 0.02f));
     EXPECT_EQ(f.stfim.requests(), 2u);
     EXPECT_GT(f.stfim.latencySum(), 0u);
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Golden-image regression test: render the smallest paper workload
- * (Doom3 320x240, frame 3) under all four designs with the
- * deterministic shader-scheduling knob on, and pin the FNV-1a hash of
+ * (Doom3 320x240, frame 3) under all four designs with the pinned
+ * round-robin tile schedule (gpu.schedule=rr), and pin the FNV-1a hash of
  * every framebuffer to a checked-in golden. Any change to
  * rasterization, texturing, filtering order or the A-TFIM
  * recalculation policy that perturbs even one pixel fails here first.
@@ -10,7 +10,7 @@
  * The goldens were produced by the texpim CLI itself:
  *
  *   texpim sweep doom3 width=320 height=240 \
- *       gpu.deterministic_schedule=1 metrics_out=golden.json
+ *       gpu.schedule=rr metrics_out=golden.json
  *
  * and are stable across build types because the root CMakeLists
  * compiles with -ffp-contract=off (no FMA-contraction drift between
@@ -34,13 +34,13 @@ constexpr unsigned kWidth = 320;
 constexpr unsigned kHeight = 240;
 
 /** The same spec `texpim sweep <game> width=320 height=240
- *  gpu.deterministic_schedule=1` builds. */
+ *  gpu.schedule=rr` builds. */
 ExperimentSpec
 goldenSpec(Design d, Game game = Game::Doom3)
 {
     ExperimentSpec spec;
     spec.config.design = d;
-    spec.config.gpu.deterministicSchedule = true;
+    spec.config.gpu.schedule = GpuParams::Schedule::RoundRobin;
     spec.workload = Workload{game, kWidth, kHeight};
     spec.frame = 3;
     spec.seed = 0x7e01d;
@@ -73,7 +73,7 @@ const Golden kGoldens[] = {
 };
 
 // Second workload: Half-Life 2 at the same 320x240/frame-3 spec
-// (`texpim sweep hl2 width=320 height=240 gpu.deterministic_schedule=1`).
+// (`texpim sweep hl2 width=320 height=240 gpu.schedule=rr`).
 // Doom3's corridor geometry leans on oblique anisotropy; HL2's profile
 // weights the detail-texture layer and different filter settings, so a
 // regression that happens to cancel out on Doom3 still trips here.
@@ -129,7 +129,7 @@ TEST_F(GoldenImages, HalfLife2MatchesCheckedInHashes)
         EXPECT_EQ(r.imageFnv1a, g.hash)
             << designName(g.design) << " rendered a different HL2 image; "
             << "if intentional, regenerate with `texpim sweep hl2 "
-            << "width=320 height=240 gpu.deterministic_schedule=1`. got 0x"
+            << "width=320 height=240 gpu.schedule=rr`. got 0x"
             << std::hex << r.imageFnv1a;
         if (g.design != Design::ATfim) {
             if (exact_hash == 0)
@@ -165,13 +165,13 @@ TEST_F(GoldenImages, AtfimQualityStaysAbove45Db)
 
 TEST_F(GoldenImages, RenderThreadsDoNotChangeResults)
 {
-    // The two-phase renderer's contract: the fused loop
-    // (render_threads=0), the serial record/replay pipeline (=1, what
-    // the cached fixture results used) and the parallel functional
-    // phase (=4) are bit-identical in image, cycles and every stat —
-    // for all four designs, including A-TFIM, whose functional output
-    // depends on the serial timing-model cache state.
-    for (unsigned threads : {0u, 4u}) {
+    // The two-phase renderer's contract: the serial record/replay
+    // pipeline (render_threads=1, what the cached fixture results
+    // used) and the parallel functional phase (=2, =4) are
+    // bit-identical in image, cycles and every stat — for all four
+    // designs, including A-TFIM, whose functional output depends on
+    // the serial timing-model cache state.
+    for (unsigned threads : {2u, 4u}) {
         for (const Golden &g : kGoldens) {
             SCOPED_TRACE(std::string(designName(g.design)) + " threads=" +
                          std::to_string(threads));
@@ -200,17 +200,17 @@ TEST_F(GoldenImages, HorizonScheduleThreadsInvariantToo)
 {
     // Same contract under the default lowest-issue-horizon scheduler:
     // phase 2 recomputes the horizon from replayed clocks and windows,
-    // so tile order — and therefore everything — matches the fused
-    // loop even when the schedule is timing-fed. One design suffices
-    // for the exact paths; A-TFIM is the stress case.
+    // so tile order — and therefore everything — is independent of the
+    // phase-1 worker count even when the schedule is timing-fed. One
+    // design suffices for the exact paths; A-TFIM is the stress case.
     for (Design d : {Design::Baseline, Design::ATfim}) {
         ExperimentResult runs[2];
-        unsigned threads[2] = {0u, 4u};
+        unsigned threads[2] = {1u, 4u};
         for (int i = 0; i < 2; ++i) {
             SimContext ctx;
             SimContext::Scope scope(ctx);
             ExperimentSpec spec = goldenSpec(d);
-            spec.config.gpu.deterministicSchedule = false;
+            spec.config.gpu.schedule = GpuParams::Schedule::Horizon;
             spec.config.gpu.renderThreads = threads[i];
             runs[i] = ExperimentRunner::runOne(spec);
         }

@@ -6,8 +6,8 @@
  *    to (class, texture, mip, lane) reproduces the memory model's
  *    off-chip traffic meters exactly, per class, for all four designs;
  *  - determinism: the zone-tree and attribution JSON exports are
- *    byte-identical across gpu.render_threads (fused 0, serial 1,
- *    pooled 4) and untouched by ExperimentRunner worker counts;
+ *    byte-identical across gpu.render_threads (serial 1, pooled 4)
+ *    and untouched by ExperimentRunner worker counts;
  *  - zero overhead off: with the profiler disabled a render charges no
  *    zone and installs no traffic sink, and enabling it changes
  *    neither the cycle count nor the image.
@@ -80,7 +80,7 @@ profAndAttribJson(Design d, unsigned render_threads, const Scene &scene)
     SimContext::Scope scope(ctx);
     SimConfig cfg;
     cfg.design = d;
-    cfg.gpu.deterministicSchedule = true;
+    cfg.gpu.schedule = GpuParams::Schedule::RoundRobin;
     cfg.gpu.renderThreads = render_threads;
     RenderingSimulator sim(cfg);
     Profiler::instance().enable();
@@ -100,15 +100,11 @@ TEST(ProfilerDeterminism, ExportsByteIdenticalAcrossRenderThreads)
     for (Design d : {Design::Baseline, Design::STfim}) {
         SCOPED_TRACE(designName(d));
         auto serial = profAndAttribJson(d, 1, scene);
-        auto fused = profAndAttribJson(d, 0, scene);
         auto pooled = profAndAttribJson(d, 4, scene);
         // Two-phase with a 4-worker pool reproduces the serial
         // pipeline byte for byte (rules D1-D4: workers never charge).
         EXPECT_EQ(serial.first, pooled.first);
         EXPECT_EQ(serial.second, pooled.second);
-        // The fused loop charges the same deterministic quantities.
-        EXPECT_EQ(serial.first, fused.first);
-        EXPECT_EQ(serial.second, fused.second);
     }
 }
 

@@ -29,7 +29,7 @@ struct FaultKnobs
     u64 seed = 0x5eed;
     Cycle packageTimeout = 0;
     double retryRateThreshold = 0.0;
-    /** Pin the functional schedule (gpu.deterministic_schedule): must
+    /** Pin the functional schedule (gpu.schedule=rr): must
      *  be set on BOTH sides of an image A/B across timing-perturbing
      *  knobs, because the default horizon schedule feeds timing back
      *  into the request order A-TFIM's shared caches see. */
@@ -47,7 +47,8 @@ run(Design d, const FaultKnobs &k = {})
     cfg.robustness.packageTimeout = k.packageTimeout;
     cfg.robustness.retryRateThreshold = k.retryRateThreshold;
     cfg.robustness.minPackets = 64;
-    cfg.gpu.deterministicSchedule = k.pinned;
+    cfg.gpu.schedule = k.pinned ? GpuParams::Schedule::RoundRobin
+                                : GpuParams::Schedule::Horizon;
     RenderingSimulator sim(cfg);
     return sim.renderScene(testScene());
 }

@@ -5,8 +5,7 @@
  * gpu.pipeline_depth x gpu.render_threads combination (the pipelined
  * functional phase cannot be allowed to perturb the timing replay),
  * plus golden-hash chains for two game sequences, inter-frame reuse
- * accounting, the prefetch tile schedule, and the replay peak-memory
- * bound.
+ * accounting, and the replay peak-memory bound.
  */
 
 #include <gtest/gtest.h>
@@ -120,9 +119,9 @@ TEST(SequencePipeline, RoundRobinSchedulerInvariantToo)
     for (Design d : {Design::Baseline, Design::ATfim}) {
         SCOPED_TRACE(designName(d));
         SimConfig serial = seqCfg(d, 1, 1);
-        serial.gpu.deterministicSchedule = true;
+        serial.gpu.schedule = GpuParams::Schedule::RoundRobin;
         SimConfig piped = seqCfg(d, 4, 4);
-        piped.gpu.deterministicSchedule = true;
+        piped.gpu.schedule = GpuParams::Schedule::RoundRobin;
         SeqPrint a = runSeq(serial, kSmall, 3);
         SeqPrint b = runSeq(piped, kSmall, 3);
         ASSERT_EQ(a.frames.size(), b.frames.size());
@@ -176,24 +175,6 @@ TEST(SequencePipeline, AtfimCountsInterFrameTagReuse)
     EXPECT_GT(frames[1].interFrameTagHits, 0u);
 }
 
-TEST(SequencePipeline, FusedLoopStillRuns)
-{
-    // render_threads=0 has no separable functional phase: the sequence
-    // must still render (serially) with zero block-census numbers.
-    SimConfig cfg = seqCfg(Design::Baseline, 0, 4);
-    SimContext ctx;
-    SimContext::Scope scope(ctx);
-    RenderingSimulator sim(cfg);
-    auto frames = sim.renderSequence(kSmall, 2);
-    ASSERT_EQ(frames.size(), 2u);
-    EXPECT_GT(frames[1].frame.frameCycles, 0u);
-    EXPECT_EQ(frames[0].seqUniqueBlocks, 0u);
-    EXPECT_EQ(frames[1].seqBlocksReusedPrev, 0u);
-    // The tag-hit counters come from the replay caches, which the
-    // fused loop drives too.
-    EXPECT_GT(frames[1].interFrameTagHits, 0u);
-}
-
 TEST(SequencePipeline, ReplayPeakMemoryStaysPerTile)
 {
     // Satellite: the replay decodes one tile at a time, so the peak
@@ -209,48 +190,14 @@ TEST(SequencePipeline, ReplayPeakMemoryStaysPerTile)
     EXPECT_LT(r.frame.recordBytesPeak * 4, r.frame.recordBytesDecoded);
 }
 
-TEST(SequencePipeline, PrefetchScheduleKeepsImagesAndStaysDeterministic)
-{
-    // gpu.schedule=prefetch reorders tile issue (a timing-model
-    // experiment); the rendered image must not move, and two identical
-    // runs must agree cycle-for-cycle.
-    SimConfig base = seqCfg(Design::Baseline, 1, 1);
-    SeqPrint ref = runSeq(base, kSmall, 2);
-
-    SimConfig pf = base;
-    pf.gpu.schedule = GpuParams::Schedule::Prefetch;
-    SeqPrint a = runSeq(pf, kSmall, 2);
-    SeqPrint b = runSeq(pf, kSmall, 2);
-
-    for (size_t f = 0; f < ref.frames.size(); ++f) {
-        EXPECT_EQ(a.frames[f].image, ref.frames[f].image) << "frame " << f;
-        EXPECT_GT(a.frames[f].cycles, 0u);
-        // Determinism: prefetch reordering is a pure function of the
-        // recorded streams.
-        EXPECT_TRUE(a.frames[f] == b.frames[f]) << "frame " << f;
-    }
-    EXPECT_EQ(a.stats, b.stats);
-}
-
-TEST(SequencePipelineDeath, PrefetchNeedsRecordedStreams)
-{
-    // The fused loop records no streams, so there is nothing to
-    // prefetch from; asking for both is a config error.
-    SimConfig cfg = seqCfg(Design::Baseline, 0, 1);
-    cfg.gpu.schedule = GpuParams::Schedule::Prefetch;
-    RenderingSimulator sim(cfg);
-    EXPECT_DEATH({ sim.renderScene(buildGameScene(kSmall, 0)); },
-                 "prefetch");
-}
-
 // --- Golden per-frame hash chains (satellite) -----------------------
 //
 // Rendered with the same spec as tests/quality/test_golden_images.cc
-// (320x240, gpu.deterministic_schedule=1, frames 3..5 of the camera
-// path). Frame hashes chain the whole sequence: a regression in warm-
-// cache state that only shows up mid-sequence fails on the exact frame
-// it perturbs. Baseline is an exact design, so each sequence frame
-// also equals that frame rendered cold — frame 3's hash is the same
+// (320x240, gpu.schedule=rr, frames 3..5 of the camera path). Frame
+// hashes chain the whole sequence: a regression in warm-cache state
+// that only shows up mid-sequence fails on the exact frame it
+// perturbs. Baseline is an exact design, so each sequence frame also
+// equals that frame rendered cold — frame 3's hash is the same
 // constant the single-frame golden test pins.
 struct GoldenChain
 {
@@ -274,7 +221,7 @@ TEST(SequencePipeline, GoldenHashChains)
 {
     for (const GoldenChain &chain : kChains) {
         SimConfig cfg = seqCfg(Design::Baseline, 1, 2);
-        cfg.gpu.deterministicSchedule = true;
+        cfg.gpu.schedule = GpuParams::Schedule::RoundRobin;
         SimContext ctx;
         SimContext::Scope scope(ctx);
         RenderingSimulator sim(cfg);

@@ -10,6 +10,7 @@
 
 #include "pim/atfim_path.hh"
 #include "scene/procedural_texture.hh"
+#include "support/process_request.hh"
 
 namespace texpim {
 namespace {
@@ -41,7 +42,7 @@ TEST(WalkthroughSVE, OneRequestThroughEveryStage)
     // Trilinear with aniso off needs 8 parent texels (Fig. 7B).
     ASSERT_EQ(functional.parents.size(), 8u);
 
-    TexResponse resp = atfim.process(req);
+    TexResponse resp = processRequest(atfim, req);
     const StatGroup &s = atfim.stats();
 
     // "Next, it fetches parent texels from the texture caches. ...
@@ -89,7 +90,7 @@ TEST(WalkthroughSVE, OneRequestThroughEveryStage)
     //  the HMC as normal fetch results ... they also cache the camera
     //  angles of these parent texels." — a re-request at the same
     //  angle is now a pure cache hit.
-    TexResponse again = atfim.process(req);
+    TexResponse again = processRequest(atfim, req);
     EXPECT_EQ(s.findCounter("offload_packages").value(), 1u);
     EXPECT_GT(s.findCounter("l1_hits").value(), 0u);
     EXPECT_FLOAT_EQ(again.color.r, resp.color.r);
