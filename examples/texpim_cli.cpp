@@ -60,8 +60,11 @@
  *   report_out=<file.md|.html>  report destination (report command)
  */
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -102,6 +105,23 @@ parseGame(const std::string &g, Game &out)
     else
         return false;
     return true;
+}
+
+/** Parse `frames`' <count> argument: a base-10 integer in
+ *  [1, UINT_MAX]. The range check runs on the signed value, so -1
+ *  cannot wrap to 4294967295. */
+unsigned
+parseFrameCount(const char *raw)
+{
+    char *end = nullptr;
+    errno = 0;
+    long long v = std::strtoll(raw, &end, 10);
+    if (end == raw || *end != '\0' || errno == ERANGE || v < 1 ||
+        v > (long long)std::numeric_limits<unsigned>::max())
+        TEXPIM_FATAL("frames: count must be an integer between 1 and ",
+                     std::numeric_limits<unsigned>::max(), ", got '", raw,
+                     "'");
+    return unsigned(v);
 }
 
 Config
@@ -359,7 +379,7 @@ cmdFrames(int argc, char **argv)
     Game game;
     if (!parseGame(argv[2], game))
         TEXPIM_FATAL("unknown game '", argv[2], "'");
-    unsigned count = unsigned(std::atoi(argv[3]));
+    unsigned count = parseFrameCount(argv[3]);
     Config cfg = collectConfig(argc, argv, 4);
     Workload wl{game, unsigned(cfg.getInt("width", 640)),
                 unsigned(cfg.getInt("height", 480))};

@@ -9,8 +9,8 @@
  * active() flag kept in sync by enable()/disable() and by
  * SimContext::Scope switches, and macros that cost a single
  * predictable branch when profiling is off — nothing else. With the
- * profiler disabled no zone is ever touched, so BENCH_PERF numbers are
- * unaffected.
+ * profiler disabled no zone is ever touched, so host-time benchmark
+ * numbers are unaffected.
  *
  * Determinism contract (rules D1-D4, see DESIGN.md "Deterministic
  * attribution"): counts and simulated cycles are charged only from

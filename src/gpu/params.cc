@@ -1,7 +1,5 @@
 #include "gpu/params.hh"
 
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -31,18 +29,6 @@ atLeastOne(const char *key, i64 v)
         TEXPIM_FATAL(key, " must be between 1 and ",
                      std::numeric_limits<unsigned>::max(), ", got ", v);
     return unsigned(v);
-}
-
-/** Strict integer parse of an environment variable's value. */
-i64
-parseEnvInt(const char *name, const char *raw)
-{
-    char *end = nullptr;
-    errno = 0;
-    long long v = std::strtoll(raw, &end, 10);
-    if (end == raw || *end != '\0' || errno == ERANGE)
-        TEXPIM_FATAL(name, " = '", raw, "' is not an integer");
-    return v;
 }
 
 } // namespace
@@ -87,15 +73,9 @@ GpuParams::fromConfig(const Config &cfg)
         "gpu.fragment_pipeline_cycles", p.fragmentPipelineCycles));
     p.triangleSetupCycles =
         unsigned(cfg.getInt("gpu.setup_cycles", p.triangleSetupCycles));
-    i64 threads = p.renderThreads;
-    const char *threads_src = "gpu.render_threads";
-    if (cfg.has("gpu.render_threads")) {
-        threads = cfg.getInt("gpu.render_threads");
-    } else if (const char *env = std::getenv("TEXPIM_RENDER_THREADS")) {
-        threads_src = "TEXPIM_RENDER_THREADS";
-        threads = parseEnvInt(threads_src, env);
-    }
-    p.renderThreads = atLeastOne(threads_src, threads);
+    p.renderThreads = atLeastOne(
+        "gpu.render_threads",
+        cfg.getInt("gpu.render_threads", p.renderThreads));
     std::string schedule = cfg.getString("gpu.schedule", "horizon");
     if (schedule != "horizon" && schedule != "rr")
         TEXPIM_FATAL("gpu.schedule must be \"horizon\" or \"rr\", got \"",

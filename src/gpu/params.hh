@@ -64,9 +64,7 @@ struct GpuParams
      * workers before the serial timing replay. Every value produces
      * bit-identical framebuffers, cycle counts and statistics — the
      * knob only trades host wall clock. Must be at least 1. Config key
-     * `gpu.render_threads`; the TEXPIM_RENDER_THREADS environment
-     * variable overrides the built-in default when the config key is
-     * absent.
+     * `gpu.render_threads`.
      */
     unsigned renderThreads = 1;
 

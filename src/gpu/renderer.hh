@@ -52,7 +52,7 @@ struct FrameStats
     double avgCameraAngleRad = 0.0;
     double avgAnisoRatio = 0.0;
 
-    // Host wall clock of the simulator itself (for bench/perf_render).
+    // Host wall clock of the simulator itself (for texbench).
     // Not simulated results: never exported by writeSimResultJson.
     double wallPhase1Sec = 0.0; //!< functional raster phase
     double wallPhase2Sec = 0.0; //!< timing replay phase

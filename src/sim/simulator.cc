@@ -48,7 +48,7 @@ writeSimResultJson(JsonWriter &w, const SimResult &r)
     // FrameStats' host wall-clock fields (wallPhase1Sec/wallPhase2Sec/
     // recordBytes) are intentionally absent: stats_out files must stay
     // byte-identical across runs, hosts and gpu.render_threads
-    // settings. bench/perf_render reports them separately.
+    // settings. texbench reports them separately.
     w.endObject();
 }
 

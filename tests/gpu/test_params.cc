@@ -2,14 +2,12 @@
  * @file
  * GpuParams::fromConfig validation: thread and depth counts must be at
  * least 1 (checked before the narrowing cast, so -1 cannot wrap),
- * TEXPIM_RENDER_THREADS is parsed strictly, gpu.schedule accepts
- * exactly "horizon" and "rr", and retired keys fail loudly instead of
- * warning as unknown.
+ * gpu.schedule accepts exactly "horizon" and "rr", and retired keys
+ * fail loudly instead of warning as unknown.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "gpu/params.hh"
@@ -17,38 +15,9 @@
 namespace texpim {
 namespace {
 
-/** Sets an environment variable for one scope, restoring it after. */
-class ScopedEnv
+TEST(GpuParams, RenderThreadsFromConfigKey)
 {
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        setenv(name, value, 1);
-    }
-    ~ScopedEnv()
-    {
-        if (had_)
-            setenv(name_, old_.c_str(), 1);
-        else
-            unsetenv(name_);
-    }
-    ScopedEnv(const ScopedEnv &) = delete;
-    ScopedEnv &operator=(const ScopedEnv &) = delete;
-
-  private:
-    const char *name_;
-    bool had_ = false;
-    std::string old_;
-};
-
-TEST(GpuParams, RenderThreadsFromKeyOrEnvironment)
-{
-    ScopedEnv env("TEXPIM_RENDER_THREADS", "3");
-    EXPECT_EQ(GpuParams::fromConfig(Config{}).renderThreads, 3u);
+    EXPECT_EQ(GpuParams::fromConfig(Config{}).renderThreads, 1u);
     Config cfg;
     cfg.setInt("gpu.render_threads", 2);
     EXPECT_EQ(GpuParams::fromConfig(cfg).renderThreads, 2u);
@@ -78,24 +47,6 @@ TEST(GpuParamsDeath, CountsBelowOneAreFatal)
                             "[0-9]+, got " + std::to_string(v));
         }
     }
-}
-
-TEST(GpuParamsDeath, RenderThreadsEnvironmentIsParsedStrictly)
-{
-    EXPECT_EXIT(
-        {
-            setenv("TEXPIM_RENDER_THREADS", "abc", 1);
-            (void)GpuParams::fromConfig(Config{});
-        },
-        testing::ExitedWithCode(1),
-        "TEXPIM_RENDER_THREADS = 'abc' is not an integer");
-    EXPECT_EXIT(
-        {
-            setenv("TEXPIM_RENDER_THREADS", "0", 1);
-            (void)GpuParams::fromConfig(Config{});
-        },
-        testing::ExitedWithCode(1),
-        "TEXPIM_RENDER_THREADS must be between 1 and [0-9]+, got 0");
 }
 
 TEST(GpuParamsDeath, UnknownScheduleIsFatal)

@@ -12,7 +12,9 @@
  *    rejected, corrupt headers are rejected, and random bit flips
  *    never crash the decoder;
  *  - the encoded stream — hash, byte count and decoded byte count —
- *    is invariant across gpu.render_threads, for every design.
+ *    is invariant across gpu.render_threads, for every design;
+ *  - the encoded Doom3 640x480 frame stays under its byte budget and
+ *    over 3x smaller than the raw record arrays.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 
 #include "common/rng.hh"
 #include "gpu/replay_codec.hh"
+#include "scene/game_profiles.hh"
 #include "sim/runner/experiment_runner.hh"
 
 namespace texpim {
@@ -461,6 +464,31 @@ TEST(StreamEquivalence, EncodedStreamInvariantAcrossRenderThreads)
             EXPECT_EQ(r.imageFnv1a, ref.imageFnv1a);
         }
     }
+}
+
+TEST(StreamEquivalence, EncodedRecordFitsBudgetAt640x480)
+{
+    // The byte budget phase 1 hands to phase 2 for the Doom3 640x480
+    // frame 3 Baseline scene (measured 18,256,378 encoded bytes;
+    // 81,001,472 before the codec). Record bytes are a pure function
+    // of the scene, so this fails deterministically on a codec or
+    // batching regression, however noisy the host. Raise the budget
+    // only with a DESIGN.md rationale.
+    constexpr u64 kBudget = 20'250'000;
+    ExperimentSpec spec;
+    spec.config.design = Design::Baseline;
+    spec.config.gpu.renderThreads = 4;
+    spec.workload = Workload{Game::Doom3, 640, 480};
+    spec.frame = 3;
+    spec.seed = 0x7e01d;
+    spec.maxAniso = defaultMaxAniso(640);
+    ExperimentResult r = runSpec(spec);
+    const FrameStats &frame = r.result.frame;
+    EXPECT_GT(frame.recordBytes, 0u);
+    EXPECT_LE(frame.recordBytes, kBudget);
+    // The raw record arrays must stay over 3x the encoded stream, so a
+    // codec that stops compressing fails too.
+    EXPECT_GT(frame.recordBytesDecoded, 3 * frame.recordBytes);
 }
 
 } // namespace
