@@ -8,7 +8,6 @@
 #define TEXPIM_GEOM_COLOR_HH
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/types.hh"
 
@@ -70,11 +69,19 @@ struct Rgba8
     }
 };
 
+/**
+ * Clamp to [0, 1] and round to the nearest of 0..255, halves away from
+ * zero (std::lround's rule); NaN packs as 0. The scaled value is in
+ * [0, 255], where truncation is floor and the fraction `s - i` is
+ * exact, so the comparison rounds exactly. lround itself is a libm
+ * call, and this runs four times per texel and per pixel.
+ */
 inline u8
 floatToByte(float v)
 {
-    float c = std::clamp(v, 0.0f, 1.0f);
-    return u8(std::lround(c * 255.0f));
+    float s = (v > 0.0f ? std::min(v, 1.0f) : 0.0f) * 255.0f;
+    u32 i = u32(s);
+    return u8(i + (s - float(i) >= 0.5f ? 1 : 0));
 }
 
 inline Rgba8

@@ -16,17 +16,65 @@ namespace {
  *  paper's workloads comes from. */
 constexpr float kRepsPerUnit = 0.25f;
 
-/** Add a generated texture and return its id. */
-u32
-addTex(Scene &s, Material m, unsigned size, u64 seed)
+/**
+ * The textures of a level under construction. A fresh level
+ * synthesizes each texture into a new store. A level that adopts a
+ * store built earlier for the same game and seed checks instead
+ * that the store holds the texture at the same id, and synthesizes
+ * nothing. Either way the caller makes the same Rng draws, so the
+ * geometry does not depend on which path ran.
+ */
+// texpim-lint: caller-owned each scene build owns its private
+// LevelTextures; addMaterial() mutates only it and its unpublished store
+class LevelTextures
 {
-    // texpim-lint: allow(T1) ownership transfer: the store belongs to a
-    // scene still under construction, not yet published to the pool
-    return s.textures->add(std::string(materialName(m)) + "_" +
-                               std::to_string(size) + "_" +
-                               std::to_string(seed & 0xffff),
-                           generateTexture(m, size, seed));
-}
+  public:
+    /** @param adopted a prebuilt store to check against, or null */
+    explicit LevelTextures(std::shared_ptr<TextureStore> adopted)
+        : adopted_(adopted != nullptr),
+          store_(adopted ? std::move(adopted)
+                         : std::make_shared<TextureStore>())
+    {}
+
+    /** Add (or, when adopting, find) the next texture; returns its id. */
+    u32
+    addMaterial(Material m, unsigned size, u64 seed)
+    {
+        std::string name = std::string(materialName(m)) + "_" +
+                           std::to_string(size) + "_" +
+                           std::to_string(seed & 0xffff);
+        u32 id = next_++;
+        if (adopted_) {
+            std::string actual = id < store_->count()
+                                     ? store_->texture(id).name()
+                                     : std::string("<none>");
+            TEXPIM_ASSERT(actual == name,
+                          "adopted texture store does not match the "
+                          "workload: texture ", id, " should be '", name,
+                          "', the store has '", actual, "'");
+            return id;
+        }
+        // texpim-lint: allow(T1) ownership transfer: the store belongs to
+        // a scene still under construction, not yet published to the pool
+        return store_->add(std::move(name), generateTexture(m, size, seed));
+    }
+
+    /** The finished store; an adopted one must hold nothing more. */
+    std::shared_ptr<TextureStore>
+    finish() const
+    {
+        TEXPIM_ASSERT(next_ == store_->count(),
+                      "adopted texture store does not match the workload: "
+                      "the store holds ", store_->count(),
+                      " textures, the level has ", next_);
+        return store_;
+    }
+
+  private:
+    bool adopted_;
+    std::shared_ptr<TextureStore> store_;
+    u32 next_ = 0;
+};
 
 void
 addObject(Scene &s, Mesh mesh, u32 tex, i32 detail = -1,
@@ -120,22 +168,22 @@ corridorCamera(unsigned frame, float height, float speed)
 }
 
 Scene
-buildDoom3(unsigned frame, u64 seed)
+buildDoom3(unsigned frame, u64 seed, LevelTextures &tex)
 {
     // Industrial corridor complex: long metal/concrete corridor with
     // columns and crates; Id Tech 4's tight indoor spaces.
     Scene s;
     Rng rng(seed);
-    u32 floor = addTex(s, Material::Concrete, 1024, rng.next());
-    u32 ceil = addTex(s, Material::Metal, 1024, rng.next());
-    u32 wall_l = addTex(s, Material::Metal, 1024, rng.next());
-    u32 wall_r = addTex(s, Material::Stone, 1024, rng.next());
-    u32 room = addTex(s, Material::Stone, 1024, rng.next());
-    u32 column = addTex(s, Material::Marble, 512, rng.next());
-    u32 crate = addTex(s, Material::Wood, 512, rng.next());
-    i32 det_floor = i32(addTex(s, Material::Metal, 256, rng.next()));
-    i32 det_wall = i32(addTex(s, Material::Concrete, 256, rng.next()));
-    i32 det_wall_r = i32(addTex(s, Material::Stone, 256, rng.next()));
+    u32 floor = tex.addMaterial(Material::Concrete, 1024, rng.next());
+    u32 ceil = tex.addMaterial(Material::Metal, 1024, rng.next());
+    u32 wall_l = tex.addMaterial(Material::Metal, 1024, rng.next());
+    u32 wall_r = tex.addMaterial(Material::Stone, 1024, rng.next());
+    u32 room = tex.addMaterial(Material::Stone, 1024, rng.next());
+    u32 column = tex.addMaterial(Material::Marble, 512, rng.next());
+    u32 crate = tex.addMaterial(Material::Wood, 512, rng.next());
+    i32 det_floor = i32(tex.addMaterial(Material::Metal, 256, rng.next()));
+    i32 det_wall = i32(tex.addMaterial(Material::Concrete, 256, rng.next()));
+    i32 det_wall_r = i32(tex.addMaterial(Material::Stone, 256, rng.next()));
 
     addCorridor(s, {0, 0, 10}, 6, 4, 220, floor, ceil, wall_l, wall_r,
                 det_floor, det_wall, i32(room), i32(column), det_wall_r);
@@ -155,21 +203,21 @@ buildDoom3(unsigned frame, u64 seed)
 }
 
 Scene
-buildFear(unsigned frame, u64 seed)
+buildFear(unsigned frame, u64 seed, LevelTextures &tex)
 {
     // Office interior: a long open-plan floor, desks and crates;
     // Jupiter EX's mid-size rooms.
     Scene s;
     Rng rng(seed + 1);
-    u32 carpet = addTex(s, Material::Checker, 1024, rng.next());
-    u32 wall_a = addTex(s, Material::Concrete, 1024, rng.next());
-    u32 wall_b = addTex(s, Material::Concrete, 1024, rng.next());
-    u32 ceil = addTex(s, Material::Marble, 1024, rng.next());
-    u32 wood = addTex(s, Material::Wood, 512, rng.next());
-    u32 metal = addTex(s, Material::Metal, 512, rng.next());
-    i32 det_carpet = i32(addTex(s, Material::Grass, 256, rng.next()));
-    i32 det_wall = i32(addTex(s, Material::Stone, 256, rng.next()));
-    i32 det_wall_r = i32(addTex(s, Material::Concrete, 256, rng.next()));
+    u32 carpet = tex.addMaterial(Material::Checker, 1024, rng.next());
+    u32 wall_a = tex.addMaterial(Material::Concrete, 1024, rng.next());
+    u32 wall_b = tex.addMaterial(Material::Concrete, 1024, rng.next());
+    u32 ceil = tex.addMaterial(Material::Marble, 1024, rng.next());
+    u32 wood = tex.addMaterial(Material::Wood, 512, rng.next());
+    u32 metal = tex.addMaterial(Material::Metal, 512, rng.next());
+    i32 det_carpet = i32(tex.addMaterial(Material::Grass, 256, rng.next()));
+    i32 det_wall = i32(tex.addMaterial(Material::Stone, 256, rng.next()));
+    i32 det_wall_r = i32(tex.addMaterial(Material::Concrete, 256, rng.next()));
 
     addCorridor(s, {0, 0, 6}, 14, 4, 48, carpet, ceil, wall_a, wall_b,
                 det_carpet, det_wall, i32(wood), i32(metal), det_wall_r);
@@ -190,21 +238,21 @@ buildFear(unsigned frame, u64 seed)
 }
 
 Scene
-buildHalfLife2(unsigned frame, u64 seed)
+buildHalfLife2(unsigned frame, u64 seed, LevelTextures &tex)
 {
     // Source-engine outdoor mix: terrain, a plaza and buildings seen
     // across long grazing sightlines.
     Scene s;
     Rng rng(seed + 2);
-    u32 grass = addTex(s, Material::Grass, 1024, rng.next());
-    u32 plaza = addTex(s, Material::Marble, 1024, rng.next());
-    u32 building_a = addTex(s, Material::Bricks, 1024, rng.next());
-    u32 building_b = addTex(s, Material::Bricks, 1024, rng.next());
-    u32 concrete = addTex(s, Material::Concrete, 512, rng.next());
-    i32 det_ground = i32(addTex(s, Material::Grass, 256, rng.next()));
-    i32 det_plaza = i32(addTex(s, Material::Concrete, 256, rng.next()));
-    i32 det_brick = i32(addTex(s, Material::Stone, 256, rng.next()));
-    i32 det_brick_b = i32(addTex(s, Material::Metal, 256, rng.next()));
+    u32 grass = tex.addMaterial(Material::Grass, 1024, rng.next());
+    u32 plaza = tex.addMaterial(Material::Marble, 1024, rng.next());
+    u32 building_a = tex.addMaterial(Material::Bricks, 1024, rng.next());
+    u32 building_b = tex.addMaterial(Material::Bricks, 1024, rng.next());
+    u32 concrete = tex.addMaterial(Material::Concrete, 512, rng.next());
+    i32 det_ground = i32(tex.addMaterial(Material::Grass, 256, rng.next()));
+    i32 det_plaza = i32(tex.addMaterial(Material::Concrete, 256, rng.next()));
+    i32 det_brick = i32(tex.addMaterial(Material::Stone, 256, rng.next()));
+    i32 det_brick_b = i32(tex.addMaterial(Material::Metal, 256, rng.next()));
 
     Mesh terrain = makeTerrain(24, 160.0f, 1.2f, seed);
     // Terrain uvs are per-quad indices; rescale to world density.
@@ -230,18 +278,18 @@ buildHalfLife2(unsigned frame, u64 seed)
 }
 
 Scene
-buildRiddick(unsigned frame, u64 seed)
+buildRiddick(unsigned frame, u64 seed, LevelTextures &tex)
 {
     // Butcher Bay: narrow dark metal corridors.
     Scene s;
     Rng rng(seed + 3);
-    u32 floor = addTex(s, Material::Stone, 512, rng.next());
-    u32 ceil = addTex(s, Material::Metal, 512, rng.next());
-    u32 wall_l = addTex(s, Material::Metal, 512, rng.next());
-    u32 wall_r = addTex(s, Material::Metal, 512, rng.next());
-    u32 crate = addTex(s, Material::Concrete, 256, rng.next());
-    i32 det = i32(addTex(s, Material::Metal, 256, rng.next()));
-    i32 det_r = i32(addTex(s, Material::Stone, 256, rng.next()));
+    u32 floor = tex.addMaterial(Material::Stone, 512, rng.next());
+    u32 ceil = tex.addMaterial(Material::Metal, 512, rng.next());
+    u32 wall_l = tex.addMaterial(Material::Metal, 512, rng.next());
+    u32 wall_r = tex.addMaterial(Material::Metal, 512, rng.next());
+    u32 crate = tex.addMaterial(Material::Concrete, 256, rng.next());
+    i32 det = i32(tex.addMaterial(Material::Metal, 256, rng.next()));
+    i32 det_r = i32(tex.addMaterial(Material::Stone, 256, rng.next()));
 
     addCorridor(s, {0, 0, 5}, 3.2f, 2.8f, 120, floor, ceil, wall_l, wall_r,
                 det, det, i32(crate), i32(ceil), det_r);
@@ -256,18 +304,18 @@ buildRiddick(unsigned frame, u64 seed)
 }
 
 Scene
-buildWolfenstein(unsigned frame, u64 seed)
+buildWolfenstein(unsigned frame, u64 seed, LevelTextures &tex)
 {
     // Castle interiors: brick and stone halls with wooden beams.
     Scene s;
     Rng rng(seed + 4);
-    u32 floor = addTex(s, Material::Stone, 512, rng.next());
-    u32 ceil = addTex(s, Material::Wood, 512, rng.next());
-    u32 wall_l = addTex(s, Material::Bricks, 512, rng.next());
-    u32 wall_r = addTex(s, Material::Bricks, 512, rng.next());
-    u32 beam = addTex(s, Material::Wood, 512, rng.next());
-    i32 det = i32(addTex(s, Material::Stone, 256, rng.next()));
-    i32 det_r = i32(addTex(s, Material::Concrete, 256, rng.next()));
+    u32 floor = tex.addMaterial(Material::Stone, 512, rng.next());
+    u32 ceil = tex.addMaterial(Material::Wood, 512, rng.next());
+    u32 wall_l = tex.addMaterial(Material::Bricks, 512, rng.next());
+    u32 wall_r = tex.addMaterial(Material::Bricks, 512, rng.next());
+    u32 beam = tex.addMaterial(Material::Wood, 512, rng.next());
+    i32 det = i32(tex.addMaterial(Material::Stone, 256, rng.next()));
+    i32 det_r = i32(tex.addMaterial(Material::Concrete, 256, rng.next()));
 
     addCorridor(s, {0, 0, 8}, 5, 5, 140, floor, ceil, wall_l, wall_r, det,
                 det, i32(beam), i32(ceil), det_r);
@@ -362,28 +410,31 @@ defaultMaxAniso(unsigned width)
 }
 
 Scene
-buildGameScene(const Workload &wl, unsigned frame, u64 seed)
+buildGameScene(const Workload &wl, unsigned frame, u64 seed,
+               std::shared_ptr<TextureStore> textures)
 {
+    LevelTextures tex(std::move(textures));
     Scene s;
     switch (wl.game) {
       case Game::Doom3:
-        s = buildDoom3(frame, seed);
+        s = buildDoom3(frame, seed, tex);
         break;
       case Game::Fear:
-        s = buildFear(frame, seed);
+        s = buildFear(frame, seed, tex);
         break;
       case Game::HalfLife2:
-        s = buildHalfLife2(frame, seed);
+        s = buildHalfLife2(frame, seed, tex);
         break;
       case Game::Riddick:
-        s = buildRiddick(frame, seed);
+        s = buildRiddick(frame, seed, tex);
         break;
       case Game::Wolfenstein:
-        s = buildWolfenstein(frame, seed);
+        s = buildWolfenstein(frame, seed, tex);
         break;
       default:
         TEXPIM_PANIC("bad game ", int(wl.game));
     }
+    s.textures = tex.finish();
     s.name = wl.label();
     s.settings.width = wl.width;
     s.settings.height = wl.height;

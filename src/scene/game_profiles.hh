@@ -13,6 +13,7 @@
 #ifndef TEXPIM_SCENE_GAME_PROFILES_HH
 #define TEXPIM_SCENE_GAME_PROFILES_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,12 +53,20 @@ unsigned defaultMaxAniso(unsigned width);
 
 /**
  * Build the scene for a workload.
- * @param frame camera-path position; consecutive frames move the
- *              camera through the level
- * @param seed  content seed (fixed default for reproducibility)
+ * @param frame    camera-path position; consecutive frames move the
+ *                 camera through the level
+ * @param seed     content seed (fixed default for reproducibility)
+ * @param textures the level's texture store from an earlier build of
+ *                 the same game and seed, to adopt instead of
+ *                 synthesizing the textures again (textures depend only
+ *                 on game and seed, not on frame or resolution). Panics,
+ *                 naming the expected and the stored texture, if the
+ *                 store was built for another game or seed. Null builds
+ *                 a fresh store.
  */
 Scene buildGameScene(const Workload &wl, unsigned frame = 0,
-                     u64 seed = 0x7e01d);
+                     u64 seed = 0x7e01d,
+                     std::shared_ptr<TextureStore> textures = nullptr);
 
 } // namespace texpim
 

@@ -36,7 +36,9 @@ TextureImage generateTexture(Material m, unsigned size, u64 seed);
 
 /**
  * Smooth value noise in [0,1] with `octaves` octaves of fBm; the basis
- * for most materials. Exposed for tests and for terrain shading.
+ * for most materials. This is the point evaluator: generateTexture
+ * evaluates the same lattice math a row at a time, bit-identically.
+ * Exposed for tests.
  */
 float fbmNoise(float x, float y, unsigned octaves, u64 seed);
 

@@ -51,13 +51,15 @@ SequenceRunner::run(const Workload &wl, unsigned num_frames,
 
 SequenceRunner::PendingFrame
 SequenceRunner::recordOne(const Workload &wl, unsigned frame, u64 seed,
-                          std::vector<Addr> &prev_blocks)
+                          std::vector<Addr> &prev_blocks,
+                          std::shared_ptr<TextureStore> &textures)
 {
     PendingFrame p;
     // prepareFrameScene must precede recording: the filter-mode
     // coercion changes what functional sampling computes.
-    p.scene = std::make_unique<Scene>(
-        sim_.prepareFrameScene(buildGameScene(wl, frame, seed)));
+    Scene built = buildGameScene(wl, frame, seed, textures);
+    textures = built.textures;
+    p.scene = std::make_unique<Scene>(sim_.prepareFrameScene(built));
     p.fb = std::make_shared<FrameBuffer>(p.scene->settings.width,
                                          p.scene->settings.height);
     p.job = sim_.recordSequenceFrame(*p.scene, *p.fb);
@@ -90,8 +92,10 @@ SequenceRunner::runSerial(const Workload &wl, unsigned num_frames,
     std::vector<SimResult> out;
     out.reserve(num_frames);
     std::vector<Addr> prev_blocks;
+    std::shared_ptr<TextureStore> textures;
     for (unsigned f = 0; f < num_frames; ++f) {
-        PendingFrame p = recordOne(wl, start_frame + f, seed, prev_blocks);
+        PendingFrame p =
+            recordOne(wl, start_frame + f, seed, prev_blocks, textures);
         out.push_back(finishOne(p));
     }
     return out;
@@ -125,6 +129,7 @@ SequenceRunner::runPipelined(const Workload &wl, unsigned num_frames,
     std::thread prep([&] {
         try {
             std::vector<Addr> prev_blocks;
+            std::shared_ptr<TextureStore> textures;
             for (unsigned f = 0; f < num_frames; ++f) {
                 {
                     std::unique_lock<std::mutex> lk(mu);
@@ -134,8 +139,8 @@ SequenceRunner::runPipelined(const Workload &wl, unsigned num_frames,
                         return;
                     ++in_flight;
                 }
-                PendingFrame p =
-                    recordOne(wl, start_frame + f, seed, prev_blocks);
+                PendingFrame p = recordOne(wl, start_frame + f, seed,
+                                           prev_blocks, textures);
                 {
                     std::lock_guard<std::mutex> lk(mu);
                     ready.push_back(std::move(p));

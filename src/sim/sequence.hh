@@ -20,6 +20,13 @@
  * Pipelining engages when gpu.pipeline_depth > 1 and the sequence has
  * more than one frame; otherwise the serial path runs.
  *
+ * The level's textures depend only on the game and the content seed,
+ * so the runner synthesizes them once per run(): the first frame's
+ * scene builds the TextureStore and later frames adopt it (see
+ * buildGameScene). Texture ids and simulated addresses are the same
+ * either way, so results are bit-identical to building every frame
+ * from scratch.
+ *
  * The runner also accounts inter-frame reuse: per frame, the distinct
  * texel blocks touched, how many of them the previous frame also
  * touched, and the texture-path tag-cache hits on lines warm from an
@@ -68,9 +75,13 @@ class SequenceRunner
 
     /** Build + prepare the scene for `frame`, record its functional
      *  phase and compute block reuse against `prev_blocks` (updated
-     *  in place). Runs on the prep thread when pipelining. */
+     *  in place). The scene adopts `textures`, the level's store from
+     *  the sequence's first frame; when null (first frame) the scene
+     *  builds it and `textures` keeps it. Runs on the prep thread when
+     *  pipelining. */
     PendingFrame recordOne(const Workload &wl, unsigned frame, u64 seed,
-                           std::vector<Addr> &prev_blocks);
+                           std::vector<Addr> &prev_blocks,
+                           std::shared_ptr<TextureStore> &textures);
 
     /** Reset per-frame stats, replay and finalize one recorded frame.
      *  Coordinating thread only, in recording order. */

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "geom/color.hh"
 
 namespace texpim {
@@ -52,6 +56,54 @@ TEST(Color, FloatToByteRounds)
     EXPECT_EQ(floatToByte(0.0f), 0);
     EXPECT_EQ(floatToByte(1.0f), 255);
     EXPECT_EQ(floatToByte(0.5f), 128); // round(127.5) = 128
+}
+
+/** floatToByte's contract, spelled with std::lround. */
+u8
+lroundByte(float v)
+{
+    return u8(std::lround(std::clamp(v, 0.0f, 1.0f) * 255.0f));
+}
+
+TEST(Color, FloatToByteMatchesLroundAtEveryRoundingBoundary)
+{
+    // c * 255 crosses k + 0.5 near c = (k + 0.5) / 255; check every
+    // float within 64 ulps of each such boundary.
+    for (int k = 0; k < 255; ++k) {
+        float v = (float(k) + 0.5f) / 255.0f;
+        for (int i = 0; i < 64; ++i)
+            v = std::nextafter(v, 0.0f);
+        for (int i = 0; i <= 128; ++i) {
+            ASSERT_EQ(floatToByte(v), lroundByte(v))
+                << "k " << k << " v " << v;
+            v = std::nextafter(v, 1.0f);
+        }
+    }
+}
+
+TEST(Color, FloatToByteMatchesLroundOutsideAndAtTheEnds)
+{
+    const float vs[] = {
+        -0.0f, 0.0f, -1e-30f, 1e-30f, -0.5f, -1.0f, -1e30f,
+        1.0f,  1.5f, 2.0f,    1e30f,
+        std::nextafter(1.0f, 0.0f), std::nextafter(1.0f, 2.0f),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::infinity(),
+    };
+    for (float v : vs)
+        EXPECT_EQ(floatToByte(v), lroundByte(v)) << "v " << v;
+    EXPECT_EQ(floatToByte(std::numeric_limits<float>::quiet_NaN()), 0);
+    EXPECT_EQ(floatToByte(-0.0f), 0);
+    EXPECT_EQ(floatToByte(1.0f), 255);
+    EXPECT_EQ(floatToByte(7.0f), 255);
+}
+
+TEST(Color, FloatToByteMatchesLroundOnAStridedSweep)
+{
+    for (int i = 0; i <= 4096; ++i) {
+        float v = float(i) / 4096.0f;
+        ASSERT_EQ(floatToByte(v), lroundByte(v)) << "v " << v;
+    }
 }
 
 } // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <string>
 
 #include "scene/game_profiles.hh"
 
@@ -88,6 +90,101 @@ TEST(GameProfiles, CorridorFacesUseDistinctTextures)
     for (int i = 0; i < 4; ++i)
         base_tex.insert(s.objects[size_t(i)].textureId);
     EXPECT_EQ(base_tex.size(), 4u);
+}
+
+// --- One texture store per level ------------------------------------
+
+/** Bitwise equality of trivially copyable geometry (Vertex, Mat4). */
+template <class T>
+bool
+sameBits(const T *a, const T *b, size_t n)
+{
+    return n == 0 || std::memcmp(a, b, n * sizeof(T)) == 0;
+}
+
+void
+expectSameObjects(const Scene &a, const Scene &b)
+{
+    ASSERT_EQ(a.objects.size(), b.objects.size());
+    for (size_t i = 0; i < a.objects.size(); ++i) {
+        SCOPED_TRACE("object " + std::to_string(i));
+        const SceneObject &oa = a.objects[i];
+        const SceneObject &ob = b.objects[i];
+        EXPECT_EQ(oa.textureId, ob.textureId);
+        EXPECT_EQ(oa.detailTextureId, ob.detailTextureId);
+        EXPECT_EQ(oa.detailUvScale, ob.detailUvScale);
+        EXPECT_TRUE(sameBits(&oa.model, &ob.model, 1));
+        EXPECT_EQ(oa.mesh.indices, ob.mesh.indices);
+        ASSERT_EQ(oa.mesh.verts.size(), ob.mesh.verts.size());
+        EXPECT_TRUE(sameBits(oa.mesh.verts.data(), ob.mesh.verts.data(),
+                             oa.mesh.verts.size()));
+    }
+}
+
+void
+expectSameStore(const TextureStore &a, const TextureStore &b)
+{
+    ASSERT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.totalBytes(), b.totalBytes());
+    for (u32 t = 0; t < a.count(); ++t) {
+        const Texture &ta = a.texture(t);
+        const Texture &tb = b.texture(t);
+        EXPECT_EQ(ta.name(), tb.name());
+        EXPECT_EQ(ta.baseAddr(), tb.baseAddr());
+        EXPECT_EQ(ta.byteSize(), tb.byteSize());
+        EXPECT_TRUE(ta.level(0).pixels() == tb.level(0).pixels())
+            << ta.name();
+    }
+}
+
+TEST(GameProfiles, AdoptedStoreBuildsTheSameFrame)
+{
+    // A later frame (at another resolution, too) that adopts the store
+    // of an earlier build equals the same frame built from scratch:
+    // same objects, camera and texture store, and the store is the
+    // adopted one, not a copy.
+    for (Game g : {Game::Doom3, Game::Fear, Game::HalfLife2, Game::Riddick,
+                   Game::Wolfenstein}) {
+        SCOPED_TRACE(gameName(g));
+        Scene first = buildGameScene({g, 320, 240}, 0);
+        Scene adopted =
+            buildGameScene({g, 640, 480}, 4, 0x7e01d, first.textures);
+        Scene fresh = buildGameScene({g, 640, 480}, 4);
+        EXPECT_EQ(adopted.textures, first.textures);
+        EXPECT_EQ(adopted.name, fresh.name);
+        EXPECT_EQ(adopted.settings.width, fresh.settings.width);
+        EXPECT_EQ(adopted.settings.maxAniso, fresh.settings.maxAniso);
+        EXPECT_TRUE(sameBits(&adopted.camera, &fresh.camera, 1));
+        expectSameObjects(adopted, fresh);
+        expectSameStore(*adopted.textures, *fresh.textures);
+    }
+}
+
+TEST(GameProfilesDeath, AdoptingAnotherLevelsStorePanics)
+{
+    // Another seed: the store's first texture is the same material and
+    // size, drawn from another seed. Another game: another material.
+    // The message names the texture the level expects and the one the
+    // store holds.
+    Workload riddick{Game::Riddick, 160, 120};
+    Scene seed1 = buildGameScene(riddick, 0, 1);
+    Scene seed2 = buildGameScene(riddick, 0, 2);
+    Scene wolf = buildGameScene({Game::Wolfenstein, 160, 120}, 0, 1);
+    std::string want = seed1.textures->texture(0).name();
+    EXPECT_DEATH(buildGameScene(riddick, 1, 1, seed2.textures),
+                 "texture 0 should be '" + want + "', the store has '" +
+                     seed2.textures->texture(0).name() + "'");
+    EXPECT_DEATH(buildGameScene(riddick, 1, 1, wolf.textures),
+                 "should be '" + want + "', the store has '" +
+                     wolf.textures->texture(0).name() + "'");
+
+    // A store that holds more than the level asks for is not its own.
+    auto longer = std::make_shared<TextureStore>();
+    for (u32 t = 0; t < seed1.textures->count(); ++t)
+        longer->add(seed1.textures->texture(t).name(), TextureImage(4, 4));
+    longer->add("extra", TextureImage(4, 4));
+    EXPECT_DEATH(buildGameScene(riddick, 1, 1, longer),
+                 "the store holds 8 textures, the level has 7");
 }
 
 } // namespace

@@ -111,6 +111,31 @@ TEST(SequencePipeline, DepthAndThreadsAreBitInvariant)
     }
 }
 
+TEST(SequencePipeline, SharedTextureStoreRendersLikeFreshScenes)
+{
+    // A sequence builds the level's textures once and later frames
+    // adopt the store. Each frame must still render what a scene built
+    // from scratch renders: Baseline is exact, so a warm sequence frame
+    // equals the same frame rendered cold from its own scene.
+    constexpr unsigned kFrames = 3;
+    std::vector<u64> fresh;
+    for (unsigned f = 0; f < kFrames; ++f) {
+        SimContext ctx;
+        SimContext::Scope scope(ctx);
+        RenderingSimulator sim(seqCfg(Design::Baseline, 1, 1));
+        SimResult r = sim.renderScene(buildGameScene(kSmall, f));
+        fresh.push_back(imageHash(*r.image));
+    }
+    for (unsigned depth : {1u, 2u}) {
+        SCOPED_TRACE("depth " + std::to_string(depth));
+        SeqPrint run = runSeq(seqCfg(Design::Baseline, 2, depth), kSmall,
+                              kFrames);
+        ASSERT_EQ(run.frames.size(), size_t(kFrames));
+        for (unsigned f = 0; f < kFrames; ++f)
+            EXPECT_EQ(run.frames[f].image, fresh[f]) << "frame " << f;
+    }
+}
+
 TEST(SequencePipeline, RoundRobinSchedulerInvariantToo)
 {
     // Same contract under the pinned round-robin scheduler (the other
