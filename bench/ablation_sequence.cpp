@@ -39,7 +39,7 @@ main(int argc, char **argv)
 
         SimConfig cfg;
         cfg.design = Design::ATfim;
-        cfg.angleThresholdRad = kThreshold001Pi;
+        cfg.atfim.angleThresholdRad = kThreshold001Pi;
         RenderingSimulator sim(cfg);
         auto frames = sim.renderSequence(wl, kFrames, opt.frame, opt.seed);
 

@@ -32,7 +32,7 @@ main(int argc, char **argv)
     for (Design d : {Design::BPim, Design::STfim, Design::ATfim}) {
         SimConfig cfg;
         cfg.design = d;
-        cfg.angleThresholdRad = kThreshold001Pi;
+        cfg.atfim.angleThresholdRad = kThreshold001Pi;
         cfgs.push_back(cfg);
         std::string name = designName(d);
         if (d == Design::ATfim)

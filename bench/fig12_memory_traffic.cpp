@@ -34,7 +34,7 @@ main(int argc, char **argv)
     for (float thr : {kThreshold001Pi, kThreshold005Pi}) {
         SimConfig atfim;
         atfim.design = Design::ATfim;
-        atfim.angleThresholdRad = thr;
+        atfim.atfim.angleThresholdRad = thr;
         cfgs.push_back(atfim);
         names.push_back(thr == kThreshold001Pi ? "A-TFIM-001pi"
                                                : "A-TFIM-005pi");

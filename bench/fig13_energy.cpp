@@ -29,7 +29,7 @@ main(int argc, char **argv)
     for (Design d : {Design::BPim, Design::STfim, Design::ATfim}) {
         SimConfig cfg;
         cfg.design = d;
-        cfg.angleThresholdRad = kThreshold001Pi;
+        cfg.atfim.angleThresholdRad = kThreshold001Pi;
         auto r = runSuite(cfg, opt);
         std::string name = designName(d);
         if (d == Design::ATfim)

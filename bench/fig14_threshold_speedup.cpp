@@ -38,7 +38,7 @@ main(int argc, char **argv)
     for (const Point &p : points) {
         SimConfig cfg;
         cfg.design = Design::ATfim;
-        cfg.angleThresholdRad = p.thr;
+        cfg.atfim.angleThresholdRad = p.thr;
         cfgs.push_back(cfg);
     }
 

@@ -44,7 +44,7 @@ main(int argc, char **argv)
     for (const Point &p : points) {
         SimConfig cfg;
         cfg.design = Design::ATfim;
-        cfg.angleThresholdRad = p.thr;
+        cfg.atfim.angleThresholdRad = p.thr;
         auto rs = runSuite(cfg, opt);
 
         std::vector<double> speedups =

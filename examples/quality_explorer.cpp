@@ -71,7 +71,7 @@ main(int argc, char **argv)
     for (const Point &p : points) {
         SimConfig cfg;
         cfg.design = Design::ATfim;
-        cfg.angleThresholdRad = p.threshold;
+        cfg.atfim.angleThresholdRad = p.threshold;
         RenderingSimulator sim(cfg);
         SimResult r = sim.renderScene(scene);
         double q = psnr(*base.image, *r.image);

@@ -37,13 +37,13 @@
  * ([design:]throw|panic|hang, comma-separated) injects failures for
  * testing the machinery itself.
  *
- * Recognized keys: every SimConfig key (design=..., gpu.*, hmc.*,
- * gddr5.*, atfim.*, energy.*, pim.*, fault_*) plus:
- *   width=, height=, frame=, seed=, max_aniso=, out=<frame.ppm>,
- *   compress=true (BC1 textures)
+ * Recognized keys: every SimConfig key (design=, disable_aniso=,
+ * gpu.render_threads=, gpu.pipeline_depth=, gpu.schedule=,
+ * atfim.angle_threshold_rad=, fault_*) plus:
+ *   width=, height= (1..65536), frame=, seed=, max_aniso= (1..32),
+ *   out=<frame.ppm>, compress=true (BC1 textures)
  *
- * Unknown keys draw a warning with a "did you mean" suggestion;
- * strict_config=1 turns the warning into a fatal error.
+ * Unknown keys are fatal, with a "did you mean" suggestion.
  *
  * Observability keys (see README "Observability"):
  *   stats_out=<file.json|.csv>  structured export of every registered
@@ -60,7 +60,6 @@
  *   report_out=<file.md|.html>  report destination (report command)
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -107,21 +106,22 @@ parseGame(const std::string &g, Game &out)
     return true;
 }
 
-/** Parse `frames`' <count> argument: a base-10 integer in
- *  [1, UINT_MAX]. The range check runs on the signed value, so -1
- *  cannot wrap to 4294967295. */
-unsigned
-parseFrameCount(const char *raw)
+constexpr unsigned kMaxUnsigned = std::numeric_limits<unsigned>::max();
+
+/** width= and height=, each in [1, 65536]: FragRecord stores u16
+ *  pixel coordinates. */
+Workload
+readWorkload(Game game, const Config &cfg)
 {
-    char *end = nullptr;
-    errno = 0;
-    long long v = std::strtoll(raw, &end, 10);
-    if (end == raw || *end != '\0' || errno == ERANGE || v < 1 ||
-        v > (long long)std::numeric_limits<unsigned>::max())
-        TEXPIM_FATAL("frames: count must be an integer between 1 and ",
-                     std::numeric_limits<unsigned>::max(), ", got '", raw,
-                     "'");
-    return unsigned(v);
+    return {game, cfg.getUnsigned("width", 640, 1, 65536),
+            cfg.getUnsigned("height", 480, 1, 65536)};
+}
+
+/** max_aniso=, or 0 when unset (keep the workload's level). */
+unsigned
+readMaxAniso(const Config &cfg)
+{
+    return cfg.getUnsigned("max_aniso", 0, 1, kQuadMaxAniso);
 }
 
 Config
@@ -138,13 +138,12 @@ collectConfig(int argc, char **argv, int first)
  * loading) queried is known automatically; knownConfigKeys() — the
  * authoritative table texpim-lint rule C1 reconciles against the
  * sources and the README — covers the CLI-only keys too. Unknown keys
- * warn with a "did you mean" suggestion, or die when strict_config=1.
+ * are fatal, with a "did you mean" suggestion.
  */
 void
 validateConfig(const Config &cfg)
 {
-    cfg.checkKnownKeys(knownConfigKeys(),
-                       cfg.getBool("strict_config", false));
+    cfg.checkKnownKeys(knownConfigKeys());
 }
 
 Scene
@@ -153,15 +152,14 @@ loadScene(const std::string &source, const Config &cfg)
     Scene scene;
     Game game;
     if (parseGame(source, game)) {
-        Workload wl{game, unsigned(cfg.getInt("width", 640)),
-                    unsigned(cfg.getInt("height", 480))};
-        scene = buildGameScene(wl, unsigned(cfg.getInt("frame", 3)),
+        scene = buildGameScene(readWorkload(game, cfg),
+                               cfg.getUnsigned("frame", 3, 0, kMaxUnsigned),
                                u64(cfg.getInt("seed", 0x7e01d)));
     } else {
         scene = readTraceFile(source);
     }
-    if (cfg.has("max_aniso"))
-        scene.settings.maxAniso = unsigned(cfg.getInt("max_aniso"));
+    if (unsigned max_aniso = readMaxAniso(cfg))
+        scene.settings.maxAniso = max_aniso;
     if (cfg.getBool("compress", false))
         scene = withTextureFormat(scene, TexelFormat::Bc1);
     return scene;
@@ -379,18 +377,18 @@ cmdFrames(int argc, char **argv)
     Game game;
     if (!parseGame(argv[2], game))
         TEXPIM_FATAL("unknown game '", argv[2], "'");
-    unsigned count = parseFrameCount(argv[3]);
+    unsigned count =
+        Config::parseUnsigned("frames: count", argv[3], 1, kMaxUnsigned);
     Config cfg = collectConfig(argc, argv, 4);
-    Workload wl{game, unsigned(cfg.getInt("width", 640)),
-                unsigned(cfg.getInt("height", 480))};
+    Workload wl = readWorkload(game, cfg);
     SimConfig sc = SimConfig::fromConfig(cfg);
     validateConfig(cfg);
     RenderingSimulator sim(sc);
     beginTracing(cfg);
     beginProfiling(cfg);
-    auto frames = sim.renderSequence(wl, count,
-                                     unsigned(cfg.getInt("frame", 0)),
-                                     u64(cfg.getInt("seed", 0x7e01d)));
+    auto frames = sim.renderSequence(
+        wl, count, cfg.getUnsigned("frame", 0, 0, kMaxUnsigned),
+        u64(cfg.getInt("seed", 0x7e01d)));
     // Like stats_out below, the profile reflects the final frame
     // (zones accumulate across frames; attribution is per frame).
     endProfiling(cfg, sim.attribution(), cfg.getString("prof_out", ""));
@@ -433,22 +431,6 @@ parseFailureKind(const std::string &kind)
                  "' (throw|panic|hang)");
 }
 
-bool
-parseDesignToken(const std::string &d, Design &out)
-{
-    if (d == "baseline")
-        out = Design::Baseline;
-    else if (d == "b-pim" || d == "bpim")
-        out = Design::BPim;
-    else if (d == "s-tfim" || d == "stfim")
-        out = Design::STfim;
-    else if (d == "a-tfim" || d == "atfim")
-        out = Design::ATfim;
-    else
-        return false;
-    return true;
-}
-
 /**
  * Apply sim.inject_failure= to the sweep grid: a comma-separated list
  * of `<kind>` (all specs) or `<design>:<kind>` (that design's specs),
@@ -477,7 +459,7 @@ applyInjectedFailures(std::vector<ExperimentSpec> &specs,
                 s.inject = kind;
         } else {
             Design d;
-            if (!parseDesignToken(item.substr(0, colon), d))
+            if (!parseDesign(item.substr(0, colon), d))
                 TEXPIM_FATAL("bad sim.inject_failure design '",
                              item.substr(0, colon),
                              "' (baseline|bpim|stfim|atfim)");
@@ -514,12 +496,9 @@ cmdSweep(int argc, char **argv)
 
     Config cfg = collectConfig(argc, argv, first);
     SimConfig proto = SimConfig::fromConfig(cfg);
-    unsigned width = unsigned(cfg.getInt("width", 640));
-    unsigned height = unsigned(cfg.getInt("height", 480));
-    unsigned frame = unsigned(cfg.getInt("frame", 3));
+    unsigned frame = cfg.getUnsigned("frame", 3, 0, kMaxUnsigned);
     u64 seed = u64(cfg.getInt("seed", 0x7e01d));
-    unsigned max_aniso =
-        cfg.has("max_aniso") ? unsigned(cfg.getInt("max_aniso")) : 0;
+    unsigned max_aniso = readMaxAniso(cfg);
     std::string stats_out = cfg.getString("stats_out", "");
     std::string metrics_out = cfg.getString("metrics_out", "");
     std::string journal_path = cfg.getString("sweep_journal", "");
@@ -551,7 +530,7 @@ cmdSweep(int argc, char **argv)
             ExperimentSpec spec;
             spec.config = proto;
             spec.config.design = d;
-            spec.workload = Workload{game, width, height};
+            spec.workload = readWorkload(game, cfg);
             spec.frame = frame;
             spec.seed = seed;
             spec.maxAniso = max_aniso;
@@ -691,7 +670,7 @@ cmdConfig(int argc, char **argv)
                 sc.hmc.vaults);
     std::printf("atfim: threshold %.4f rad, %u-wide generator/combiner, "
                 "PTB %u\n",
-                double(sc.angleThresholdRad), sc.atfim.texelGeneratorAlus,
+                double(sc.atfim.angleThresholdRad), sc.atfim.texelGeneratorAlus,
                 sc.atfim.parentTexelBufferEntries);
     return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <sstream>
@@ -64,22 +65,6 @@ Config::parseItem(const std::string &item)
     if (key.empty())
         TEXPIM_FATAL("empty key in config item '", item, "'");
     values_[key] = value;
-}
-
-void
-Config::parseText(const std::string &text)
-{
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        line = trim(line);
-        if (line.empty())
-            continue;
-        parseItem(line);
-    }
 }
 
 bool
@@ -170,6 +155,28 @@ Config::getBool(const std::string &key, bool dflt) const
     return has(key) ? getBool(key) : dflt;
 }
 
+unsigned
+Config::getUnsigned(const std::string &key, unsigned dflt, unsigned lo,
+                    unsigned hi) const
+{
+    auto raw = rawGet(key);
+    return raw ? parseUnsigned(key, *raw, lo, hi) : dflt;
+}
+
+unsigned
+Config::parseUnsigned(const std::string &name, const std::string &raw,
+                      unsigned lo, unsigned hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    long long v = std::strtoll(raw.c_str(), &end, 0);
+    if (end == raw.c_str() || *end != '\0' || errno == ERANGE ||
+        v < (long long)lo || v > (long long)hi)
+        TEXPIM_FATAL(name, " must be between ", lo, " and ", hi, ", got ",
+                     raw);
+    return unsigned(v);
+}
+
 std::vector<std::string>
 Config::keys() const
 {
@@ -185,13 +192,6 @@ Config::dump(std::ostream &os) const
 {
     for (const auto &kv : values_)
         os << kv.first << " = " << kv.second << "\n";
-}
-
-void
-Config::mergeFrom(const Config &other)
-{
-    for (const auto &kv : other.values_)
-        values_[kv.first] = kv.second;
 }
 
 namespace {
@@ -256,17 +256,14 @@ Config::suggestKey(const std::string &key,
 }
 
 void
-Config::checkKnownKeys(const std::vector<std::string> &known,
-                       bool strict) const
+Config::checkKnownKeys(const std::vector<std::string> &known) const
 {
     for (const std::string &key : unknownKeys(known)) {
         std::string hint = suggestKey(key, known);
         std::string msg = "unknown config key '" + key + "'";
         if (!hint.empty())
             msg += " (did you mean '" + hint + "'?)";
-        if (strict)
-            TEXPIM_FATAL(msg);
-        TEXPIM_WARN(msg);
+        TEXPIM_FATAL(msg);
     }
 }
 

@@ -3,9 +3,10 @@
  * Typed key=value configuration store.
  *
  * Components read their parameters from a Config populated from
- * defaults, a file, or command-line style "key=value" strings. Lookups
- * with a default never fail; lookups without a default fatal() on a
- * missing key, making misconfiguration a user error, not a crash.
+ * command-line style "key=value" strings. A missing key falls back to
+ * the lookup's default, or fatal()s when there is none; a malformed or
+ * out-of-range value always fatal()s, making misconfiguration a user
+ * error, not a crash.
  */
 
 #ifndef TEXPIM_COMMON_CONFIG_HH
@@ -36,9 +37,6 @@ class Config
     /** Parse one "key=value" item; fatal() on malformed input. */
     void parseItem(const std::string &item);
 
-    /** Parse a newline-separated config text ('#' starts a comment). */
-    void parseText(const std::string &text);
-
     bool has(const std::string &key) const;
 
     /** Required lookups: fatal() when the key is missing or malformed. */
@@ -54,26 +52,37 @@ class Config
     double getDouble(const std::string &key, double dflt) const;
     bool getBool(const std::string &key, bool dflt) const;
 
+    /**
+     * Strict unsigned lookup: `dflt` when the key is missing, else
+     * parseUnsigned(key, value, lo, hi).
+     */
+    unsigned getUnsigned(const std::string &key, unsigned dflt,
+                         unsigned lo, unsigned hi) const;
+
+    /**
+     * Parse `raw` as an integer (as getInt does) in [lo, hi]. The range
+     * check runs on the signed value, so -1 cannot wrap to 4294967295;
+     * anything else fatal()s naming `name`, the range and `raw`.
+     */
+    static unsigned parseUnsigned(const std::string &name,
+                                  const std::string &raw, unsigned lo,
+                                  unsigned hi);
+
     /** All keys in sorted order (for dumps). */
     std::vector<std::string> keys() const;
 
     /** Dump as "key = value" rows. */
     void dump(std::ostream &os) const;
 
-    /** Merge other into this; other's values win on conflict. */
-    void mergeFrom(const Config &other);
-
     /**
      * Strict key validation. Every lookup (has() or any getter)
      * registers its key as known, so after the consumers of a Config
      * have read their parameters, any stored key that was never looked
      * up and is not in `known` is a typo or an obsolete option.
-     * Unknown keys warn() with a "did you mean" edit-distance
-     * suggestion; with `strict` they are fatal() instead (the
-     * strict_config=1 CLI behavior).
+     * Unknown keys are fatal(), with a "did you mean" edit-distance
+     * suggestion when one is close.
      */
-    void checkKnownKeys(const std::vector<std::string> &known = {},
-                        bool strict = false) const;
+    void checkKnownKeys(const std::vector<std::string> &known = {}) const;
 
     /** Stored keys never looked up and not in `known`, sorted. */
     std::vector<std::string> unknownKeys(

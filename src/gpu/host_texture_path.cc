@@ -1,8 +1,6 @@
 #include "gpu/host_texture_path.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "common/trace_events.hh"
@@ -41,21 +39,14 @@ HostTexturePath::HostTexturePath(const GpuParams &params, MemorySystem &mem)
 }
 
 void
-HostTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
-                            unsigned count, ReplayStream &stream,
-                            SamplerScratch &scratch) const
+recordConventionalQuad(const TexRequest &base, const SampleCoords *coords,
+                       unsigned count, Addr block_mask,
+                       ReplayStream &stream, SamplerScratch &scratch)
 {
     TEXPIM_ASSERT(base.tex != nullptr, "texture request without texture");
-    TEXPIM_ASSERT(base.clusterId < params_.clusters, "bad cluster id");
-
-    // The quad sampler coalesces each lane's fetch trace to cache
-    // lines directly (same mask TagCache::lineAddr applies), yielding
-    // the sorted/deduplicated block list of the scalar sampler's
-    // TexFetch trace (the differential suite pins the equality).
-    const Addr mask = ~Addr(l1_[base.clusterId]->lineBytes() - 1);
     QuadConvOut &out = scratch.quadConv;
     sampleConventionalQuad(*base.tex, coords, count, base.mode, base.maxAniso,
-                           mask, out, scratch.offsetCache);
+                           block_mask, out, scratch.offsetCache);
 
     for (unsigned q = 0; q < count; ++q) {
         TexSampleRec rec;
@@ -77,6 +68,21 @@ HostTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
                 ? computeLod(*base.tex, coords[q], base.maxAniso).anisoRatio
                 : out.anisoRatio[q];
     }
+}
+
+void
+HostTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
+                            unsigned count, ReplayStream &stream,
+                            SamplerScratch &scratch) const
+{
+    TEXPIM_ASSERT(base.clusterId < params_.clusters, "bad cluster id");
+    // Coalesce to cache lines directly (the mask TagCache::lineAddr
+    // applies), yielding the sorted/deduplicated block list of the
+    // scalar sampler's TexFetch trace (the differential suite pins the
+    // equality).
+    recordConventionalQuad(base, coords, count,
+                           ~Addr(l1_[base.clusterId]->lineBytes() - 1),
+                           stream, scratch);
 }
 
 TexResponse
@@ -147,26 +153,6 @@ HostTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
     stats_.counter("addr_ops") += texels;
     stats_.counter("filter_ops") += rec.filterOps;
     stats_.counter("aniso_samples") += rec.anisoRatio;
-    // Optional request tracing (TEXPIM_TRACE_TEX=N dumps every Nth
-    // request's timing — see README "Debugging aids").
-    // thread_local: each worker thread throttles its own dump stream
-    // without racing (debug aid only; no effect on results).
-    // texpim-lint: allow(D1) debug-only trace toggle, never affects results
-    static thread_local long trace_every =
-        std::getenv("TEXPIM_TRACE_TEX")
-            ? std::atol(std::getenv("TEXPIM_TRACE_TEX"))
-            : 0;
-    static thread_local long trace_count = 0;
-    if (trace_every > 0 && ++trace_count % trace_every == 0) {
-        std::fprintf(stderr,
-                     "req#%ld c%u issue=%llu start=%llu t0=%llu ready=%llu "
-                     "complete=%llu texels=%u lines=%u\n",
-                     trace_count, req.clusterId,
-                     (unsigned long long)req.issue,
-                     (unsigned long long)start, (unsigned long long)t0,
-                     (unsigned long long)data_ready,
-                     (unsigned long long)complete, texels, rec.blockCount);
-    }
     stats_.average("lat_total").sample(double(complete - req.issue));
     stats_.average("lat_unit_wait").sample(double(start - req.issue));
     stats_.average("lat_mem").sample(double(data_ready - t0));

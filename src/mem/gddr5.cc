@@ -9,20 +9,6 @@
 
 namespace texpim {
 
-Gddr5Params
-Gddr5Params::fromConfig(const Config &cfg)
-{
-    Gddr5Params p;
-    p.channels = unsigned(cfg.getInt("gddr5.channels", p.channels));
-    p.banksPerChannel =
-        unsigned(cfg.getInt("gddr5.banks_per_channel", p.banksPerChannel));
-    p.totalBandwidthGBs =
-        cfg.getDouble("gddr5.bandwidth_gbs", p.totalBandwidthGBs);
-    p.commandLatency =
-        Cycle(cfg.getInt("gddr5.command_latency", i64(p.commandLatency)));
-    return p;
-}
-
 Gddr5Memory::Gddr5Memory(const Gddr5Params &params)
     : MemorySystem("gddr5"), params_(params)
 {

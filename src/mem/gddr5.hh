@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "common/config.hh"
 #include "mem/dram_bank.hh"
 #include "mem/gap_resource.hh"
 #include "mem/memory_system.hh"
@@ -28,8 +27,6 @@ struct Gddr5Params
      *  this class actually see. */
     Cycle commandLatency = 100;
     DramTiming timing{};
-
-    static Gddr5Params fromConfig(const Config &cfg);
 };
 
 class Gddr5Memory : public MemorySystem

@@ -24,37 +24,6 @@ reserveBandwidth(GapResource &res, double start, u64 bytes,
 
 } // namespace
 
-HmcParams
-HmcParams::fromConfig(const Config &cfg)
-{
-    HmcParams p;
-    p.vaults = unsigned(cfg.getInt("hmc.vaults", p.vaults));
-    p.banksPerVault =
-        unsigned(cfg.getInt("hmc.banks_per_vault", p.banksPerVault));
-    p.externalBandwidthGBs =
-        cfg.getDouble("hmc.external_bandwidth_gbs", p.externalBandwidthGBs);
-    p.internalBandwidthGBs =
-        cfg.getDouble("hmc.internal_bandwidth_gbs", p.internalBandwidthGBs);
-    p.linkLatency = Cycle(cfg.getInt("hmc.link_latency", i64(p.linkLatency)));
-    p.switchLatency =
-        Cycle(cfg.getInt("hmc.switch_latency", i64(p.switchLatency)));
-    p.tsvLatency = Cycle(cfg.getInt("hmc.tsv_latency", i64(p.tsvLatency)));
-    p.vaultCommandLatency = Cycle(
-        cfg.getInt("hmc.vault_command_latency", i64(p.vaultCommandLatency)));
-    p.requestPacketBytes =
-        u64(cfg.getInt("hmc.request_packet_bytes", i64(p.requestPacketBytes)));
-    p.responseHeaderBytes = u64(
-        cfg.getInt("hmc.response_header_bytes", i64(p.responseHeaderBytes)));
-    p.cubes = unsigned(cfg.getInt("hmc.cubes", p.cubes));
-    p.retryBufferPackets = unsigned(
-        cfg.getInt("hmc.retry_buffer_packets", i64(p.retryBufferPackets)));
-    p.retryLatency =
-        Cycle(cfg.getInt("hmc.retry_latency", i64(p.retryLatency)));
-    p.maxRetries = unsigned(cfg.getInt("hmc.max_retries", i64(p.maxRetries)));
-    p.fault = FaultParams::fromConfig(cfg);
-    return p;
-}
-
 HmcMemory::HmcMemory(const HmcParams &params)
     : MemorySystem("hmc"), params_(params)
 {

@@ -18,7 +18,6 @@
 
 #include <vector>
 
-#include "common/config.hh"
 #include "common/fault.hh"
 #include "mem/dram_bank.hh"
 #include "mem/gap_resource.hh"
@@ -67,8 +66,6 @@ struct HmcParams
     unsigned maxRetries = 16;
 
     FaultParams fault{};
-
-    static HmcParams fromConfig(const Config &cfg);
 };
 
 class HmcMemory : public MemorySystem

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -230,30 +229,11 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
                 ++stats_.counter("reuse_mismatches");
                 if (sp.childKey == child_key)
                     ++stats_.counter("reuse_mismatch_same_children");
-                // thread_local: workers dump their own budget without
-                // racing (debug aid only; no effect on results).
-                // texpim-lint: allow(D1) debug mismatch dump, results unchanged
-                static thread_local long dump_left =
-                    std::getenv("TEXPIM_DUMP_MISMATCH")
-                        ? std::atol(std::getenv("TEXPIM_DUMP_MISMATCH"))
-                        : 0;
-                if (dump_left > 0) {
-                    --dump_left;
-                    std::fprintf(stderr,
-                                 "mismatch addr=%llx err=%.4f stored(N=%u "
-                                 "ang=%.3f key=%08x) fresh(N=%u ang=%.3f "
-                                 "key=%08x nchild=%u)\n",
-                                 (unsigned long long)parent.addr, err,
-                                 sp.aniso, sp.angle, sp.childKey,
-                                 rec.anisoRatio, angle, child_key,
-                                 parent.childCount);
-                }
             }
         } else {
             values[p] = parent.value;
             parent_values_[parent.addr] =
-                StoredParent{parent.value, child_key, u8(rec.anisoRatio),
-                             angle};
+                StoredParent{parent.value, child_key};
         }
     }
 

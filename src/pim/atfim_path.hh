@@ -53,8 +53,8 @@ struct AtfimParams
 
     /**
      * Camera-angle threshold in radians (§V-C). The paper's default is
-     * 0.01 pi (1.8 degrees); negative means never recalculate
-     * (A-TFIM-no).
+     * 0.01 pi (1.8 degrees, kThreshold001Pi); negative means never
+     * recalculate (A-TFIM-no). Config key `atfim.angle_threshold_rad`.
      */
     float angleThresholdRad = 0.031415927f;
 
@@ -138,8 +138,6 @@ class AtfimTexturePath : public TexturePath
     {
         ColorF value{};
         u32 childKey = 0; //!< hash of the child set that produced it
-        u8 aniso = 1;
-        float angle = 0.0f;
     };
     std::unordered_map<Addr, StoredParent> parent_values_;
 

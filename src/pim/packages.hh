@@ -12,7 +12,6 @@
 #ifndef TEXPIM_PIM_PACKAGES_HH
 #define TEXPIM_PIM_PACKAGES_HH
 
-#include "common/config.hh"
 #include "common/types.hh"
 
 namespace texpim {
@@ -58,8 +57,6 @@ struct PimPacketParams
     {
         return responseHeaderBytes + parentValueBytes * n;
     }
-
-    static PimPacketParams fromConfig(const Config &cfg);
 };
 
 } // namespace texpim

@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "common/prof/profiler.hh"
 #include "common/trace_events.hh"
+#include "gpu/host_texture_path.hh"
 
 namespace texpim {
 
@@ -76,33 +77,12 @@ StfimTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
                              unsigned count, ReplayStream &stream,
                              SamplerScratch &scratch) const
 {
-    TEXPIM_ASSERT(base.tex != nullptr, "texture request without texture");
     TEXPIM_ASSERT(base.clusterId < mtus_.size(), "bad cluster id");
-
-    // Identical quad-SoA filtering as the host path, coalesced to the
-    // MTU's DRAM-burst granularity instead of cache lines.
-    const Addr mask = ~Addr(mtu_params_.fetchGranularityBytes - 1);
-    QuadConvOut &out = scratch.quadConv;
-    sampleConventionalQuad(*base.tex, coords, count, base.mode, base.maxAniso,
-                           mask, out, scratch.offsetCache);
-
-    for (unsigned q = 0; q < count; ++q) {
-        TexSampleRec rec;
-        rec.color = out.color[q];
-        rec.texels = out.texels[q];
-        rec.filterOps = out.filterOps[q];
-        rec.anisoRatio = out.anisoRatio[q];
-        rec.route = out.route[q];
-        rec.blockOff = u32(stream.blocks.size());
-        rec.blockCount = out.blockCount[q];
-        stream.blocks.insert(stream.blocks.end(), out.blocks[q],
-                             out.blocks[q] + out.blockCount[q]);
-        stream.samples.push_back(rec);
-        scratch.quadProbeAniso[q] =
-            base.mode == FilterMode::Nearest
-                ? computeLod(*base.tex, coords[q], base.maxAniso).anisoRatio
-                : out.anisoRatio[q];
-    }
+    // The host path's recording, coalesced to the MTU's DRAM-burst
+    // granularity instead of cache lines.
+    recordConventionalQuad(base, coords, count,
+                           ~Addr(mtu_params_.fetchGranularityBytes - 1),
+                           stream, scratch);
 }
 
 TexResponse

@@ -2,37 +2,6 @@
 
 namespace texpim {
 
-EnergyParams
-EnergyParams::fromConfig(const Config &cfg)
-{
-    EnergyParams p;
-    p.aluOpJ = cfg.getDouble("energy.alu_op_j", p.aluOpJ);
-    p.texAluOpJ = cfg.getDouble("energy.tex_alu_op_j", p.texAluOpJ);
-    p.l1AccessJ = cfg.getDouble("energy.l1_access_j", p.l1AccessJ);
-    p.l2AccessJ = cfg.getDouble("energy.l2_access_j", p.l2AccessJ);
-    p.ropCacheAccessJ =
-        cfg.getDouble("energy.rop_cache_access_j", p.ropCacheAccessJ);
-    p.hmcLinkJPerBit =
-        cfg.getDouble("energy.hmc_link_j_per_bit", p.hmcLinkJPerBit);
-    p.hmcDramJPerBit =
-        cfg.getDouble("energy.hmc_dram_j_per_bit", p.hmcDramJPerBit);
-    p.gddr5JPerBit = cfg.getDouble("energy.gddr5_j_per_bit", p.gddr5JPerBit);
-    p.gddr5ActivateJ =
-        cfg.getDouble("energy.gddr5_activate_j", p.gddr5ActivateJ);
-    p.gpuBackgroundW =
-        cfg.getDouble("energy.gpu_background_w", p.gpuBackgroundW);
-    p.gddr5BackgroundW =
-        cfg.getDouble("energy.gddr5_background_w", p.gddr5BackgroundW);
-    p.hmcBackgroundW =
-        cfg.getDouble("energy.hmc_background_w", p.hmcBackgroundW);
-    p.stfimMtuW = cfg.getDouble("energy.stfim_mtu_w", p.stfimMtuW);
-    p.atfimLogicW = cfg.getDouble("energy.atfim_logic_w", p.atfimLogicW);
-    p.leakageFraction =
-        cfg.getDouble("energy.leakage_fraction", p.leakageFraction);
-    p.coreGhz = cfg.getDouble("energy.core_ghz", p.coreGhz);
-    return p;
-}
-
 EnergyBreakdown
 estimateEnergy(const EnergyParams &params, const EnergyInputs &in)
 {

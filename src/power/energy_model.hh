@@ -11,7 +11,6 @@
 #ifndef TEXPIM_POWER_ENERGY_MODEL_HH
 #define TEXPIM_POWER_ENERGY_MODEL_HH
 
-#include "common/config.hh"
 #include "common/types.hh"
 
 namespace texpim {
@@ -43,8 +42,6 @@ struct EnergyParams
 
     double leakageFraction = 0.10; //!< §VI: +10 % leakage adder
     double coreGhz = 1.0;
-
-    static EnergyParams fromConfig(const Config &cfg);
 };
 
 /** Event counts for one rendered frame. */

@@ -21,4 +21,20 @@ designName(Design d)
     }
 }
 
+bool
+parseDesign(const std::string &name, Design &out)
+{
+    if (name == "baseline")
+        out = Design::Baseline;
+    else if (name == "b-pim" || name == "bpim")
+        out = Design::BPim;
+    else if (name == "s-tfim" || name == "stfim")
+        out = Design::STfim;
+    else if (name == "a-tfim" || name == "atfim")
+        out = Design::ATfim;
+    else
+        return false;
+    return true;
+}
+
 } // namespace texpim

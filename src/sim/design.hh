@@ -6,6 +6,8 @@
 #ifndef TEXPIM_SIM_DESIGN_HH
 #define TEXPIM_SIM_DESIGN_HH
 
+#include <string>
+
 #include "common/types.hh"
 
 namespace texpim {
@@ -18,6 +20,10 @@ enum class Design : u8 {
 };
 
 const char *designName(Design d);
+
+/** Parse a design token: baseline, bpim (b-pim), stfim (s-tfim) or
+ *  atfim (a-tfim). Returns false, leaving `out` alone, otherwise. */
+bool parseDesign(const std::string &name, Design &out);
 
 /** The paper's camera-angle thresholds (§VII-D), in radians. */
 inline constexpr float kPiF = 3.14159265358979323846f;

@@ -25,19 +25,6 @@ suiteWorkloads(const SuiteOptions &opt)
     return out;
 }
 
-SimResult
-runWorkload(const SimConfig &cfg, const Workload &wl,
-            const SuiteOptions &opt)
-{
-    Scene scene = buildGameScene(wl, opt.frame, opt.seed);
-    // Keep the paper's resolution-dependent anisotropy level even for
-    // downscaled quick runs.
-    scene.settings.maxAniso =
-        defaultMaxAniso(wl.width * opt.resolutionDivisor);
-    RenderingSimulator sim(cfg);
-    return sim.renderScene(scene);
-}
-
 namespace {
 
 ExperimentSpec
@@ -49,7 +36,7 @@ suiteSpec(const SimConfig &cfg, const Workload &wl, const SuiteOptions &opt)
     spec.frame = opt.frame;
     spec.seed = opt.seed;
     // Keep the paper's resolution-dependent anisotropy level even for
-    // downscaled quick runs (mirrors runWorkload).
+    // downscaled quick runs.
     spec.maxAniso = defaultMaxAniso(wl.width * opt.resolutionDivisor);
     return spec;
 }

@@ -60,10 +60,6 @@ std::vector<WorkloadResult> runSuite(const SimConfig &cfg,
 std::vector<std::vector<WorkloadResult>>
 runSuites(const std::vector<SimConfig> &configs, const SuiteOptions &opt);
 
-/** Run a single workload under a config. */
-SimResult runWorkload(const SimConfig &cfg, const Workload &wl,
-                      const SuiteOptions &opt);
-
 /** Arithmetic mean. */
 double mean(const std::vector<double> &v);
 

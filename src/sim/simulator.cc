@@ -52,31 +52,25 @@ writeSimResultJson(JsonWriter &w, const SimResult &r)
     w.endObject();
 }
 
+// Goldens pin A-TFIM images at the paper's default threshold.
+static_assert(AtfimParams{}.angleThresholdRad == kThreshold001Pi,
+              "A-TFIM's default threshold must be kThreshold001Pi");
+
 SimConfig
 SimConfig::fromConfig(const Config &cfg)
 {
     SimConfig c;
     std::string d = cfg.getString("design", "baseline");
-    if (d == "baseline")
-        c.design = Design::Baseline;
-    else if (d == "b-pim" || d == "bpim")
-        c.design = Design::BPim;
-    else if (d == "s-tfim" || d == "stfim")
-        c.design = Design::STfim;
-    else if (d == "a-tfim" || d == "atfim")
-        c.design = Design::ATfim;
-    else
-        TEXPIM_FATAL("unknown design '", d, "'");
+    if (!parseDesign(d, c.design))
+        TEXPIM_FATAL("unknown design '", d,
+                     "' (baseline|bpim|stfim|atfim)");
 
-    c.angleThresholdRad =
+    c.atfim.angleThresholdRad =
         float(cfg.getDouble("atfim.angle_threshold_rad",
-                            double(c.angleThresholdRad)));
+                            double(c.atfim.angleThresholdRad)));
     c.disableAniso = cfg.getBool("disable_aniso", false);
     c.gpu = GpuParams::fromConfig(cfg);
-    c.gddr5 = Gddr5Params::fromConfig(cfg);
-    c.hmc = HmcParams::fromConfig(cfg);
-    c.packets = PimPacketParams::fromConfig(cfg);
-    c.energy = EnergyParams::fromConfig(cfg);
+    c.hmc.fault = FaultParams::fromConfig(cfg);
     c.robustness = RobustnessParams::fromConfig(cfg);
     return c;
 }
@@ -117,10 +111,8 @@ RenderingSimulator::build()
       case Design::ATfim: {
         hmc_ = std::make_unique<HmcMemory>(cfg_.hmc);
         mem_ = hmc_.get();
-        AtfimParams ap = cfg_.atfim;
-        ap.angleThresholdRad = cfg_.angleThresholdRad;
         tex_path_ = std::make_unique<AtfimTexturePath>(
-            cfg_.gpu, ap, cfg_.packets, *hmc_, cfg_.robustness);
+            cfg_.gpu, cfg_.atfim, cfg_.packets, *hmc_, cfg_.robustness);
         break;
       }
       default:

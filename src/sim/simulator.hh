@@ -31,9 +31,6 @@ struct SimConfig
 {
     Design design = Design::Baseline;
 
-    /** A-TFIM camera-angle threshold; the paper defaults to 0.01 pi. */
-    float angleThresholdRad = kThreshold001Pi;
-
     /** Force anisotropic filtering off (the Fig. 4 experiment). */
     bool disableAniso = false;
 
@@ -46,7 +43,9 @@ struct SimConfig
     EnergyParams energy{};
     RobustnessParams robustness{};
 
-    /** Populate every sub-config from a key=value Config. */
+    /** Read the keys in knownConfigKeys() that configure a simulation
+     *  (design, A-TFIM threshold, aniso, gpu.*, fault_*); every other
+     *  Table I parameter keeps its default and is set from C++. */
     static SimConfig fromConfig(const Config &cfg);
 };
 

@@ -3,7 +3,7 @@
  * GpuParams::fromConfig validation: thread and depth counts must be at
  * least 1 (checked before the narrowing cast, so -1 cannot wrap),
  * gpu.schedule accepts exactly "horizon" and "rr", and retired keys
- * fail loudly instead of warning as unknown.
+ * fail naming what replaced them.
  */
 
 #include <gtest/gtest.h>
@@ -61,8 +61,6 @@ TEST(GpuParamsDeath, UnknownScheduleIsFatal)
 
 TEST(GpuParamsDeath, RetiredDeterministicScheduleIsFatal)
 {
-    // Without strict_config an unknown key only warns, which would
-    // silently render A-TFIM under the horizon schedule instead.
     Config cfg;
     cfg.set("gpu.deterministic_schedule", "1");
     EXPECT_EXIT({ (void)GpuParams::fromConfig(cfg); },
@@ -77,6 +75,16 @@ TEST(GpuParamsDeath, RetiredSamplerIsFatal)
     cfg.set("gpu.sampler", "scalar");
     EXPECT_EXIT({ (void)GpuParams::fromConfig(cfg); },
                 testing::ExitedWithCode(1), "'gpu.sampler' was removed");
+}
+
+TEST(GpuParamsDeath, RetiredStrictConfigIsFatal)
+{
+    Config cfg;
+    cfg.set("strict_config", "1");
+    EXPECT_EXIT({ (void)GpuParams::fromConfig(cfg); },
+                testing::ExitedWithCode(1),
+                "'strict_config' was removed: unknown config keys are "
+                "always fatal");
 }
 
 } // namespace

@@ -1,4 +1,4 @@
-struct Cfg { int getInt(const char *key, int def) const; };
+struct Cfg { int getInt(const char *, int) const; unsigned getUnsigned(const char *, unsigned, unsigned, unsigned) const; };
 
 int readKeys(const Cfg &cfg)
 {
@@ -13,5 +13,5 @@ struct Stats { int &counter(const char *name); };
 int touchMore(const Cfg &cfg, Stats &stats)
 {
     stats.counter("frames");
-    return cfg.getInt("sim.depth", 4);
+    return int(cfg.getUnsigned("sim.depth", 4, 1, 8));
 }

@@ -38,14 +38,5 @@ TEST(Packages, AtfimResponseGrowsPerParent)
               3u * p.parentValueBytes);
 }
 
-TEST(Packages, ConfigOverrides)
-{
-    Config cfg;
-    cfg.setInt("pim.offload_factor", 8);
-    cfg.setInt("pim.read_request_bytes", 32);
-    PimPacketParams p = PimPacketParams::fromConfig(cfg);
-    EXPECT_EQ(p.stfimRequestBytes(), 256u);
-}
-
 } // namespace
 } // namespace texpim

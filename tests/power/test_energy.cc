@@ -78,13 +78,5 @@ TEST(Energy, PaperCoefficientsAreDefaults)
     EXPECT_DOUBLE_EQ(p.leakageFraction, 0.10); // §VI: +10% leakage
 }
 
-TEST(Energy, ConfigOverrides)
-{
-    Config cfg;
-    cfg.setDouble("energy.gpu_background_w", 50.0);
-    EnergyParams p = EnergyParams::fromConfig(cfg);
-    EXPECT_DOUBLE_EQ(p.gpuBackgroundW, 50.0);
-}
-
 } // namespace
 } // namespace texpim

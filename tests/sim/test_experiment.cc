@@ -48,18 +48,5 @@ TEST(ExperimentDeath, ColumnLengthMismatchPanics)
     EXPECT_DEATH({ t.addColumn("x", {1.0}); }, "has 1 values for 2 rows");
 }
 
-TEST(Experiment, RunWorkloadProducesFrame)
-{
-    SimConfig cfg;
-    cfg.design = Design::Baseline;
-    SuiteOptions opt;
-    opt.resolutionDivisor = 4; // tiny for speed
-    Workload wl{Game::Wolfenstein, 160, 120};
-    SimResult r = runWorkload(cfg, wl, opt);
-    EXPECT_GT(r.frame.frameCycles, 0u);
-    ASSERT_TRUE(r.image);
-    EXPECT_EQ(r.image->width(), 160u);
-}
-
 } // namespace
 } // namespace texpim

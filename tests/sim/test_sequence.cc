@@ -77,7 +77,7 @@ TEST(Sequence, ATfimInterFrameAngleChangesForceRecalcs)
     // inter-frame angle drift.
     SimConfig cfg;
     cfg.design = Design::ATfim;
-    cfg.angleThresholdRad = kThreshold0005Pi; // strict: catch drift
+    cfg.atfim.angleThresholdRad = kThreshold0005Pi; // strict: catch drift
     RenderingSimulator sim(cfg);
     auto frames = sim.renderSequence(kWl, 3);
     EXPECT_GT(frames[1].angleRecalcs, 0u);
@@ -88,7 +88,7 @@ TEST(Sequence, ATfimNoRecalcNeverRecalculatesAcrossFrames)
 {
     SimConfig cfg;
     cfg.design = Design::ATfim;
-    cfg.angleThresholdRad = kThresholdNoRecalc;
+    cfg.atfim.angleThresholdRad = kThresholdNoRecalc;
     RenderingSimulator sim(cfg);
     auto frames = sim.renderSequence(kWl, 3);
     for (const auto &f : frames)

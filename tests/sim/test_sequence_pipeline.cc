@@ -287,7 +287,7 @@ TEST(SequencePipeline, AtfimPsnrOverFramesByThreshold)
     double min_psnr[3];
     for (int t = 0; t < 3; ++t) {
         SimConfig cfg = seqCfg(Design::ATfim, 1, 2);
-        cfg.angleThresholdRad = thresholds[t];
+        cfg.atfim.angleThresholdRad = thresholds[t];
         SimContext ctx;
         SimContext::Scope scope(ctx);
         RenderingSimulator sim(cfg);

@@ -22,7 +22,7 @@ run(Design d, float threshold = kThreshold001Pi, bool aniso = true)
 {
     SimConfig cfg;
     cfg.design = d;
-    cfg.angleThresholdRad = threshold;
+    cfg.atfim.angleThresholdRad = threshold;
     cfg.disableAniso = !aniso;
     RenderingSimulator sim(cfg);
     return sim.renderScene(testScene());
@@ -148,11 +148,9 @@ TEST(Simulator, ConfigRoundTrip)
     Config cfg;
     cfg.set("design", "a-tfim");
     cfg.setDouble("atfim.angle_threshold_rad", 0.1);
-    cfg.setInt("gpu.clusters", 8);
     SimConfig sc = SimConfig::fromConfig(cfg);
     EXPECT_EQ(sc.design, Design::ATfim);
-    EXPECT_FLOAT_EQ(sc.angleThresholdRad, 0.1f);
-    EXPECT_EQ(sc.gpu.clusters, 8u);
+    EXPECT_FLOAT_EQ(sc.atfim.angleThresholdRad, 0.1f);
 }
 
 TEST(SimulatorDeath, UnknownDesignIsFatal)

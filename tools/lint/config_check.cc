@@ -3,8 +3,8 @@
  * Rule C1: three-way config-key reconciliation.
  *
  *  - every key a source file queries (cfg.getInt("..."), getBool,
- *    getDouble, getString, has, rawGet) from src/ must appear in the
- *    known-key table in src/gpu/params.cc (between the
+ *    getDouble, getString, getUnsigned, has, rawGet) from src/ must
+ *    appear in the known-key table in src/gpu/params.cc (between the
  *    `texpim-lint: config-key-table begin/end` markers);
  *  - every table key must be referenced somewhere in the scanned tree
  *    (otherwise it is a dead knob);
@@ -106,7 +106,8 @@ runConfigRule(const std::vector<SourceFile> &files, const Options &opt,
     // Scanned over joined text (\s spans newlines) so a call whose key
     // literal wrapped to the next line still counts as a reference.
     static const std::regex refRe(
-        R"re(\.\s*(getInt|getDouble|getBool|getString|rawGet|has)\s*\(\s*"([^"]+)")re");
+        R"re(\.\s*(getInt|getDouble|getBool|getString|getUnsigned|)re"
+        R"re(rawGet|has)\s*\(\s*"([^"]+)")re");
     std::map<std::string, Located> refAnywhere; // first reference
     std::map<std::string, Located> refInSrc;    // first src/ reference
     for (const SourceFile &f : files) {
@@ -209,7 +210,7 @@ runConfigRule(const std::vector<SourceFile> &files, const Options &opt,
                 "config key '" + kv.first +
                     "' is read here but missing from the known-key table "
                     "in " + opt.keyTablePath +
-                    " (strict_config=1 would reject it)");
+                    " (the CLI would reject it as unknown)");
     }
     for (const auto &kv : table) {
         if (!refAnywhere.count(kv.first))
