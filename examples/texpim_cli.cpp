@@ -124,6 +124,15 @@ readMaxAniso(const Config &cfg)
     return cfg.getUnsigned("max_aniso", 0, 1, kQuadMaxAniso);
 }
 
+/** trace_cap=: trace events kept before further ones are dropped. */
+u64
+readTraceCap(const Config &cfg)
+{
+    return cfg.getUnsigned("trace_cap",
+                           unsigned(TraceEvents::kDefaultEventCap), 0,
+                           kMaxUnsigned);
+}
+
 Config
 collectConfig(int argc, char **argv, int first)
 {
@@ -191,9 +200,7 @@ beginTracing(const Config &cfg)
 #if !TEXPIM_TRACING
     TEXPIM_FATAL("trace_out= requires a build with -DTEXPIM_TRACING=ON");
 #endif
-    TraceEvents::instance().enable(
-        out, u64(cfg.getInt("trace_cap",
-                            i64(TraceEvents::kDefaultEventCap))));
+    TraceEvents::instance().enable(out, readTraceCap(cfg));
 }
 
 /** Stop tracing and write the trace file, if tracing was on. */
@@ -216,7 +223,8 @@ beginProfiling(const Config &cfg)
     if (!cfg.getBool("prof", false) &&
         cfg.getString("prof_out", "").empty())
         return;
-    Profiler::instance().enable(u64(cfg.getInt("prof.epoch_cycles", 0)));
+    Profiler::instance().enable(
+        cfg.getUnsigned("prof.epoch_cycles", 0, 0, kMaxUnsigned));
 }
 
 /**
@@ -506,13 +514,15 @@ cmdSweep(int argc, char **argv)
     std::string inject = cfg.getString("sim.inject_failure", "");
 
     RunnerOptions ropt;
-    ropt.jobs = unsigned(cfg.getInt("jobs", 1));
+    ropt.jobs = cfg.getUnsigned("jobs", 1, 0, kMaxUnsigned); // 0: all cores
     ropt.tracePath = cfg.getString("trace_out", "");
-    ropt.traceCap =
-        u64(cfg.getInt("trace_cap", i64(TraceEvents::kDefaultEventCap)));
-    ropt.jobTimeoutMs = u64(cfg.getInt("sim.job_timeout_ms", 0));
-    ropt.maxRetries = unsigned(cfg.getInt("runner.max_retries", 0));
-    ropt.retryBackoffMs = u64(cfg.getInt("runner.retry_backoff_ms", 100));
+    ropt.traceCap = readTraceCap(cfg);
+    ropt.jobTimeoutMs =
+        cfg.getUnsigned("sim.job_timeout_ms", 0, 0, kMaxUnsigned);
+    ropt.maxRetries =
+        cfg.getUnsigned("runner.max_retries", 0, 0, kMaxUnsigned);
+    ropt.retryBackoffMs =
+        cfg.getUnsigned("runner.retry_backoff_ms", 100, 0, kMaxUnsigned);
 #if !TEXPIM_TRACING
     if (!ropt.tracePath.empty())
         TEXPIM_FATAL(
@@ -695,7 +705,7 @@ cmdReport(int argc, char **argv)
     beginTracing(cfg);
 
     bool wall = cfg.getBool("prof.wall", false);
-    u64 epoch = u64(cfg.getInt("prof.epoch_cycles", 0));
+    u64 epoch = cfg.getUnsigned("prof.epoch_cycles", 0, 0, kMaxUnsigned);
     std::string prof_out = cfg.getString("prof_out", "");
     ReportBuilder report(argv[2]);
     for (Design d : {Design::Baseline, Design::BPim, Design::STfim,

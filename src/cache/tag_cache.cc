@@ -1,6 +1,7 @@
 #include "cache/tag_cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -50,6 +51,7 @@ TagCache::TagCache(std::string name, const CacheParams &params)
     TEXPIM_ASSERT(isPowerOfTwo(num_sets_),
                   "set count must be a power of two (size=",
                   params_.sizeBytes, " ways=", params_.ways, ")");
+    line_shift_ = unsigned(std::countr_zero(params_.lineBytes));
     lines_.assign(size_t(num_sets_) * params_.ways, Line{});
 }
 
@@ -89,7 +91,7 @@ TagCache::access(Addr addr)
 {
     TEXPIM_PROF_COUNT(prof::kZoneTagCache, 1);
     Addr line = lineAddr(addr);
-    unsigned set = unsigned((line / params_.lineBytes) % num_sets_);
+    unsigned set = setOf(line);
     ++use_clock_;
 
     if (Line *l = findLine(set, line)) {
@@ -115,7 +117,7 @@ TagCache::accessAngled(Addr addr, float angle_rad, float threshold_rad)
 {
     TEXPIM_PROF_COUNT(prof::kZoneTagCache, 1);
     Addr line = lineAddr(addr);
-    unsigned set = unsigned((line / params_.lineBytes) % num_sets_);
+    unsigned set = setOf(line);
     ++use_clock_;
 
     u8 code = quantizeAngle(angle_rad);
@@ -153,7 +155,7 @@ bool
 TagCache::contains(Addr addr) const
 {
     Addr line = lineAddr(addr);
-    unsigned set = unsigned((line / params_.lineBytes) % num_sets_);
+    unsigned set = setOf(line);
     return findLine(set, line) != nullptr;
 }
 

@@ -117,9 +117,18 @@ class TagCache
     /** Victim selection: invalid way first, else true LRU. */
     Line &victim(unsigned set);
 
+    /** Set index of a line address (line size and set count are
+     *  powers of two, so this is a shift and a mask). */
+    unsigned
+    setOf(Addr line) const
+    {
+        return unsigned((line >> line_shift_) & (num_sets_ - 1));
+    }
+
     std::string name_;
     CacheParams params_;
     unsigned num_sets_;
+    unsigned line_shift_; //!< log2(lineBytes)
     std::vector<Line> lines_; //!< num_sets_ x ways, row-major
     u64 use_clock_ = 0;
     u64 epoch_ = 0;

@@ -107,8 +107,12 @@ class StatHistogram
  * A registry of named statistics belonging to one component.
  *
  * Registration returns a reference that stays valid for the lifetime of
- * the group (node-based storage). The optional description is recorded
- * on first non-empty mention; hot-path re-lookups pass no description.
+ * the group (node-based storage) and across resetAll(). Components
+ * register each stat once, at construction, with its description, and
+ * timing code updates the reference it holds; name-keyed lookups
+ * (counter/average/histogram/find*) belong in constructors, exporters
+ * and tests. Lint rule R1 keeps them off the timing replay. The
+ * description is recorded on first non-empty mention.
  *
  * Construction registers the group with the StatRegistry of the
  * SimContext current on the constructing thread; destruction

@@ -9,33 +9,38 @@ namespace texpim {
 
 HostTexturePath::HostTexturePath(const GpuParams &params, MemorySystem &mem)
     : TexturePath("tex_host"), params_(params), mem_(mem),
-      l2_("tex_l2", params.texL2), unit_free_(params.clusters, 0)
+      l2_("tex_l2", params.texL2), unit_free_(params.clusters, 0),
+      l1_hits_(stats_.counter("l1_hits", "texture L1 line hits")),
+      l1_misses_(stats_.counter("l1_misses", "texture L1 line misses")),
+      l2_hits_(stats_.counter("l2_hits", "texture L2 line hits")),
+      l2_misses_(stats_.counter("l2_misses", "texture L2 line misses")),
+      l1_interframe_hits_(stats_.counter(
+          "l1_interframe_hits",
+          "L1 hits on lines warm from an earlier frame")),
+      l2_interframe_hits_(stats_.counter(
+          "l2_interframe_hits",
+          "L2 hits on lines warm from an earlier frame")),
+      mshr_merges_(stats_.counter(
+          "mshr_merges", "misses merged into an outstanding line fetch")),
+      texels_(stats_.counter("texels", "texels consumed by filtering")),
+      lines_(stats_.counter("lines",
+                            "distinct cache lines touched per request")),
+      addr_ops_(stats_.counter("addr_ops",
+                               "texture address-generation ALU ops")),
+      filter_ops_(stats_.counter("filter_ops", "texture filtering ALU ops")),
+      aniso_samples_(stats_.counter(
+          "aniso_samples", "sum of anisotropy ratios over requests")),
+      lat_total_(stats_.average("lat_total",
+                                "request latency, issue to complete")),
+      lat_unit_wait_(stats_.average(
+          "lat_unit_wait", "wait for the per-cluster texture unit")),
+      lat_mem_(stats_.average("lat_mem",
+                              "memory portion of the request latency"))
 {
     l1_.reserve(params_.clusters);
     for (unsigned c = 0; c < params_.clusters; ++c)
         l1_.push_back(std::make_unique<TagCache>(
             "tex_l1_" + std::to_string(c), params_.texL1));
-
-    stats_.counter("l1_hits", "texture L1 line hits");
-    stats_.counter("l1_misses", "texture L1 line misses");
-    stats_.counter("l2_hits", "texture L2 line hits");
-    stats_.counter("l2_misses", "texture L2 line misses");
-    stats_.counter("l1_interframe_hits",
-                   "L1 hits on lines warm from an earlier frame");
-    stats_.counter("l2_interframe_hits",
-                   "L2 hits on lines warm from an earlier frame");
-    stats_.counter("mshr_merges",
-                   "misses merged into an outstanding line fetch");
-    stats_.counter("texels", "texels consumed by filtering");
-    stats_.counter("lines", "distinct cache lines touched per request");
-    stats_.counter("addr_ops", "texture address-generation ALU ops");
-    stats_.counter("filter_ops", "texture filtering ALU ops");
-    stats_.counter("aniso_samples",
-                   "sum of anisotropy ratios over requests");
-    stats_.average("lat_total", "request latency, issue to complete");
-    stats_.average("lat_unit_wait",
-                   "wait for the per-cluster texture unit");
-    stats_.average("lat_mem", "memory portion of the request latency");
 }
 
 void
@@ -114,22 +119,22 @@ HostTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
     for (u32 i = 0; i < rec.blockCount; ++i) {
         Addr line = stream.blocks[rec.blockOff + i];
         if (l1.access(line) == CacheOutcome::Hit) {
-            ++stats_.counter("l1_hits");
+            ++l1_hits_;
             if (l1.lastHitCrossEpoch())
-                ++stats_.counter("l1_interframe_hits");
+                ++l1_interframe_hits_;
             continue;
         }
-        ++stats_.counter("l1_misses");
+        ++l1_misses_;
         Cycle l2_at = t0 + params_.texL1HitLatency;
         if (l2_.access(line) == CacheOutcome::Hit) {
-            ++stats_.counter("l2_hits");
+            ++l2_hits_;
             if (l2_.lastHitCrossEpoch())
-                ++stats_.counter("l2_interframe_hits");
+                ++l2_interframe_hits_;
             data_ready =
                 std::max(data_ready, l2_at + params_.texL2HitLatency);
             continue;
         }
-        ++stats_.counter("l2_misses");
+        ++l2_misses_;
         TEXPIM_TRACE_INSTANT("texture", "l2_miss", 100 + req.clusterId, t0);
         Cycle mem_at = l2_at + params_.texL2HitLatency;
         Cycle done = outstanding_.lookup(line, mem_at);
@@ -141,21 +146,21 @@ HostTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
                                   100 + req.clusterId, mem_at,
                                   done - mem_at);
         } else {
-            ++stats_.counter("mshr_merges");
+            ++mshr_merges_;
         }
         data_ready = std::max(data_ready, done);
     }
 
     Cycle complete = data_ready + filter;
 
-    stats_.counter("texels") += texels;
-    stats_.counter("lines") += rec.blockCount;
-    stats_.counter("addr_ops") += texels;
-    stats_.counter("filter_ops") += rec.filterOps;
-    stats_.counter("aniso_samples") += rec.anisoRatio;
-    stats_.average("lat_total").sample(double(complete - req.issue));
-    stats_.average("lat_unit_wait").sample(double(start - req.issue));
-    stats_.average("lat_mem").sample(double(data_ready - t0));
+    texels_ += texels;
+    lines_ += rec.blockCount;
+    addr_ops_ += texels;
+    filter_ops_ += rec.filterOps;
+    aniso_samples_ += rec.anisoRatio;
+    lat_total_.sample(double(complete - req.issue));
+    lat_unit_wait_.sample(double(start - req.issue));
+    lat_mem_.sample(double(data_ready - t0));
     TEXPIM_TRACE_COMPLETE("texture", "tex_request", 100 + req.clusterId,
                           start, complete - start);
     recordRequest(req.wanted ? req.wanted : req.issue, complete);

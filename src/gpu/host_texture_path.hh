@@ -58,6 +58,22 @@ class HostTexturePath : public TexturePath
     TagCache l2_;
     OutstandingMisses outstanding_;
     std::vector<Cycle> unit_free_; //!< per-cluster texture-unit pipeline
+
+    StatCounter &l1_hits_;
+    StatCounter &l1_misses_;
+    StatCounter &l2_hits_;
+    StatCounter &l2_misses_;
+    StatCounter &l1_interframe_hits_;
+    StatCounter &l2_interframe_hits_;
+    StatCounter &mshr_merges_;
+    StatCounter &texels_;
+    StatCounter &lines_;
+    StatCounter &addr_ops_;
+    StatCounter &filter_ops_;
+    StatCounter &aniso_samples_;
+    StatAverage &lat_total_;
+    StatAverage &lat_unit_wait_;
+    StatAverage &lat_mem_;
 };
 
 } // namespace texpim

@@ -149,29 +149,34 @@ Renderer::Renderer(const GpuParams &params, MemorySystem &mem,
                    TexturePath &tex)
     : params_(params), mem_(mem), tex_(tex),
       z_cache_("rop_z", ropCacheParams()),
-      color_cache_("rop_color", ropCacheParams()), stats_("renderer")
+      color_cache_("rop_color", ropCacheParams()), stats_("renderer"),
+      frames_(stats_.counter(
+          "frames", "frames rendered through this pipeline")),
+      fragments_shaded_(stats_.counter(
+          "fragments_shaded", "fragments that passed early Z and were shaded")),
+      fragments_early_z_killed_(stats_.counter(
+          "fragments_early_z_killed",
+          "fragments rejected by the early-Z test")),
+      triangles_setup_(stats_.counter(
+          "triangles_setup", "triangles surviving clipping and setup")),
+      hier_z_skipped_(stats_.counter(
+          "hier_z_skipped",
+          "triangles skipped by hierarchical Z over full tiles")),
+      end_compute_(stats_.counter(
+          "end_compute",
+          "cycle the last cluster drained its compute frontier")),
+      end_windows_(stats_.counter(
+          "end_windows", "cycle the last in-flight texture request retired")),
+      end_rop_(stats_.counter(
+          "end_rop", "cycle the last ROP writeback drained")),
+      tile_cycles_(stats_.histogram(
+          "tile_cycles", 0.0, 65536.0, 64,
+          "per-tile processing time in cycles"))
 {
     TEXPIM_ASSERT(params_.clusters > 0 && params_.shadersPerCluster > 0,
                   "GPU needs clusters and shaders");
     TEXPIM_ASSERT(params_.renderThreads >= 1,
                   "gpu.render_threads must be at least 1");
-
-    stats_.counter("frames", "frames rendered through this pipeline");
-    stats_.counter("fragments_shaded",
-                   "fragments that passed early Z and were shaded");
-    stats_.counter("fragments_early_z_killed",
-                   "fragments rejected by the early-Z test");
-    stats_.counter("triangles_setup",
-                   "triangles surviving clipping and setup");
-    stats_.counter("hier_z_skipped",
-                   "triangles skipped by hierarchical Z over full tiles");
-    stats_.counter("end_compute",
-                   "cycle the last cluster drained its compute frontier");
-    stats_.counter("end_windows",
-                   "cycle the last in-flight texture request retired");
-    stats_.counter("end_rop", "cycle the last ROP writeback drained");
-    stats_.histogram("tile_cycles", 0.0, 65536.0, 64,
-                     "per-tile processing time in cycles");
 }
 
 Cycle
@@ -337,8 +342,7 @@ Renderer::replayPhase(FrameCtx &ctx, FrameStats &fs)
 
         TEXPIM_PROF_CYCLES(prof::kZoneSchedule,
                            ctx.clusterTime[cluster] - tile_start);
-        stats_.histogram("tile_cycles", 0.0, 65536.0, 64)
-            .sample(double(ctx.clusterTime[cluster] - tile_start));
+        tile_cycles_.sample(double(ctx.clusterTime[cluster] - tile_start));
         TEXPIM_TRACE_SPAN("raster", "tile", cluster, tile_start,
                           ctx.clusterTime[cluster]);
         TEXPIM_TRACE_COUNTER("raster", "fragments_shaded",
@@ -901,9 +905,9 @@ Renderer::finishTail(FrameCtx &ctx, FrameStats &fs)
         end_windows = std::max(end_windows, ctx.windows[c].last());
     }
     Cycle frame_end = std::max({end_compute, end_windows, ctx.ropDrain});
-    stats_.counter("end_compute") += end_compute;
-    stats_.counter("end_windows") += end_windows;
-    stats_.counter("end_rop") += ctx.ropDrain;
+    end_compute_ += end_compute;
+    end_windows_ += end_windows;
+    end_rop_ += ctx.ropDrain;
 
     // Display scanout of the finished frame (frame-buffer read traffic;
     // happens off the critical path of rendering the next frame).
@@ -923,11 +927,11 @@ Renderer::finishTail(FrameCtx &ctx, FrameStats &fs)
                            ? double(ctx.anisoSum) / double(fs.fragmentsShaded)
                            : 0.0;
 
-    stats_.counter("frames") += 1;
-    stats_.counter("fragments_shaded") += fs.fragmentsShaded;
-    stats_.counter("fragments_early_z_killed") += fs.fragmentsEarlyZKilled;
-    stats_.counter("triangles_setup") += fs.trianglesSetup;
-    stats_.counter("hier_z_skipped") += fs.hierZTrianglesSkipped;
+    frames_ += 1;
+    fragments_shaded_ += fs.fragmentsShaded;
+    fragments_early_z_killed_ += fs.fragmentsEarlyZKilled;
+    triangles_setup_ += fs.trianglesSetup;
+    hier_z_skipped_ += fs.hierZTrianglesSkipped;
 
     // Deterministic cycle/count charges, all from this (coordinating)
     // thread so the profile is identical across gpu.render_threads and

@@ -200,6 +200,8 @@ class Renderer
     /** Phase 2: the cluster scheduler. Picks tiles in gpu.schedule
      *  order, replays each through replayTile(), then settles ROP
      *  traffic and the cluster clock. */
+    // texpim-lint: replay-root the serial phase-2 scheduler; per-tile
+    // and per-request stat updates go through held references
     void replayPhase(FrameCtx &ctx, FrameStats &fs);
 
     /** Phase 2, one tile: decode its record into `decoded` and replay
@@ -214,6 +216,15 @@ class Renderer
     TagCache z_cache_;
     TagCache color_cache_;
     StatGroup stats_;
+    StatCounter &frames_;
+    StatCounter &fragments_shaded_;
+    StatCounter &fragments_early_z_killed_;
+    StatCounter &triangles_setup_;
+    StatCounter &hier_z_skipped_;
+    StatCounter &end_compute_;
+    StatCounter &end_windows_;
+    StatCounter &end_rop_;
+    StatHistogram &tile_cycles_;
     bool collect_frame_blocks_ = false;
 
     static constexpr Addr kGeometryBase = 0x4000'0000;

@@ -10,7 +10,23 @@
 namespace texpim {
 
 Gddr5Memory::Gddr5Memory(const Gddr5Params &params)
-    : MemorySystem("gddr5"), params_(params)
+    : MemorySystem("gddr5"), params_(params),
+      reads_(stats_.counter("reads", "read transactions")),
+      writes_(stats_.counter("writes", "write transactions")),
+      row_hits_(stats_.counter("row_hits", "row-buffer hits")),
+      row_misses_(stats_.counter("row_misses",
+                                 "row-buffer misses (closed row)")),
+      row_conflicts_(stats_.counter(
+          "row_conflicts", "row-buffer conflicts (wrong row open)")),
+      bank_wait_(stats_.average("bank_wait",
+                                "cycles waiting for a busy bank")),
+      bus_wait_(stats_.average("bus_wait",
+                               "cycles waiting for the channel bus")),
+      latency_(stats_.average("latency",
+                              "end-to-end transaction latency, cycles")),
+      latency_hist_(stats_.histogram(
+          "latency_hist", 0.0, 2048.0, 64,
+          "end-to-end transaction latency distribution"))
 {
     TEXPIM_ASSERT(params_.channels > 0, "need at least one channel");
     TEXPIM_ASSERT(params_.banksPerChannel > 0, "need at least one bank");
@@ -24,17 +40,19 @@ Gddr5Memory::Gddr5Memory(const Gddr5Params &params)
         ch.banks.assign(params_.banksPerChannel, DramBank(params_.timing));
         channels_.push_back(std::move(ch));
     }
+}
 
-    stats_.counter("reads", "read transactions");
-    stats_.counter("writes", "write transactions");
-    stats_.counter("row_hits", "row-buffer hits");
-    stats_.counter("row_misses", "row-buffer misses (closed row)");
-    stats_.counter("row_conflicts", "row-buffer conflicts (wrong row open)");
-    stats_.average("bank_wait", "cycles waiting for a busy bank");
-    stats_.average("bus_wait", "cycles waiting for the channel bus");
-    stats_.average("latency", "end-to-end transaction latency, cycles");
-    stats_.histogram("latency_hist", 0.0, 2048.0, 64,
-                     "end-to-end transaction latency distribution");
+StatAverage &
+Gddr5Memory::classLatency(TrafficClass cls)
+{
+    StatAverage *&avg = class_latency_[unsigned(cls)];
+    if (avg == nullptr) {
+        // texpim-lint: allow(R1) registered on first use so a class
+        // with no traffic has no snapshot key; one lookup per class
+        avg = &stats_.average(std::string("latency_") +
+                              trafficClassName(cls));
+    }
+    return *avg;
 }
 
 void
@@ -72,38 +90,36 @@ Gddr5Memory::access(const MemRequest &req)
 
     RowBufferOutcome outcome;
     Cycle bank_start = req.issue + params_.commandLatency;
-    stats_.average("bank_wait")
-        .sample(double(std::max(ch.banks[bank_idx].busyUntil(), bank_start) -
-                       bank_start));
+    bank_wait_.sample(
+        double(std::max(ch.banks[bank_idx].busyUntil(), bank_start) -
+               bank_start));
     Cycle data_ready = ch.banks[bank_idx].access(row, bank_start, outcome);
 
     // Serialize the data burst over the channel bus (fractional cycles
     // so that sub-cycle bursts do not artificially cap bandwidth).
     double bus_time = double(req.bytes) / channel_bw_;
     double bus_start = ch.bus.reserve(double(data_ready), bus_time);
-    stats_.average("bus_wait").sample(bus_start - double(data_ready));
+    bus_wait_.sample(bus_start - double(data_ready));
     Cycle done = Cycle(std::ceil(bus_start + bus_time));
 
     countOffChip(req.cls, req.bytes);
     notifyTraffic(TrafficChannel::OffChip, req.cls, req.addr, req.bytes,
                   int(fold % params_.channels), req.issue);
-    ++stats_.counter(req.op == MemOp::Read ? "reads" : "writes");
+    ++(req.op == MemOp::Read ? reads_ : writes_);
     switch (outcome) {
       case RowBufferOutcome::Hit:
-        ++stats_.counter("row_hits");
+        ++row_hits_;
         break;
       case RowBufferOutcome::Miss:
-        ++stats_.counter("row_misses");
+        ++row_misses_;
         break;
       case RowBufferOutcome::Conflict:
-        ++stats_.counter("row_conflicts");
+        ++row_conflicts_;
         break;
     }
-    stats_.average("latency").sample(double(done - req.issue));
-    stats_.histogram("latency_hist", 0.0, 2048.0, 64)
-        .sample(double(done - req.issue));
-    stats_.average(std::string("latency_") + trafficClassName(req.cls))
-        .sample(double(done - req.issue));
+    latency_.sample(double(done - req.issue));
+    latency_hist_.sample(double(done - req.issue));
+    classLatency(req.cls).sample(double(done - req.issue));
     TEXPIM_TRACE_COMPLETE("dram", "gddr5_access",
                           u32(200 + fold % params_.channels), req.issue,
                           done - req.issue);

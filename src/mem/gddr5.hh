@@ -7,6 +7,7 @@
 #ifndef TEXPIM_MEM_GDDR5_HH
 #define TEXPIM_MEM_GDDR5_HH
 
+#include <array>
 #include <vector>
 
 #include "mem/dram_bank.hh"
@@ -53,9 +54,24 @@ class Gddr5Memory : public MemorySystem
         GapResource bus; //!< order-tolerant data-bus occupancy
     };
 
+    /** The `latency_<class>` average of `cls`, registered on its
+     *  first access so a class with no traffic exports no key. */
+    StatAverage &classLatency(TrafficClass cls);
+
     Gddr5Params params_;
     double channel_bw_; //!< bytes per core cycle per channel
     std::vector<Channel> channels_;
+
+    StatCounter &reads_;
+    StatCounter &writes_;
+    StatCounter &row_hits_;
+    StatCounter &row_misses_;
+    StatCounter &row_conflicts_;
+    StatAverage &bank_wait_;
+    StatAverage &bus_wait_;
+    StatAverage &latency_;
+    StatHistogram &latency_hist_;
+    std::array<StatAverage *, kNumTrafficClasses> class_latency_{};
 };
 
 } // namespace texpim

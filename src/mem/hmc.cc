@@ -25,7 +25,46 @@ reserveBandwidth(GapResource &res, double start, u64 bytes,
 } // namespace
 
 HmcMemory::HmcMemory(const HmcParams &params)
-    : MemorySystem("hmc"), params_(params)
+    : MemorySystem("hmc"), params_(params),
+      reads_(stats_.counter("reads", "host read transactions")),
+      writes_(stats_.counter("writes", "host write transactions")),
+      row_hits_(stats_.counter("row_hits", "row-buffer hits")),
+      row_misses_(stats_.counter("row_misses",
+                                 "row-buffer misses (closed row)")),
+      row_conflicts_(stats_.counter(
+          "row_conflicts", "row-buffer conflicts (wrong row open)")),
+      internal_reads_(stats_.counter(
+          "internal_reads",
+          "logic-layer (PIM) reads that never cross the links")),
+      internal_writes_(stats_.counter("internal_writes",
+                                      "logic-layer (PIM) writes")),
+      packages_to_device_(stats_.counter(
+          "packages_to_device",
+          "PIM offload packages sent over the transmit link")),
+      packages_to_host_(stats_.counter(
+          "packages_to_host", "PIM response packages over the receive link")),
+      latency_(stats_.average("latency",
+                              "host transaction latency, cycles")),
+      internal_latency_(stats_.average(
+          "internal_latency", "logic-layer access latency, cycles")),
+      latency_hist_(stats_.histogram(
+          "latency_hist", 0.0, 2048.0, 64,
+          "host transaction latency distribution")),
+      crc_errors_(stats_.counter(
+          "crc_errors", "link packet transmissions that took a CRC error")),
+      link_retries_(stats_.counter(
+          "link_retries",
+          "packet retransmissions through the link-retry buffer")),
+      retry_buffer_stalls_(stats_.counter(
+          "retry_buffer_stalls",
+          "retransmissions stalled on a full retry buffer")),
+      retry_aborts_(stats_.counter(
+          "retry_aborts", "packets forced through after max_retries replays")),
+      vault_retries_(stats_.counter(
+          "vault_retries", "vault accesses re-issued after a transient error")),
+      package_deadline_misses_(stats_.counter(
+          "package_deadline_misses",
+          "PIM packages that arrived after their deadline"))
 {
     TEXPIM_ASSERT(params_.vaults > 0, "need at least one vault");
     TEXPIM_ASSERT(params_.banksPerVault > 0, "need at least one bank");
@@ -63,36 +102,6 @@ HmcMemory::HmcMemory(const HmcParams &params)
         cube.tx.retrySlots.assign(params_.retryBufferPackets, 0.0);
         cube.rx.retrySlots.assign(params_.retryBufferPackets, 0.0);
     }
-
-    stats_.counter("reads", "host read transactions");
-    stats_.counter("writes", "host write transactions");
-    stats_.counter("row_hits", "row-buffer hits");
-    stats_.counter("row_misses", "row-buffer misses (closed row)");
-    stats_.counter("row_conflicts", "row-buffer conflicts (wrong row open)");
-    stats_.counter("internal_reads",
-                   "logic-layer (PIM) reads that never cross the links");
-    stats_.counter("internal_writes", "logic-layer (PIM) writes");
-    stats_.counter("packages_to_device",
-                   "PIM offload packages sent over the transmit link");
-    stats_.counter("packages_to_host",
-                   "PIM response packages over the receive link");
-    stats_.average("latency", "host transaction latency, cycles");
-    stats_.average("internal_latency",
-                   "logic-layer access latency, cycles");
-    stats_.histogram("latency_hist", 0.0, 2048.0, 64,
-                     "host transaction latency distribution");
-    stats_.counter("crc_errors",
-                   "link packet transmissions that took a CRC error");
-    stats_.counter("link_retries",
-                   "packet retransmissions through the link-retry buffer");
-    stats_.counter("retry_buffer_stalls",
-                   "retransmissions stalled on a full retry buffer");
-    stats_.counter("retry_aborts",
-                   "packets forced through after max_retries replays");
-    stats_.counter("vault_retries",
-                   "vault accesses re-issued after a transient error");
-    stats_.counter("package_deadline_misses",
-                   "PIM packages that arrived after their deadline");
 }
 
 unsigned
@@ -136,17 +145,17 @@ HmcMemory::sendPacket(Cube &cube, Link &link, double now, u64 bytes,
     unsigned attempt = 0;
     while (link.inj.fire()) {
         ++attempt;
-        ++stats_.counter("crc_errors");
+        ++crc_errors_;
         TEXPIM_TRACE_INSTANT("fault", "crc_error", 310, Cycle(done));
         if (attempt > params_.maxRetries) {
             // The link layer gives up replaying and forces the packet
             // through; the data path is functional fiction, so a
             // poisoned delivery only matters for the statistics.
-            ++stats_.counter("retry_aborts");
+            ++retry_aborts_;
             break;
         }
         ++cube.linkRetries;
-        ++stats_.counter("link_retries");
+        ++link_retries_;
         // Replay from the retry buffer: error detection + turnaround,
         // doubling (exponential backoff) on repeated failures.
         double backoff = double(params_.retryLatency) *
@@ -157,7 +166,7 @@ HmcMemory::sendPacket(Cube &cube, Link &link, double now, u64 bytes,
         // the link until the oldest retires.
         double slot_free = link.retrySlots[link.head];
         if (slot_free > ready) {
-            ++stats_.counter("retry_buffer_stalls");
+            ++retry_buffer_stalls_;
             ready = slot_free;
         }
         done = reserveBandwidth(link.res, ready, bytes, bytes_per_cyc);
@@ -182,7 +191,7 @@ HmcMemory::notePackageDeadline(Cycle deadline, Cycle arrive)
 {
     if (deadline == 0 || arrive <= deadline)
         return;
-    ++stats_.counter("package_deadline_misses");
+    ++package_deadline_misses_;
     TEXPIM_TRACE_INSTANT("fault", "package_timeout", 311, deadline);
 }
 
@@ -216,7 +225,7 @@ HmcMemory::vaultAccess(Addr addr, u64 bytes, Cycle start,
         // back through the command path and the same bank; the
         // original row-buffer outcome stays the one reported (the
         // replay hits the row the first attempt opened).
-        ++stats_.counter("vault_retries");
+        ++vault_retries_;
         TEXPIM_TRACE_INSTANT("fault", "vault_error", 200 + vidx,
                              data_ready);
         RowBufferOutcome replay;
@@ -291,21 +300,20 @@ HmcMemory::access(const MemRequest &req)
                   int(globalVaultOf(req.addr)), req.issue);
     notifyTraffic(TrafficChannel::Internal, req.cls, req.addr, req.bytes,
                   int(globalVaultOf(req.addr)), req.issue);
-    ++stats_.counter(is_read ? "reads" : "writes");
+    ++(is_read ? reads_ : writes_);
     switch (outcome) {
       case RowBufferOutcome::Hit:
-        ++stats_.counter("row_hits");
+        ++row_hits_;
         break;
       case RowBufferOutcome::Miss:
-        ++stats_.counter("row_misses");
+        ++row_misses_;
         break;
       case RowBufferOutcome::Conflict:
-        ++stats_.counter("row_conflicts");
+        ++row_conflicts_;
         break;
     }
-    stats_.average("latency").sample(double(done - req.issue));
-    stats_.histogram("latency_hist", 0.0, 2048.0, 64)
-        .sample(double(done - req.issue));
+    latency_.sample(double(done - req.issue));
+    latency_hist_.sample(double(done - req.issue));
 
     return done;
 }
@@ -321,9 +329,8 @@ HmcMemory::internalAccess(const MemRequest &req)
     internal_.add(req.cls, req.bytes);
     notifyTraffic(TrafficChannel::Internal, req.cls, req.addr, req.bytes,
                   int(globalVaultOf(req.addr)), req.issue);
-    ++stats_.counter(req.op == MemOp::Read ? "internal_reads"
-                                           : "internal_writes");
-    stats_.average("internal_latency").sample(double(done - req.issue));
+    ++(req.op == MemOp::Read ? internal_reads_ : internal_writes_);
+    internal_latency_.sample(double(done - req.issue));
     return done;
 }
 
@@ -341,7 +348,7 @@ HmcMemory::hostToDevice(u64 bytes, TrafficClass cls, Cycle now,
     notifyTraffic(TrafficChannel::OffChip, cls, route_addr, bytes, -1, now);
     notifyTraffic(TrafficChannel::PkgToDevice, cls, route_addr, bytes, -1,
                   now);
-    ++stats_.counter("packages_to_device");
+    ++packages_to_device_;
     Cycle arrive = Cycle(std::ceil(done)) + params_.linkLatency;
     notePackageDeadline(deadline, arrive);
     TEXPIM_PROF_CYCLES(prof::kZonePimPackage, arrive - now);
@@ -361,7 +368,7 @@ HmcMemory::deviceToHost(u64 bytes, TrafficClass cls, Cycle now,
     notifyTraffic(TrafficChannel::OffChip, cls, route_addr, bytes, -1, now);
     notifyTraffic(TrafficChannel::PkgToHost, cls, route_addr, bytes, -1,
                   now);
-    ++stats_.counter("packages_to_host");
+    ++packages_to_host_;
     Cycle arrive = Cycle(std::ceil(done)) + params_.linkLatency;
     notePackageDeadline(deadline, arrive);
     TEXPIM_PROF_CYCLES(prof::kZonePimPackage, arrive - now);

@@ -190,6 +190,25 @@ class HmcMemory : public MemorySystem
 
     std::vector<Cube> cubes_;
     TrafficMeter internal_;
+
+    StatCounter &reads_;
+    StatCounter &writes_;
+    StatCounter &row_hits_;
+    StatCounter &row_misses_;
+    StatCounter &row_conflicts_;
+    StatCounter &internal_reads_;
+    StatCounter &internal_writes_;
+    StatCounter &packages_to_device_;
+    StatCounter &packages_to_host_;
+    StatAverage &latency_;
+    StatAverage &internal_latency_;
+    StatHistogram &latency_hist_;
+    StatCounter &crc_errors_;
+    StatCounter &link_retries_;
+    StatCounter &retry_buffer_stalls_;
+    StatCounter &retry_aborts_;
+    StatCounter &vault_retries_;
+    StatCounter &package_deadline_misses_;
 };
 
 } // namespace texpim

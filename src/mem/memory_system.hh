@@ -35,8 +35,11 @@ class MemorySystem
      * @return the cycle the transaction completes at the requester
      *         (data returned for reads, globally visible for writes).
      */
+    // texpim-lint: replay-root per-transaction timing entry; every
+    // override updates stats through references held since construction
     virtual Cycle access(const MemRequest &req) = 0;
 
+    /** access() shorthands for one read / one write. */
     Cycle
     read(Addr addr, u64 bytes, TrafficClass cls, Cycle now)
     {

@@ -17,50 +17,57 @@ AtfimTexturePath::AtfimTexturePath(const GpuParams &gpu,
                                    const RobustnessParams &robustness)
     : TexturePath("tex_atfim"), gpu_(gpu), atfim_(atfim), pkts_(pkts),
       hmc_(hmc), robust_(robustness, hmc), l2_("atfim_l2", gpu.texL2),
-      unit_free_(gpu.clusters, 0)
+      unit_free_(gpu.clusters, 0),
+      l1_hits_(stats_.counter(
+          "l1_hits", "angle-valid parent texel hits in L1")),
+      l1_misses_(stats_.counter("l1_misses", "parent texels absent from L1")),
+      l1_angle_recalcs_(stats_.counter(
+          "l1_angle_recalcs",
+          "L1 hits invalidated by the camera-angle threshold")),
+      l2_hits_(stats_.counter(
+          "l2_hits", "angle-valid parent texel hits in L2")),
+      l2_misses_(stats_.counter("l2_misses", "parent texels absent from L2")),
+      l2_angle_recalcs_(stats_.counter(
+          "l2_angle_recalcs",
+          "L2 hits invalidated by the camera-angle threshold")),
+      l1_interframe_hits_(stats_.counter(
+          "l1_interframe_hits",
+          "angle-valid L1 hits on parents cached in an earlier frame")),
+      l2_interframe_hits_(stats_.counter(
+          "l2_interframe_hits",
+          "angle-valid L2 hits on parents cached in an earlier frame")),
+      offload_packages_(stats_.counter(
+          "offload_packages", "compacted offload packages sent to the HMC")),
+      parents_offloaded_(stats_.counter(
+          "parents_offloaded", "parent texels recalculated in the HMC")),
+      children_generated_(stats_.counter(
+          "children_generated",
+          "child texels produced by the Texel Generator")),
+      child_blocks_fetched_(stats_.counter(
+          "child_blocks_fetched", "consolidated child-texel DRAM bursts")),
+      texel_gen_ops_(stats_.counter(
+          "texel_gen_ops", "Texel Generator ALU ops")),
+      combine_ops_(stats_.counter("combine_ops", "Combination Unit ALU ops")),
+      parents_(stats_.counter("parents", "parent texels requested")),
+      host_filter_ops_(stats_.counter(
+          "host_filter_ops", "host-side bilinear/trilinear ALU ops")),
+      addr_ops_(stats_.counter("addr_ops", "host address-generation ALU ops")),
+      reuse_mismatches_(stats_.counter(
+          "reuse_mismatches",
+          "reused parents differing visibly from fresh values")),
+      reuse_mismatch_same_children_(stats_.counter(
+          "reuse_mismatch_same_children",
+          "mismatches whose child set was identical")),
+      reuse_error_(stats_.average(
+          "reuse_error", "mean abs error of reused parent texels (0..1)")),
+      fallback_child_blocks_(stats_.counter(
+          "fallback_child_blocks",
+          "child-texel blocks fetched host-side by degraded offloads"))
 {
     l1_.reserve(gpu_.clusters);
     for (unsigned c = 0; c < gpu_.clusters; ++c)
         l1_.push_back(std::make_unique<TagCache>(
             "atfim_l1_" + std::to_string(c), gpu_.texL1));
-
-    stats_.counter("l1_hits", "angle-valid parent texel hits in L1");
-    stats_.counter("l1_misses", "parent texels absent from L1");
-    stats_.counter("l1_angle_recalcs",
-                   "L1 hits invalidated by the camera-angle threshold");
-    stats_.counter("l2_hits", "angle-valid parent texel hits in L2");
-    stats_.counter("l2_misses", "parent texels absent from L2");
-    stats_.counter("l2_angle_recalcs",
-                   "L2 hits invalidated by the camera-angle threshold");
-    stats_.counter("l1_interframe_hits",
-                   "angle-valid L1 hits on parents cached in an earlier "
-                   "frame");
-    stats_.counter("l2_interframe_hits",
-                   "angle-valid L2 hits on parents cached in an earlier "
-                   "frame");
-    stats_.counter("offload_packages",
-                   "compacted offload packages sent to the HMC");
-    stats_.counter("parents_offloaded",
-                   "parent texels recalculated in the HMC");
-    stats_.counter("children_generated",
-                   "child texels produced by the Texel Generator");
-    stats_.counter("child_blocks_fetched",
-                   "consolidated child-texel DRAM bursts");
-    stats_.counter("texel_gen_ops", "Texel Generator ALU ops");
-    stats_.counter("combine_ops", "Combination Unit ALU ops");
-    stats_.counter("parents", "parent texels requested");
-    stats_.counter("host_filter_ops",
-                   "host-side bilinear/trilinear ALU ops");
-    stats_.counter("addr_ops", "host address-generation ALU ops");
-    stats_.counter("reuse_mismatches",
-                   "reused parents differing visibly from fresh values");
-    stats_.counter("reuse_mismatch_same_children",
-                   "mismatches whose child set was identical");
-    stats_.average("reuse_error",
-                   "mean abs error of reused parent texels (0..1)");
-    stats_.counter("fallback_child_blocks",
-                   "child-texel blocks fetched host-side by degraded "
-                   "offloads");
 }
 
 Cycle
@@ -79,7 +86,7 @@ AtfimTexturePath::hostFallbackFetch(Cycle start, u64 total_children)
     Cycle combine = std::max<Cycle>(
         1, (total_children + gpu_.texUnitTexelsPerCycle - 1) /
                gpu_.texUnitTexelsPerCycle);
-    stats_.counter("fallback_child_blocks") += child_blocks_.size();
+    fallback_child_blocks_ += child_blocks_.size();
     return mem_done + combine;
 }
 
@@ -165,23 +172,23 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
         CacheOutcome o1 =
             l1.accessAngled(parent.addr, angle, atfim_.angleThresholdRad);
         if (o1 == CacheOutcome::Hit) {
-            ++stats_.counter("l1_hits");
+            ++l1_hits_;
             if (l1.lastHitCrossEpoch())
-                ++stats_.counter("l1_interframe_hits");
+                ++l1_interframe_hits_;
             reuse = true;
         } else {
             if (o1 == CacheOutcome::AngleMiss)
-                ++stats_.counter("l1_angle_recalcs");
+                ++l1_angle_recalcs_;
             else
-                ++stats_.counter("l1_misses");
+                ++l1_misses_;
             // The L2 copy may still be angle-valid (e.g. refreshed by
             // another cluster); reuse it if so.
             CacheOutcome o2 = l2_.accessAngled(parent.addr, angle,
                                                atfim_.angleThresholdRad);
             if (o2 == CacheOutcome::Hit) {
-                ++stats_.counter("l2_hits");
+                ++l2_hits_;
                 if (l2_.lastHitCrossEpoch())
-                    ++stats_.counter("l2_interframe_hits");
+                    ++l2_interframe_hits_;
                 reuse = true;
                 host_ready =
                     std::max(host_ready, t0 + gpu_.texL1HitLatency +
@@ -189,9 +196,9 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
             } else {
                 // Parent must be (re)calculated in the HMC (SV-C).
                 if (o2 == CacheOutcome::AngleMiss)
-                    ++stats_.counter("l2_angle_recalcs");
+                    ++l2_angle_recalcs_;
                 else
-                    ++stats_.counter("l2_misses");
+                    ++l2_misses_;
                 miss_idx[n_miss++] = p;
                 total_children += parent.childCount;
 
@@ -224,11 +231,11 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
             float err = std::fabs(sp.value.r - parent.value.r) +
                         std::fabs(sp.value.g - parent.value.g) +
                         std::fabs(sp.value.b - parent.value.b);
-            stats_.average("reuse_error").sample(err / 3.0);
+            reuse_error_.sample(err / 3.0);
             if (err > 3.0f / 255.0f) {
-                ++stats_.counter("reuse_mismatches");
+                ++reuse_mismatches_;
                 if (sp.childKey == child_key)
-                    ++stats_.counter("reuse_mismatch_same_children");
+                    ++reuse_mismatch_same_children_;
             }
         } else {
             values[p] = parent.value;
@@ -332,13 +339,13 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
                 TEXPIM_TRACE_COMPLETE("pim", "atfim_offload",
                                       320 + req.clusterId, offload_at,
                                       back - offload_at);
-                stats_.counter("offload_packages") += 1;
-                stats_.counter("parents_offloaded") += n_miss;
-                stats_.counter("children_generated") += total_children;
-                stats_.counter("child_blocks_fetched") +=
+                offload_packages_ += 1;
+                parents_offloaded_ += n_miss;
+                children_generated_ += total_children;
+                child_blocks_fetched_ +=
                     child_blocks_.size();
-                stats_.counter("texel_gen_ops") += total_children;
-                stats_.counter("combine_ops") += total_children;
+                texel_gen_ops_ += total_children;
+                combine_ops_ += total_children;
 
                 if (robust_.timedOut(deadline, back)) {
                     // The logic layer did the work but the response
@@ -364,9 +371,9 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
 
     ColorF color = rec.combine(values);
 
-    stats_.counter("parents") += n_parents;
-    stats_.counter("host_filter_ops") += rec.hostFilterOps;
-    stats_.counter("addr_ops") += n_parents;
+    parents_ += n_parents;
+    host_filter_ops_ += rec.hostFilterOps;
+    addr_ops_ += n_parents;
     recordRequest(req.wanted ? req.wanted : req.issue, complete);
 
     return {color, complete};
@@ -388,12 +395,7 @@ AtfimTexturePath::beginFrame()
 u64
 AtfimTexturePath::angleRecalcs() const
 {
-    u64 n = 0;
-    if (stats_.hasCounter("l1_angle_recalcs"))
-        n += stats_.findCounter("l1_angle_recalcs").value();
-    if (stats_.hasCounter("l2_angle_recalcs"))
-        n += stats_.findCounter("l2_angle_recalcs").value();
-    return n;
+    return l1_angle_recalcs_.value() + l2_angle_recalcs_.value();
 }
 
 void

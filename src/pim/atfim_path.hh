@@ -142,6 +142,28 @@ class AtfimTexturePath : public TexturePath
     std::unordered_map<Addr, StoredParent> parent_values_;
 
     std::vector<Addr> child_blocks_; //!< replay-side consolidation buffer
+
+    StatCounter &l1_hits_;
+    StatCounter &l1_misses_;
+    StatCounter &l1_angle_recalcs_;
+    StatCounter &l2_hits_;
+    StatCounter &l2_misses_;
+    StatCounter &l2_angle_recalcs_;
+    StatCounter &l1_interframe_hits_;
+    StatCounter &l2_interframe_hits_;
+    StatCounter &offload_packages_;
+    StatCounter &parents_offloaded_;
+    StatCounter &children_generated_;
+    StatCounter &child_blocks_fetched_;
+    StatCounter &texel_gen_ops_;
+    StatCounter &combine_ops_;
+    StatCounter &parents_;
+    StatCounter &host_filter_ops_;
+    StatCounter &addr_ops_;
+    StatCounter &reuse_mismatches_;
+    StatCounter &reuse_mismatch_same_children_;
+    StatAverage &reuse_error_;
+    StatCounter &fallback_child_blocks_;
 };
 
 } // namespace texpim

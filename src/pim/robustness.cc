@@ -22,30 +22,24 @@ RobustnessParams::fromConfig(const Config &cfg)
 }
 
 PimRobustness::PimRobustness(const RobustnessParams &params, HmcMemory &hmc)
-    : params_(params), hmc_(hmc), stats_("pim")
+    : params_(params), hmc_(hmc), stats_("pim"),
+      fallbacks_(stats_.counter("fallbacks",
+                                "requests degraded from PIM offload to "
+                                "host-side filtering (B-PIM semantics)")),
+      timeouts_(stats_.counter("timeouts",
+                               "offloads abandoned because a package blew "
+                               "its deadline")),
+      retry_rate_trips_(stats_.counter("retry_rate_trips",
+                                       "offloads bypassed by the link "
+                                       "retry-rate circuit breaker"))
 {
-    stats_.counter("fallbacks",
-                   "requests degraded from PIM offload to host-side "
-                   "filtering (B-PIM semantics)");
-    stats_.counter("timeouts",
-                   "offloads abandoned because a package blew its "
-                   "deadline");
-    stats_.counter("retry_rate_trips",
-                   "offloads bypassed by the link retry-rate circuit "
-                   "breaker");
 }
 
 void
 PimRobustness::countFallback(Cycle at)
 {
-    ++stats_.counter("fallbacks");
+    ++fallbacks_;
     TEXPIM_TRACE_INSTANT("fault", "pim_fallback", 312, at);
-}
-
-u64
-PimRobustness::fallbacks() const
-{
-    return stats_.findCounter("fallbacks").value();
 }
 
 } // namespace texpim

@@ -82,7 +82,7 @@ class PimRobustness
         if (hmc_.observedLinkRetryRate(route, params_.minPackets) <=
             params_.retryRateThreshold)
             return false;
-        ++stats_.counter("retry_rate_trips");
+        ++retry_rate_trips_;
         return true;
     }
 
@@ -92,7 +92,7 @@ class PimRobustness
     {
         if (deadline == 0 || complete <= deadline)
             return false;
-        ++stats_.counter("timeouts");
+        ++timeouts_;
         return true;
     }
 
@@ -102,12 +102,15 @@ class PimRobustness
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
 
-    u64 fallbacks() const;
+    u64 fallbacks() const { return fallbacks_.value(); }
 
   private:
     RobustnessParams params_;
     HmcMemory &hmc_;
     StatGroup stats_;
+    StatCounter &fallbacks_;
+    StatCounter &timeouts_;
+    StatCounter &retry_rate_trips_;
 };
 
 } // namespace texpim

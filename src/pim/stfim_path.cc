@@ -15,23 +15,26 @@ StfimTexturePath::StfimTexturePath(const GpuParams &gpu,
                                    HmcMemory &hmc,
                                    const RobustnessParams &robustness)
     : TexturePath("tex_stfim"), gpu_(gpu), mtu_params_(mtu), pkts_(pkts),
-      hmc_(hmc), robust_(robustness, hmc)
+      hmc_(hmc), robust_(robustness, hmc),
+      queue_stalls_(stats_.counter(
+          "queue_stalls", "requests stalled on a full MTU request queue")),
+      texels_(stats_.counter("texels", "texels fetched by the MTUs")),
+      dram_blocks_(stats_.counter("dram_blocks",
+                                  "coalesced DRAM bursts issued")),
+      packages_(stats_.counter("packages",
+                               "request+response packages over the links")),
+      addr_ops_(stats_.counter("addr_ops",
+                               "MTU address-generation ALU ops")),
+      filter_ops_(stats_.counter("filter_ops", "MTU filtering ALU ops")),
+      fallback_host_blocks_(stats_.counter(
+          "fallback_host_blocks",
+          "texel blocks fetched host-side by degraded requests"))
 {
     TEXPIM_ASSERT(mtu_params_.requestQueueEntries > 0,
                   "MTU needs a request queue");
     mtus_.resize(gpu_.clusters);
     for (auto &m : mtus_)
         m.queueSlots.assign(mtu_params_.requestQueueEntries, 0);
-
-    stats_.counter("queue_stalls",
-                   "requests stalled on a full MTU request queue");
-    stats_.counter("texels", "texels fetched by the MTUs");
-    stats_.counter("dram_blocks", "coalesced DRAM bursts issued");
-    stats_.counter("packages", "request+response packages over the links");
-    stats_.counter("addr_ops", "MTU address-generation ALU ops");
-    stats_.counter("filter_ops", "MTU filtering ALU ops");
-    stats_.counter("fallback_host_blocks",
-                   "texel blocks fetched host-side by degraded requests");
 }
 
 TexResponse
@@ -57,7 +60,7 @@ StfimTexturePath::hostFallback(const TexRequest &req, Cycle start,
                gpu_.texUnitTexelsPerCycle);
     Cycle complete = mem_done + filter;
 
-    stats_.counter("fallback_host_blocks") += rec.blockCount;
+    fallback_host_blocks_ += rec.blockCount;
     recordRequest(req.wanted ? req.wanted : req.issue, complete);
     return {rec.color, complete};
 }
@@ -110,7 +113,7 @@ StfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
     //    modeled by the ring of per-slot completion times.
     Cycle send_at = std::max(req.issue, mtu.queueSlots[mtu.head]);
     if (send_at > req.issue)
-        ++stats_.counter("queue_stalls");
+        ++queue_stalls_;
     u64 req_share = std::max<u64>(
         1, pkts_.stfimRequestBytes() / mtu_params_.requestsPerPackage);
     Cycle deadline = robust_.deadline(send_at);
@@ -122,7 +125,7 @@ StfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
         // slot frees when the cancellation lands.
         mtu.queueSlots[mtu.head] = deadline;
         mtu.head = (mtu.head + 1) % mtu.queueSlots.size();
-        stats_.counter("packages") += 1;
+        packages_ += 1;
         return hostFallback(req, deadline, stream, rec);
     }
 
@@ -164,11 +167,11 @@ StfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
     mtu.queueSlots[mtu.head] = filtered_at;
     mtu.head = (mtu.head + 1) % mtu.queueSlots.size();
 
-    stats_.counter("texels") += texels;
-    stats_.counter("dram_blocks") += rec.blockCount;
-    stats_.counter("packages") += 2;
-    stats_.counter("addr_ops") += texels;
-    stats_.counter("filter_ops") += rec.filterOps;
+    texels_ += texels;
+    dram_blocks_ += rec.blockCount;
+    packages_ += 2;
+    addr_ops_ += texels;
+    filter_ops_ += rec.filterOps;
     TEXPIM_PROF_CYCLES(prof::kZonePimPackage, filtered_at - start);
     TEXPIM_TRACE_COMPLETE("pim", "mtu_filter", 320 + req.clusterId, start,
                           filtered_at - start);

@@ -99,6 +99,14 @@ class StfimTexturePath : public TexturePath
     HmcMemory &hmc_;
     PimRobustness robust_;
     std::vector<Mtu> mtus_; //!< one private MTU per cluster (§IV)
+
+    StatCounter &queue_stalls_;
+    StatCounter &texels_;
+    StatCounter &dram_blocks_;
+    StatCounter &packages_;
+    StatCounter &addr_ops_;
+    StatCounter &filter_ops_;
+    StatCounter &fallback_host_blocks_;
 };
 
 } // namespace texpim

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/stats.hh"
 
@@ -56,6 +57,58 @@ TEST(StatGroup, RegistrationIsStableAndNamed)
     EXPECT_EQ(g.findCounter("frags").value(), 5u);
     EXPECT_TRUE(g.hasCounter("frags"));
     EXPECT_FALSE(g.hasCounter("absent"));
+    // A later same-name registration returns the held object for every
+    // stat kind.
+    StatAverage &a = g.average("lat", "latency");
+    EXPECT_EQ(&g.average("lat"), &a);
+    StatHistogram &h = g.histogram("hist", 0, 1, 2, "latency spread");
+    EXPECT_EQ(&g.histogram("hist", 0, 1, 2), &h);
+}
+
+TEST(StatGroup, HeldReferencesSurviveResetAll)
+{
+    // Timing code holds the references registration returns, so a
+    // per-frame resetAll() must zero the same objects, not replace them.
+    StatGroup g("x");
+    StatCounter &c = g.counter("c", "a counter");
+    StatAverage &a = g.average("a", "an average");
+    StatHistogram &h = g.histogram("h", 0, 1, 2, "a histogram");
+    c += 3;
+    a.sample(1.0);
+    h.sample(0.5);
+    g.resetAll();
+    EXPECT_EQ(c.value(), 0u);
+    EXPECT_EQ(a.count(), 0u);
+    EXPECT_EQ(h.samples(), 0u);
+    ++c;
+    a.sample(2.0);
+    h.sample(0.25);
+    EXPECT_EQ(g.findCounter("c").value(), 1u);
+    EXPECT_EQ(g.findAverage("a").count(), 1u);
+    EXPECT_EQ(g.histograms().at("h").samples(), 1u);
+}
+
+TEST(StatGroup, HeldReferencesSurviveLaterRegistrations)
+{
+    StatGroup g("x");
+    StatCounter &c = g.counter("c", "a counter");
+    StatAverage &a = g.average("a", "an average");
+    StatHistogram &h = g.histogram("h", 0, 1, 2, "a histogram");
+    for (int i = 0; i < 100; ++i) {
+        std::string n = "n" + std::to_string(i);
+        g.counter(n, "filler") += 1;
+        g.average(n, "filler").sample(1.0);
+        g.histogram(n, 0, 1, 2, "filler").sample(0.5);
+    }
+    c += 7;
+    a.sample(4.0);
+    h.sample(0.75);
+    EXPECT_EQ(&g.findCounter("c"), &c);
+    EXPECT_EQ(&g.findAverage("a"), &a);
+    EXPECT_EQ(&g.histograms().at("h"), &h);
+    EXPECT_EQ(g.findCounter("c").value(), 7u);
+    EXPECT_DOUBLE_EQ(g.findAverage("a").mean(), 4.0);
+    EXPECT_EQ(g.histograms().at("h").samples(), 1u);
 }
 
 TEST(StatGroup, ResetAllClearsEverything)
@@ -176,7 +229,7 @@ TEST(StatGroup, DescriptionsRecordedOnFirstMention)
 {
     StatGroup g("g");
     g.counter("c", "counts things");
-    g.counter("c"); // hot-path re-lookup without a description
+    g.counter("c"); // a later lookup without a description
     g.average("a", "averages things");
     g.histogram("h", 0.0, 1.0, 2, "bins things");
     EXPECT_EQ(g.description("c"), "counts things");

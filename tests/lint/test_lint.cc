@@ -424,6 +424,28 @@ TEST(TexpimLint, E1FlagsPanicAndThrowInDtorNoexceptContexts)
     EXPECT_EQ(r.out.find("plainPanic"), std::string::npos) << r.out;
 }
 
+TEST(TexpimLint, R1FlagsNameKeyedStatLookupUnderReplayRoot)
+{
+    // A name-keyed lookup two calls below an override of a replay-root
+    // declaration is caught with the root->offender path.
+    LintRun r =
+        runLint("--repo-root " + fixture("r1") + " --rules R1,A0 src");
+    EXPECT_EQ(r.exitCode, 1) << r.out;
+    EXPECT_NE(r.out.find("src/bad_r1.cc:55: [R1]"), std::string::npos)
+        << r.out;
+    EXPECT_NE(r.out.find("StatGroup::counter"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find(
+                  "PathImpl::replay -> PathImpl::account -> PathImpl::tally"),
+              std::string::npos)
+        << r.out;
+    EXPECT_EQ(countOf(r.out, "[R1]"), 1) << r.out;
+    // The constructor's registration, the allow()ed lazy registration
+    // and the unreachable report() stay quiet.
+    EXPECT_EQ(r.out.find("src/bad_r1.cc:29"), std::string::npos) << r.out;
+    EXPECT_EQ(r.out.find("PathImpl::lazy"), std::string::npos) << r.out;
+    EXPECT_EQ(r.out.find("PathImpl::report"), std::string::npos) << r.out;
+}
+
 TEST(TexpimLint, CleanScanExitsZero)
 {
     LintRun r = runLint("--repo-root " + fixture("d3") +

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mem/gddr5.hh"
 
 namespace texpim {
@@ -76,6 +79,25 @@ TEST(Gddr5, ResetStatsClearsTraffic)
     mem.resetStats();
     EXPECT_EQ(mem.offChipTraffic().totalBytes(), 0u);
     EXPECT_EQ(mem.stats().findCounter("reads").value(), 0u);
+}
+
+TEST(Gddr5, PerClassLatencyKeysOnlyForClassesWithTraffic)
+{
+    // latency_<class> averages register on a class's first access, so
+    // a Texture-only run exports latency_texture and no other class.
+    Gddr5Memory mem(params());
+    for (Addr a = 0; a < 8 * 64; a += 64)
+        mem.read(a, 64, TrafficClass::Texture, a);
+    std::vector<std::string> per_class;
+    for (const auto &kv : mem.stats().averages())
+        if (kv.first.rfind("latency_", 0) == 0)
+            per_class.push_back(kv.first);
+    EXPECT_EQ(per_class, std::vector<std::string>{"latency_texture"});
+    EXPECT_EQ(mem.stats().findAverage("latency_texture").count(), 8u);
+    // A reset keeps the key (and the held pointer) alive.
+    mem.resetStats();
+    mem.read(0x1000, 64, TrafficClass::Texture, 0);
+    EXPECT_EQ(mem.stats().findAverage("latency_texture").count(), 1u);
 }
 
 TEST(Gddr5Death, ZeroByteAccessPanics)

@@ -1,0 +1,135 @@
+/**
+ * @file
+ * Conservation laws over the exported stat snapshot.
+ *
+ * Each identity relates stats that different statements update: a
+ * transaction's read/write count against its row-buffer outcome, a
+ * latency average against its histogram, a texture request against
+ * its latency sample, a cache line against its L1 outcome. Images and
+ * cycles cannot see a stat bound to the wrong name, but these sums
+ * can. The checks read StatRegistry::snapshot() after the render, so
+ * the timing path carries no extra code for them.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <string>
+
+#include "common/sim_context.hh"
+#include "common/stat_registry.hh"
+#include "scene/game_profiles.hh"
+#include "sim/simulator.hh"
+
+namespace texpim {
+namespace {
+
+using Snapshot = StatRegistry::Snapshot;
+
+/** The snapshot value of `key`; a missing key is a test failure. */
+double
+at(const Snapshot &snap, const std::string &key)
+{
+    auto it = snap.find(key);
+    if (it == snap.end()) {
+        ADD_FAILURE() << "no stat '" << key << "' in the snapshot";
+        return -1.0;
+    }
+    return it->second;
+}
+
+/** Identities every memory model's group must satisfy. */
+void
+checkMemory(const Snapshot &snap, const std::string &g)
+{
+    SCOPED_TRACE(g);
+    double txns = at(snap, g + ".reads") + at(snap, g + ".writes");
+    EXPECT_GT(txns, 0.0);
+    EXPECT_EQ(txns, at(snap, g + ".row_hits") + at(snap, g + ".row_misses") +
+                        at(snap, g + ".row_conflicts"));
+    EXPECT_EQ(at(snap, g + ".latency.count"), txns);
+    EXPECT_EQ(at(snap, g + ".latency_hist.samples"), txns);
+}
+
+class Conservation : public ::testing::TestWithParam<Design>
+{
+};
+
+TEST_P(Conservation, Doom3SnapshotBalances)
+{
+    Workload wl{Game::Doom3, 320, 240};
+    Scene scene = buildGameScene(wl, 3, 0x7e01d);
+    scene.settings.maxAniso = defaultMaxAniso(wl.width);
+
+    SimContext ctx;
+    SimContext::Scope scope(ctx);
+    SimConfig cfg;
+    cfg.design = GetParam();
+    RenderingSimulator sim(cfg);
+    (void)sim.renderScene(scene);
+    Snapshot snap = ctx.stats().snapshot();
+
+    // Memory: the model the design renders through.
+    bool gddr5 = GetParam() == Design::Baseline;
+    std::string mem = gddr5 ? "gddr5" : "hmc";
+    checkMemory(snap, mem);
+    if (gddr5) {
+        // Every transaction lands in exactly one latency_<class>.
+        const std::string suffix = ".count";
+        double per_class = 0.0;
+        for (const auto &[key, value] : snap)
+            if (key.rfind("gddr5.latency_", 0) == 0 &&
+                key.size() > suffix.size() &&
+                key.compare(key.size() - suffix.size(), suffix.size(),
+                            suffix) == 0)
+                per_class += value;
+        EXPECT_EQ(per_class, at(snap, "gddr5.reads") +
+                                 at(snap, "gddr5.writes"));
+        EXPECT_GT(at(snap, "gddr5.latency_texture.count"), 0.0);
+    }
+
+    // Texture path: one latency sample per request.
+    const TexturePath &path = sim.texturePath();
+    const std::string tex = path.stats().name();
+    double requests = double(path.requests());
+    EXPECT_GT(requests, 0.0);
+    EXPECT_EQ(at(snap, tex + ".latency.samples"), requests);
+
+    if (tex == "tex_host") {
+        // Each line a request touches is one L1 lookup; each L1 miss
+        // one L2 lookup.
+        EXPECT_EQ(at(snap, "tex_host.l1_hits") +
+                      at(snap, "tex_host.l1_misses"),
+                  at(snap, "tex_host.lines"));
+        EXPECT_EQ(at(snap, "tex_host.l2_hits") +
+                      at(snap, "tex_host.l2_misses"),
+                  at(snap, "tex_host.l1_misses"));
+        EXPECT_EQ(at(snap, "tex_host.lat_total.count"), requests);
+    }
+    if (tex == "tex_atfim") {
+        // Each parent texel is one angle-checked L1 lookup; each L1
+        // non-hit one L2 lookup.
+        double l1_out = at(snap, "tex_atfim.l1_misses") +
+                        at(snap, "tex_atfim.l1_angle_recalcs");
+        EXPECT_EQ(at(snap, "tex_atfim.l1_hits") + l1_out,
+                  at(snap, "tex_atfim.parents"));
+        EXPECT_EQ(at(snap, "tex_atfim.l2_hits") +
+                      at(snap, "tex_atfim.l2_misses") +
+                      at(snap, "tex_atfim.l2_angle_recalcs"),
+                  l1_out);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, Conservation,
+                         ::testing::Values(Design::Baseline, Design::BPim,
+                                           Design::STfim, Design::ATfim),
+                         [](const auto &info) {
+                             std::string name;
+                             for (char c : std::string(designName(info.param)))
+                                 if (std::isalnum((unsigned char)c))
+                                     name += c;
+                             return name;
+                         });
+
+} // namespace
+} // namespace texpim

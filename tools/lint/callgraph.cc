@@ -579,10 +579,20 @@ struct Parser
             if (txt(i) == "static")
                 d.isStatic = true;
         cls->methods.push_back(d);
-        // phase-root marker on a pure-virtual / out-of-line-defined
-        // declaration: root every override via the class hierarchy.
-        if (markNear(f.phaseRoot, d.line) && !cls->name.empty())
-            g.declRoots.push_back({cls->name, name});
+        // phase-/replay-root marker on a pure-virtual / out-of-line-
+        // defined declaration: root every override via the hierarchy.
+        recordDeclRoots(*cls, name, d.line);
+    }
+
+    void recordDeclRoots(const ClassInfo &cls, const std::string &name,
+                         int line)
+    {
+        if (cls.name.empty())
+            return;
+        if (markNear(f.phaseRoot, line))
+            g.declRoots.push_back({cls.name, name});
+        if (markNear(f.replayRoot, line))
+            g.replayDeclRoots.push_back({cls.name, name});
     }
 
     void recordVariable(size_t hb, size_t he, const std::string &classLeaf,
@@ -798,6 +808,9 @@ struct Parser
         if (markNear(f.phaseRoot, fn.line) ||
             markNear(f.phaseRoot, t[paren].line))
             fn.phaseRoot = true;
+        if (markNear(f.replayRoot, fn.line) ||
+            markNear(f.replayRoot, t[paren].line))
+            fn.replayRoot = true;
 
         int id = fn.id;
         g.funcs.push_back(fn);
@@ -808,8 +821,7 @@ struct Parser
             d.line = t[paren].line;
             d.isConst = g.funcs[id].isConst;
             cls->methods.push_back(d);
-            if (markNear(f.phaseRoot, d.line) && !cls->name.empty())
-                g.declRoots.push_back({cls->name, name});
+            recordDeclRoots(*cls, name, d.line);
         }
         // body
         // (cur() is the '{' stop token)
@@ -1519,6 +1531,8 @@ dumpCallGraph(const CallGraph &g, const std::vector<SourceFile> &files,
             attrs += " lambda";
         if (fn.phaseRoot)
             attrs += " phase-root";
+        if (fn.replayRoot)
+            attrs += " replay-root";
         std::printf("func %s %s:%d%s\n", fn.display.c_str(),
                     fn.path.c_str(), fn.line, attrs.c_str());
         for (const CallSite &cs : fn.calls) {

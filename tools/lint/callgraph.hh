@@ -123,6 +123,7 @@ struct FunctionDef
     bool isCtor = false;
     bool isLambda = false;
     bool phaseRoot = false;
+    bool replayRoot = false;
     std::vector<CallSite> calls;
     std::vector<int> lambdas; //!< ids of lambdas defined in this body
     /** local/param name -> type leaf ("" unknown, "$std" external). */
@@ -154,6 +155,9 @@ struct CallGraph
      *  pure-virtual `sample`): (class leaf, method name); resolved
      *  through the hierarchy so every override is rooted. */
     std::vector<std::pair<std::string, std::string>> declRoots;
+    /** replay-root markers on method declarations (R1), resolved the
+     *  same way. */
+    std::vector<std::pair<std::string, std::string>> replayDeclRoots;
     /** per-file token streams, parallel to the scanned file vector. */
     std::vector<std::vector<Tok>> tokens;
 };

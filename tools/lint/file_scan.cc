@@ -47,14 +47,16 @@ parseAnnotation(SourceFile &f, int line, const std::string &comment)
         return;
     std::string rest = trim(comment.substr(at + tag.size()));
 
-    // Call-graph markers: `phase-root`, `pool-shared`, `caller-owned`,
-    // each followed by a written justification (A0 applies).
+    // Call-graph markers: `phase-root`, `replay-root`, `pool-shared`,
+    // `caller-owned`, each followed by a written justification (A0
+    // applies).
     struct Marker {
         const char *word;
         std::map<int, std::string> SourceFile::*field;
     };
     static const Marker kMarkers[] = {
         {"phase-root", &SourceFile::phaseRoot},
+        {"replay-root", &SourceFile::replayRoot},
         {"pool-shared", &SourceFile::poolShared},
         {"caller-owned", &SourceFile::callerOwned},
     };

@@ -47,6 +47,12 @@
  *        TEXPIM_PROF_* zone charges, FaultInjector. The functional
  *        phase runs concurrently on the render pool; any of these
  *        breaks DESIGN's "Deterministic attribution" rules.
+ *   [R1] nothing reachable from a timing-replay root (`texpim-lint:
+ *        replay-root`: Renderer::replayPhase and every override of
+ *        TexturePath::replay and MemorySystem::access) may call the
+ *        name-keyed StatGroup::counter/average/histogram: timing code
+ *        updates the references it took at registration, so the
+ *        per-request path never builds a string or walks a map.
  *   [P2] nothing reachable from a phase root may write non-const,
  *        non-thread_local namespace/static state or its own object's
  *        members, outside classes annotated `texpim-lint:
@@ -107,6 +113,10 @@ struct SourceFile
      *  Declares the function/method/lambda defined at (or just below)
      *  that line a functional-phase root for P1/P2/T1. */
     std::map<int, std::string> phaseRoot;
+    /** `texpim-lint: replay-root <reason>` markers: line -> reason.
+     *  Declares the function defined (or the method declared) at or
+     *  just below that line a timing-replay root for R1. */
+    std::map<int, std::string> replayRoot;
     /** `texpim-lint: pool-shared <reason>` markers: the class defined
      *  at (or just below) that line is shared read-only across the
      *  render pool — T1 flags non-const calls on it from the phase. */
@@ -168,7 +178,7 @@ void runConfigRule(const std::vector<SourceFile> &files, const Options &opt,
 void runZoneRule(const std::vector<SourceFile> &files, const Options &opt,
                  std::vector<Finding> &out);
 
-/** Call-graph rules P1/P2/T1/E1 (see tools/lint/callgraph.hh). When
+/** Call-graph rules P1/P2/T1/E1/R1 (see tools/lint/callgraph.hh). When
  *  opt.callgraphDump is set, prints the graph to stdout instead. */
 void runPhaseRules(const std::vector<SourceFile> &files, const Options &opt,
                    std::vector<Finding> &out);

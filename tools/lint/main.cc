@@ -186,7 +186,8 @@ main(int argc, char **argv)
     if (ruleEnabled(opt, "S2"))
         runZoneRule(files, opt, findings);
     if (ruleEnabled(opt, "P1") || ruleEnabled(opt, "P2") ||
-        ruleEnabled(opt, "T1") || ruleEnabled(opt, "E1"))
+        ruleEnabled(opt, "T1") || ruleEnabled(opt, "E1") ||
+        ruleEnabled(opt, "R1"))
         runPhaseRules(files, opt, findings);
 
     std::sort(findings.begin(), findings.end(),

@@ -1,14 +1,18 @@
 /**
  * @file
- * Call-graph rules P1/P2/T1/E1: phase-purity and thread-confinement
- * enforced by reachability instead of line-local pattern matching.
+ * Call-graph rules P1/P2/T1/E1/R1: phase-purity, thread-confinement
+ * and resolved-once stats enforced by reachability instead of
+ * line-local pattern matching.
  *
  * Roots:
  *   - P1/P2/T1 walk from the functional-phase roots: every definition
  *     carrying a `texpim-lint: phase-root` marker, every override of
- *     a marker'd declaration (`TexturePath::sample`), and any
+ *     a marker'd declaration (`TexturePath::sampleQuad`), and any
  *     `--phase-root Class::method` given on the command line.
  *   - E1 walks from every destructor and every noexcept function.
+ *   - R1 walks from the timing-replay roots: definitions and
+ *     declarations (with every override) carrying a `texpim-lint:
+ *     replay-root` marker.
  *
  * Findings anchor at the offending line in the offending file and
  * carry the root→offender call path in the message; the baseline key
@@ -73,12 +77,16 @@ struct Ctx
     }
 };
 
+/** Root ids: definitions with `flag` set, every override of a marked
+ *  declaration in `declRoots`, and the command-line `specs`. */
 std::vector<int>
-phaseRootIds(const CallGraph &g, const Options &opt)
+rootIds(const CallGraph &g, bool FunctionDef::*flag,
+        const std::vector<std::pair<std::string, std::string>> &declRoots,
+        const std::vector<std::string> &specs)
 {
     std::set<int> roots;
     for (const FunctionDef &fn : g.funcs)
-        if (fn.phaseRoot)
+        if (fn.*flag)
             roots.insert(fn.id);
     auto addHierarchy = [&](const std::string &cls,
                             const std::string &method) {
@@ -93,9 +101,9 @@ phaseRootIds(const CallGraph &g, const Options &opt)
             if (leafs.count(g.funcs[id].className))
                 roots.insert(id);
     };
-    for (const auto &dr : g.declRoots)
+    for (const auto &dr : declRoots)
         addHierarchy(dr.first, dr.second);
-    for (const std::string &spec : opt.phaseRoots) {
+    for (const std::string &spec : specs) {
         size_t sep = spec.find("::");
         if (sep != std::string::npos) {
             addHierarchy(spec.substr(0, sep), spec.substr(sep + 2));
@@ -312,6 +320,38 @@ runE1(Ctx &c)
     }
 }
 
+void
+runR1(Ctx &c)
+{
+    // The name-keyed get-or-create accessors. Each builds a string key
+    // and walks a std::map; timing code holds the reference the
+    // constructor's registering call returned instead.
+    static const std::set<std::string> kNameKeyed = {
+        "counter", "average", "histogram"};
+    std::vector<int> roots =
+        rootIds(c.g, &FunctionDef::replayRoot, c.g.replayDeclRoots, {});
+    std::map<int, int> pred;
+    std::set<int> reach = reachableFrom(c.g, roots, &pred);
+    for (int id : reach) {
+        const FunctionDef &fn = c.g.funcs[id];
+        for (const CallSite &cs : fn.calls) {
+            if (!kNameKeyed.count(cs.name))
+                continue;
+            for (int tid : resolveCall(c.g, fn, cs)) {
+                const FunctionDef &callee = c.g.funcs[tid];
+                if (callee.className != "StatGroup")
+                    continue;
+                c.report(fn, cs.line, "R1", callee.display + "@" + fn.display,
+                         "name-keyed " + callee.display +
+                             " lookup reached from the timing replay (" +
+                             reachPath(c.g, pred, id) +
+                             "); register once and hold the reference");
+                break;
+            }
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -325,7 +365,8 @@ runPhaseRules(const std::vector<SourceFile> &files, const Options &opt,
     }
     Ctx c{g, files, opt, out, {}};
 
-    std::vector<int> roots = phaseRootIds(g, opt);
+    std::vector<int> roots =
+        rootIds(g, &FunctionDef::phaseRoot, g.declRoots, opt.phaseRoots);
     std::map<int, int> pred;
     std::set<int> reach = reachableFrom(g, roots, &pred);
 
@@ -337,6 +378,8 @@ runPhaseRules(const std::vector<SourceFile> &files, const Options &opt,
         runT1(c, reach, pred);
     if (ruleEnabled(opt, "E1"))
         runE1(c);
+    if (ruleEnabled(opt, "R1"))
+        runR1(c);
 }
 
 } // namespace texpim_lint
