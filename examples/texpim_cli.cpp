@@ -40,10 +40,13 @@
  * Recognized keys: every SimConfig key (design=, disable_aniso=,
  * gpu.render_threads=, gpu.pipeline_depth=, gpu.schedule=,
  * atfim.angle_threshold_rad=, fault_*) plus:
- *   width=, height= (1..65536), frame=, seed=, max_aniso= (1..32),
- *   out=<frame.ppm>, compress=true (BC1 textures)
+ *   width=, height= (1..65536), frame=, seed=, out=<frame.ppm>,
+ *   max_aniso= (1..32; render, compare, report and sweep),
+ *   compress=true (BC1 textures; render, compare and report)
  *
- * Unknown keys are fatal, with a "did you mean" suggestion.
+ * Unknown keys are fatal, with a "did you mean" suggestion, and so are
+ * max_aniso= and compress= on frames, which builds every frame's scene
+ * at the workload's own settings.
  *
  * Observability keys (see README "Observability"):
  *   stats_out=<file.json|.csv>  structured export of every registered
@@ -391,6 +394,12 @@ cmdFrames(int argc, char **argv)
     Workload wl = readWorkload(game, cfg);
     SimConfig sc = SimConfig::fromConfig(cfg);
     validateConfig(cfg);
+    // renderSequence builds every frame's scene itself, at the
+    // workload's own anisotropy and texel format.
+    for (const char *key : {"max_aniso", "compress"})
+        if (cfg.has(key))
+            TEXPIM_FATAL("frames does not read ", key,
+                         "=: every frame keeps the workload's setting");
     RenderingSimulator sim(sc);
     beginTracing(cfg);
     beginProfiling(cfg);

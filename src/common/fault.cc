@@ -1,6 +1,7 @@
 #include "common/fault.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/sim_context.hh"
@@ -14,13 +15,12 @@ FaultParams::fromConfig(const Config &cfg)
     p.seed = u64(cfg.getInt("fault_seed", i64(p.seed)));
     p.linkBer = cfg.getDouble("fault_link_ber", p.linkBer);
     p.vaultBer = cfg.getDouble("fault_vault_ber", p.vaultBer);
-    p.burstLen = unsigned(cfg.getInt("fault_burst_len", i64(p.burstLen)));
+    p.burstLen = cfg.getUnsigned("fault_burst_len", p.burstLen, 1,
+                                 std::numeric_limits<unsigned>::max());
     if (p.linkBer < 0.0 || p.linkBer > 1.0)
         TEXPIM_FATAL("fault_link_ber = ", p.linkBer, " not in [0, 1]");
     if (p.vaultBer < 0.0 || p.vaultBer > 1.0)
         TEXPIM_FATAL("fault_vault_ber = ", p.vaultBer, " not in [0, 1]");
-    if (p.burstLen == 0)
-        TEXPIM_FATAL("fault_burst_len must be >= 1");
     return p;
 }
 

@@ -28,7 +28,7 @@ ReplayStream::appendSampleFrom(const ReplayStream &src, u32 idx)
         childBlocks.insert(childBlocks.end(),
                            src.childBlocks.begin() + pr.childOff,
                            src.childBlocks.begin() + pr.childOff +
-                               pr.childCount);
+                               r.anisoRatio);
         pr.childOff = co;
         parents.push_back(pr);
     }

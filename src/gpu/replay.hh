@@ -7,8 +7,8 @@
  * half of texture filtering run on a worker pool, and everything the
  * timing model will need is captured in per-tile records — per-
  * fragment shading terms plus, per texture request, the texel-fetch
- * stream (deduplicated cache lines / DRAM blocks), the A-TFIM parent
- * decomposition, and the functional filter color.
+ * stream (deduplicated cache lines / DRAM blocks), and either the
+ * functional filter color or the A-TFIM parent decomposition.
  *
  * Phase 2 (timing, serial) replays the records through the cluster
  * clocks, in-flight windows, caches, memory system and PIM paths in
@@ -33,14 +33,13 @@
 namespace texpim {
 
 /** One recorded A-TFIM parent texel (§V): address, fresh value, and
- *  the child-block slice it expands to in the HMC. */
+ *  the child-block slice it expands to in the HMC. Every parent of a
+ *  sample has exactly the sample's anisoRatio children. */
 struct ParentRec
 {
     Addr addr = 0;     //!< parent texel address (aniso disabled)
     ColorF value{};    //!< freshly computed anisotropic average
-    u32 childKey = 0;  //!< hash of the child-texel set
-    u32 childOff = 0;  //!< first child block in ReplayStream::childBlocks
-    u32 childCount = 0;
+    u32 childOff = 0;  //!< first of anisoRatio ReplayStream::childBlocks
 };
 
 /**
@@ -51,7 +50,8 @@ struct ParentRec
  */
 struct TexSampleRec
 {
-    ColorF color{};    //!< functional filter result (exact paths)
+    ColorF color{};    //!< functional filter result (conventional
+                       //!< paths; A-TFIM recombines its parents)
     Addr route = 0;    //!< package routing address (first texel fetch)
     u32 blockOff = 0;  //!< first entry in ReplayStream::blocks
     u32 blockCount = 0;

@@ -15,10 +15,13 @@ using codec::unzigzag;
 using codec::zigzag;
 
 constexpr u8 kMagic[4] = {'T', 'X', 'R', 'P'};
-constexpr u8 kVersion = 1;
+constexpr u8 kVersion = 2;
 
 // Sample flag bits.
 constexpr u8 kSampleDecomp = 1; //!< decomposition section present
+
+/** The color a decomposed sample decodes with (it stores none). */
+constexpr ColorF kUnsetColor{};
 
 /**
  * XOR-predicted float channel: floats are stored as varints of their
@@ -53,15 +56,6 @@ struct FloatChannel
         return f;
     }
 };
-
-void
-putU32(std::vector<u8> &out, u32 b)
-{
-    out.push_back(u8(b));
-    out.push_back(u8(b >> 8));
-    out.push_back(u8(b >> 16));
-    out.push_back(u8(b >> 24));
-}
 
 bool
 fail(std::string *err, const char *what)
@@ -173,10 +167,19 @@ encodeTileRecord(const TileRecord &rec, std::vector<u8> &out)
                       "codec requires sequential stream offsets");
         bool decomp = hasDecomposition(r);
         out.push_back(decomp ? kSampleDecomp : 0);
-        ps.color[0].put(out, r.color.r);
-        ps.color[1].put(out, r.color.g);
-        ps.color[2].put(out, r.color.b);
-        ps.color[3].put(out, r.color.a);
+        // A decomposed sample's color is its parents' combine, which
+        // replay evaluates itself, so only conventional samples store
+        // one.
+        TEXPIM_ASSERT(!decomp || std::memcmp(&r.color, &kUnsetColor,
+                                             sizeof(ColorF)) == 0,
+                      "codec drops a decomposed sample's color; it must "
+                      "be unset");
+        if (!decomp) {
+            ps.color[0].put(out, r.color.r);
+            ps.color[1].put(out, r.color.g);
+            ps.color[2].put(out, r.color.b);
+            ps.color[3].put(out, r.color.a);
+        }
         putVarint(out, r.texels);
         putVarint(out, r.filterOps);
         putVarint(out, r.anisoRatio);
@@ -215,14 +218,12 @@ encodeTileRecord(const TileRecord &rec, std::vector<u8> &out)
                 ps.parentColor[1].put(out, pr.value.g);
                 ps.parentColor[2].put(out, pr.value.b);
                 ps.parentColor[3].put(out, pr.value.a);
-                putU32(out, pr.childKey);
-                putVarint(out, pr.childCount);
-                for (u32 ci = 0; ci < pr.childCount; ++ci) {
+                for (u32 ci = 0; ci < r.anisoRatio; ++ci) {
                     i64 c = i64(s.childBlocks[pr.childOff + ci] >> shift);
                     putVarint(out, zigzag(c - ps.prevChild));
                     ps.prevChild = c;
                 }
-                co += pr.childCount;
+                co += r.anisoRatio;
             }
             po += r.parentCount;
         }
@@ -302,10 +303,13 @@ decodeTileRecord(const u8 *data, size_t size, TileRecord &out,
     for (u64 i = 0; i < n_samples; ++i) {
         TexSampleRec r;
         u8 sflags = rd.byte();
-        r.color.r = ps.color[0].get(rd);
-        r.color.g = ps.color[1].get(rd);
-        r.color.b = ps.color[2].get(rd);
-        r.color.a = ps.color[3].get(rd);
+        bool decomp = (sflags & kSampleDecomp) != 0;
+        if (!decomp) {
+            r.color.r = ps.color[0].get(rd);
+            r.color.g = ps.color[1].get(rd);
+            r.color.b = ps.color[2].get(rd);
+            r.color.a = ps.color[3].get(rd);
+        }
         r.texels = u32(rd.varint());
         r.filterOps = u32(rd.varint());
         r.anisoRatio = u32(rd.varint());
@@ -327,7 +331,7 @@ decodeTileRecord(const u8 *data, size_t size, TileRecord &out,
         r.route = Addr(route_pred + unzigzag(rd.varint()));
         ps.prevRoute = i64(r.route);
 
-        if ((sflags & kSampleDecomp) != 0) {
+        if (decomp) {
             r.hostFilterOps = u32(rd.varint());
             r.numLevels = rd.byte();
             r.fx[0] = ps.fx0.get(rd);
@@ -352,15 +356,12 @@ decodeTileRecord(const u8 *data, size_t size, TileRecord &out,
                 pr.value.g = ps.parentColor[1].get(rd);
                 pr.value.b = ps.parentColor[2].get(rd);
                 pr.value.a = ps.parentColor[3].get(rd);
-                pr.childKey = rd.u32le();
-                u64 child_count = rd.varint();
                 if (!rd.ok)
                     return fail(err, "truncated parent");
-                if (s.childBlocks.size() + child_count > n_children)
+                if (s.childBlocks.size() + r.anisoRatio > n_children)
                     return fail(err, "child list overruns header count");
                 pr.childOff = u32(s.childBlocks.size());
-                pr.childCount = u32(child_count);
-                for (u64 ci = 0; ci < child_count; ++ci) {
+                for (u32 ci = 0; ci < r.anisoRatio; ++ci) {
                     ps.prevChild += unzigzag(rd.varint());
                     s.childBlocks.push_back(
                         Addr(u64(ps.prevChild) << shift));

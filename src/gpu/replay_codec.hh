@@ -17,7 +17,10 @@
  * replay consumes them bit-exactly, so no lossy packing is allowed.
  * Redundant-by-construction fields (FragRecord::sample and the
  * blockOff/parentOff/childOff cursors, which are sequential appends)
- * are dropped and reconstructed during decode.
+ * are dropped and reconstructed during decode. Each A-TFIM parent has
+ * its sample's anisoRatio children, so no per-parent count is stored,
+ * and a decomposed sample stores no color: replay recombines it from
+ * the parent values.
  *
  * decodeTileRecord() validates everything it reads — truncated or
  * corrupted input yields `false`, never UB or unbounded allocation —
@@ -103,20 +106,6 @@ struct Reader
             return 0;
         }
         return *p++;
-    }
-
-    u32
-    u32le()
-    {
-        if (end - p < 4) {
-            ok = false;
-            p = end;
-            return 0;
-        }
-        u32 v = u32(p[0]) | (u32(p[1]) << 8) | (u32(p[2]) << 16) |
-                (u32(p[3]) << 24);
-        p += 4;
-        return v;
     }
 };
 

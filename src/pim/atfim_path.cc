@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "common/prof/profiler.hh"
@@ -55,9 +54,6 @@ AtfimTexturePath::AtfimTexturePath(const GpuParams &gpu,
       reuse_mismatches_(stats_.counter(
           "reuse_mismatches",
           "reused parents differing visibly from fresh values")),
-      reuse_mismatch_same_children_(stats_.counter(
-          "reuse_mismatch_same_children",
-          "mismatches whose child set was identical")),
       reuse_error_(stats_.average(
           "reuse_error", "mean abs error of reused parent texels (0..1)")),
       fallback_child_blocks_(stats_.counter(
@@ -108,7 +104,6 @@ AtfimTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
     for (unsigned q = 0; q < count; ++q) {
         unsigned n = out.anisoRatio[q];
         TexSampleRec rec;
-        rec.color = out.color[q];
         rec.anisoRatio = n;
         rec.hostFilterOps = out.hostFilterOps[q];
         rec.numLevels = out.numLevels[q];
@@ -124,9 +119,7 @@ AtfimTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
             ParentRec pr;
             pr.addr = out.parentAddr[q][p];
             pr.value = out.parentValue[q][p];
-            pr.childKey = out.childKey[q][p];
             pr.childOff = u32(stream.childBlocks.size());
-            pr.childCount = n;
             const Addr *cb = out.childBlocks[q] + size_t(p) * n;
             stream.childBlocks.insert(stream.childBlocks.end(), cb, cb + n);
             stream.parents.push_back(pr);
@@ -200,7 +193,7 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
                 else
                     ++l2_misses_;
                 miss_idx[n_miss++] = p;
-                total_children += parent.childCount;
+                total_children += rec.anisoRatio;
 
                 // The refill replaces the whole cache line (one camera
                 // angle per line, SV-D): values the line held from the
@@ -217,30 +210,19 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
         // Functional value: a reuse-hit takes the stored (possibly
         // stale — that is the approximation) value; recalculation
         // refreshes the store with the fresh value.
-        // (TEXPIM_ATFIM_NO_REUSE=1 disables the approximation for
-        // quality-debugging: timing unchanged, values always fresh.)
-        // texpim-lint: allow(D1) quality-debug toggle, timing unchanged
-        static const bool no_reuse =
-            std::getenv("TEXPIM_ATFIM_NO_REUSE") != nullptr;
-        u32 child_key = parent.childKey;
-
         auto it = parent_values_.find(parent.addr);
-        if (reuse && !no_reuse && it != parent_values_.end()) {
-            const StoredParent &sp = it->second;
-            values[p] = sp.value;
-            float err = std::fabs(sp.value.r - parent.value.r) +
-                        std::fabs(sp.value.g - parent.value.g) +
-                        std::fabs(sp.value.b - parent.value.b);
+        if (reuse && it != parent_values_.end()) {
+            const ColorF &stored = it->second;
+            values[p] = stored;
+            float err = std::fabs(stored.r - parent.value.r) +
+                        std::fabs(stored.g - parent.value.g) +
+                        std::fabs(stored.b - parent.value.b);
             reuse_error_.sample(err / 3.0);
-            if (err > 3.0f / 255.0f) {
+            if (err > 3.0f / 255.0f)
                 ++reuse_mismatches_;
-                if (sp.childKey == child_key)
-                    ++reuse_mismatch_same_children_;
-            }
         } else {
             values[p] = parent.value;
-            parent_values_[parent.addr] =
-                StoredParent{parent.value, child_key};
+            parent_values_[parent.addr] = parent.value;
         }
     }
 
@@ -261,7 +243,7 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
         for (unsigned i = 0; i < n_miss; ++i) {
             const ParentRec &mp =
                 stream.parents[rec.parentOff + miss_idx[i]];
-            for (u32 j = 0; j < mp.childCount; ++j)
+            for (u32 j = 0; j < rec.anisoRatio; ++j)
                 child_blocks_.push_back(stream.childBlocks[mp.childOff + j]);
         }
         if (atfim_.consolidateChildren) {

@@ -131,15 +131,9 @@ class AtfimTexturePath : public TexturePath
     /**
      * Functional store of computed parent-texel values keyed by texel
      * address. A cache hit reuses the stored (possibly stale — that is
-     * the approximation) value; any recalculation refreshes it. The
-     * footprint descriptors are kept for quality diagnostics.
+     * the approximation) value; any recalculation refreshes it.
      */
-    struct StoredParent
-    {
-        ColorF value{};
-        u32 childKey = 0; //!< hash of the child set that produced it
-    };
-    std::unordered_map<Addr, StoredParent> parent_values_;
+    std::unordered_map<Addr, ColorF> parent_values_;
 
     std::vector<Addr> child_blocks_; //!< replay-side consolidation buffer
 
@@ -161,7 +155,6 @@ class AtfimTexturePath : public TexturePath
     StatCounter &host_filter_ops_;
     StatCounter &addr_ops_;
     StatCounter &reuse_mismatches_;
-    StatCounter &reuse_mismatch_same_children_;
     StatAverage &reuse_error_;
     StatCounter &fallback_child_blocks_;
 };

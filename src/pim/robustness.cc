@@ -1,5 +1,7 @@
 #include "pim/robustness.hh"
 
+#include <limits>
+
 #include "common/logging.hh"
 #include "common/trace_events.hh"
 
@@ -9,12 +11,13 @@ RobustnessParams
 RobustnessParams::fromConfig(const Config &cfg)
 {
     RobustnessParams p;
-    p.packageTimeout =
-        Cycle(cfg.getInt("fault_package_timeout", i64(p.packageTimeout)));
+    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+    p.packageTimeout = cfg.getUnsigned("fault_package_timeout",
+                                       unsigned(p.packageTimeout), 0, kMax);
     p.retryRateThreshold =
         cfg.getDouble("fault_degrade_retry_rate", p.retryRateThreshold);
-    p.minPackets =
-        u64(cfg.getInt("fault_degrade_min_packets", i64(p.minPackets)));
+    p.minPackets = cfg.getUnsigned("fault_degrade_min_packets",
+                                   unsigned(p.minPackets), 0, kMax);
     if (p.retryRateThreshold < 0.0 || p.retryRateThreshold > 1.0)
         TEXPIM_FATAL("fault_degrade_retry_rate = ", p.retryRateThreshold,
                      " not in [0, 1]");

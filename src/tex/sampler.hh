@@ -190,7 +190,6 @@ constexpr unsigned kQuadMaxChildren = kQuadMaxParents * kQuadMaxAniso;
  *  lane's anisoRatio (every parent of a lane has exactly N children). */
 struct QuadDecompOut
 {
-    ColorF color[kQuadLanes];
     u32 anisoRatio[kQuadLanes];
     u32 hostFilterOps[kQuadLanes];
     u8 numLevels[kQuadLanes];
@@ -200,7 +199,6 @@ struct QuadDecompOut
     u32 parentCount[kQuadLanes];
     Addr parentAddr[kQuadLanes][kQuadMaxParents];
     ColorF parentValue[kQuadLanes][kQuadMaxParents];
-    u32 childKey[kQuadLanes][kQuadMaxParents];
     Addr childBlocks[kQuadLanes][kQuadMaxChildren]; //!< masked, dup-preserving
 };
 
@@ -306,11 +304,12 @@ void sampleConventionalQuad(const Texture &tex, const SampleCoords *coords,
 
 /**
  * A-TFIM-decomposed filtering of up to kQuadLanes lanes, bit-identical
- * per lane to sampleDecomposed. Child addresses are masked with
- * `child_mask` (DRAM-burst granularity) but kept duplicate-preserving
- * and in per-parent order, exactly as AtfimTexturePath::sample records
- * them; childKey hashes the *unmasked* child addresses as the scalar
- * path does.
+ * per lane to sampleDecomposed in every field it outputs. It outputs
+ * no final color: replay recombines the parent values
+ * (TexSampleRec::combine), which may be reused stale ones. Child
+ * addresses are masked with `child_mask` (DRAM-burst granularity) but
+ * kept duplicate-preserving and in per-parent order, exactly as
+ * AtfimTexturePath::sampleQuad records them.
  */
 void sampleDecomposedQuad(const Texture &tex, const SampleCoords *coords,
                           unsigned count, FilterMode mode,

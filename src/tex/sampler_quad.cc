@@ -233,7 +233,6 @@ sampleDecomposedQuad(const Texture &tex, const SampleCoords *coords,
         out.fy[q][0] = out.fy[q][1] = 0.0f;
 
         std::pair<int, int> offs[kQuadMaxAniso];
-        ColorF per_level[2];
         for (unsigned li = 0; li < num_levels; ++li) {
             unsigned l = levels[li];
             LevelGeom g = sdetail::levelGeom(tex, coords[q].uv, l);
@@ -251,7 +250,6 @@ sampleDecomposedQuad(const Texture &tex, const SampleCoords *coords,
                              ColorF{0.0f, 0.0f, 0.0f, 0.0f},
                              ColorF{0.0f, 0.0f, 0.0f, 0.0f},
                              ColorF{0.0f, 0.0f, 0.0f, 0.0f}};
-            u32 key[4] = {0, 0, 0, 0};
             Addr *cb = out.childBlocks[q];
             for (unsigned i = 0; i < n; ++i) {
                 int ox = g.x0 + offs[i].first;
@@ -263,32 +261,20 @@ sampleDecomposedQuad(const Texture &tex, const SampleCoords *coords,
                 const u32 cwx[4] = {t.wx0, t.wx1, t.wx0, t.wx1};
                 const u32 cwy[4] = {t.wy0, t.wy0, t.wy1, t.wy1};
                 for (unsigned j = 0; j < 4; ++j) {
-                    Addr a = t.a[j];
-                    key[j] = key[j] * 1000003u + u32(a ^ (a >> 17));
-                    cb[(li * 4 + j) * n + i] = a & child_mask;
+                    cb[(li * 4 + j) * n + i] = t.a[j] & child_mask;
                     acc[j] = acc[j] + v.fetchWrapped(cwx[j], cwy[j]);
                 }
             }
 
             MipView::Tap2x2 pt = v.tap(g.x0, g.y0);
-            ColorF corner_vals[4];
             for (unsigned j = 0; j < 4; ++j) {
                 unsigned p = li * 4 + j;
                 out.parentAddr[q][p] = pt.a[j];
-                out.childKey[q][p] = key[j];
-                ColorF value = acc[j] * (1.0f / float(n));
-                out.parentValue[q][p] = value;
-                corner_vals[j] = value;
+                out.parentValue[q][p] = acc[j] * (1.0f / float(n));
             }
-
-            per_level[li] = lerp(lerp(corner_vals[0], corner_vals[1], g.fx),
-                                 lerp(corner_vals[2], corner_vals[3], g.fx),
-                                 g.fy);
             out.hostFilterOps[q] += 4;
         }
 
-        out.color[q] = num_levels == 2 ? lerp(per_level[0], per_level[1], lw)
-                                       : per_level[0];
         out.hostFilterOps[q] += num_levels == 2 ? 2 : 0;
     }
 }

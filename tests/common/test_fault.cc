@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/fault.hh"
+#include "pim/robustness.hh"
 
 namespace texpim {
 namespace {
@@ -37,6 +39,40 @@ TEST(FaultParamsDeath, BerOutOfRangeIsFatal)
     cfg.setDouble("fault_link_ber", 1.5);
     EXPECT_EXIT({ (void)FaultParams::fromConfig(cfg); },
                 testing::ExitedWithCode(1), "fault_link_ber");
+}
+
+TEST(FaultParamsDeath, BurstLenOutOfRangeIsFatal)
+{
+    // Read as unsigned in [1, 2^32-1]: negative values and values past
+    // 32 bits fail naming the key instead of wrapping.
+    for (const char *raw : {"-1", "0", "4294967296"}) {
+        Config cfg;
+        cfg.set("fault_burst_len", raw);
+        EXPECT_EXIT({ (void)FaultParams::fromConfig(cfg); },
+                    testing::ExitedWithCode(1),
+                    std::string("fault_burst_len must be between 1 and "
+                                "4294967295, got ") +
+                        raw)
+            << raw;
+    }
+}
+
+TEST(RobustnessParamsDeath, NegativeKeysAreFatal)
+{
+    // A wrapped negative timeout would put every package deadline
+    // below its issue cycle and silently degrade every offload.
+    for (const char *key :
+         {"fault_package_timeout", "fault_degrade_min_packets"}) {
+        for (const char *raw : {"-5", "4294967296"}) {
+            Config cfg;
+            cfg.set(key, raw);
+            EXPECT_EXIT({ (void)RobustnessParams::fromConfig(cfg); },
+                        testing::ExitedWithCode(1),
+                        std::string(key) +
+                            " must be between 0 and 4294967295, got " + raw)
+                << key << "=" << raw;
+        }
+    }
 }
 
 TEST(Fault, DisabledNeverFiresAndNeverCounts)

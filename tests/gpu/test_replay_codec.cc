@@ -168,7 +168,10 @@ makeSyntheticTile(u64 seed, bool with_decomp)
     ReplayStream &s = rec.stream;
     for (u32 i = 0; i < next_sample; ++i) {
         TexSampleRec r;
-        r.color = randColor(rng);
+        // Decomposed samples carry no color: replay recombines their
+        // parents.
+        if (!with_decomp)
+            r.color = randColor(rng);
         r.texels = u32(rng.below(256));
         r.filterOps = r.texels + u32(rng.below(32));
         r.anisoRatio = u32(1u << rng.below(5));
@@ -201,10 +204,8 @@ makeSyntheticTile(u64 seed, bool with_decomp)
                 ParentRec pr;
                 pr.addr = Addr(rng.below(1ull << 40));
                 pr.value = randColor(rng);
-                pr.childKey = u32(rng.next());
                 pr.childOff = u32(s.childBlocks.size());
-                pr.childCount = r.anisoRatio;
-                for (u32 c = 0; c < pr.childCount; ++c)
+                for (u32 c = 0; c < r.anisoRatio; ++c)
                     s.childBlocks.push_back(Addr(rng.below(1ull << 40)));
                 s.parents.push_back(pr);
             }
@@ -279,9 +280,7 @@ expectTileEqual(const TileRecord &got, const TileRecord &want)
         SCOPED_TRACE("parent " + std::to_string(i));
         EXPECT_EQ(g.addr, w.addr);
         EXPECT_TRUE(colorBitsEqual(g.value, w.value));
-        EXPECT_EQ(g.childKey, w.childKey);
         EXPECT_EQ(g.childOff, w.childOff);
-        EXPECT_EQ(g.childCount, w.childCount);
     }
 }
 
@@ -403,7 +402,7 @@ TEST(CodecRejection, HostileHeaderCountsAreBounded)
 {
     // A forged header promising 2^40 fragments must be rejected before
     // any allocation of that size (count > buffer size check).
-    std::vector<u8> buf = {'T', 'X', 'R', 'P', 1, 0};
+    std::vector<u8> buf = {'T', 'X', 'R', 'P', 2, 0};
     codec::putVarint(buf, 0);               // hierZSkipped
     codec::putVarint(buf, 1ull << 40);      // n_frags
     for (int i = 0; i < 4; ++i)
@@ -412,6 +411,37 @@ TEST(CodecRejection, HostileHeaderCountsAreBounded)
     std::string err;
     EXPECT_FALSE(decodeTileRecord(buf.data(), buf.size(), scratch, &err));
     EXPECT_EQ(err, "count exceeds buffer");
+}
+
+TEST(CodecRejection, ChildListsAreBoundedByHeaderCount)
+{
+    // Each parent of a decomposed sample has anisoRatio children, so
+    // parentCount x anisoRatio children must fit the header's child
+    // count. Forge the header one child short: the last parent's list
+    // overruns it and decoding must fail cleanly.
+    TileRecord tile = makeSyntheticTile(17, true);
+    ASSERT_FALSE(tile.stream.childBlocks.empty());
+    std::vector<u8> buf;
+    encodeTileRecord(tile, buf);
+
+    // Header: magic, version, shift, then six varints; the child count
+    // is the last of them.
+    codec::Reader rd(buf.data() + 6, buf.size() - 6);
+    for (int i = 0; i < 5; ++i)
+        rd.varint();
+    size_t count_at = size_t(rd.p - buf.data());
+    u64 n_children = rd.varint();
+    ASSERT_TRUE(rd.ok);
+    ASSERT_EQ(n_children, tile.stream.childBlocks.size());
+    size_t body_at = size_t(rd.p - buf.data());
+
+    std::vector<u8> bad(buf.begin(), buf.begin() + count_at);
+    codec::putVarint(bad, n_children - 1);
+    bad.insert(bad.end(), buf.begin() + body_at, buf.end());
+    TileRecord scratch;
+    std::string err;
+    EXPECT_FALSE(decodeTileRecord(bad.data(), bad.size(), scratch, &err));
+    EXPECT_EQ(err, "child list overruns header count");
 }
 
 // ------------------------------------------- sim-level stream equality

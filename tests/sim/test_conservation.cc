@@ -117,6 +117,25 @@ TEST_P(Conservation, Doom3SnapshotBalances)
                       at(snap, "tex_atfim.l2_misses") +
                       at(snap, "tex_atfim.l2_angle_recalcs"),
                   l1_out);
+
+        // Fault-free, every L2 non-hit is offloaded in one package per
+        // request, each parent expands to its sample's N children, and
+        // every consolidated child block is one vault read.
+        double offloaded = at(snap, "tex_atfim.parents_offloaded");
+        double children = at(snap, "tex_atfim.children_generated");
+        EXPECT_GT(offloaded, 0.0);
+        EXPECT_EQ(offloaded, at(snap, "tex_atfim.l2_misses") +
+                                 at(snap, "tex_atfim.l2_angle_recalcs"));
+        EXPECT_EQ(at(snap, "tex_atfim.texel_gen_ops"), children);
+        EXPECT_EQ(at(snap, "tex_atfim.combine_ops"), children);
+        double blocks = at(snap, "tex_atfim.child_blocks_fetched");
+        EXPECT_EQ(at(snap, "hmc.internal_reads"), blocks);
+        EXPECT_LE(blocks, children);
+        double packages = at(snap, "tex_atfim.offload_packages");
+        EXPECT_EQ(at(snap, "hmc.packages_to_device"), packages);
+        EXPECT_EQ(at(snap, "hmc.packages_to_host"), packages);
+        EXPECT_LE(offloaded, children);
+        EXPECT_LE(children, offloaded * scene.settings.maxAniso);
     }
 }
 
