@@ -44,9 +44,13 @@
  *   max_aniso= (1..32; render, compare, report and sweep),
  *   compress=true (BC1 textures; render, compare and report)
  *
- * Unknown keys are fatal, with a "did you mean" suggestion, and so are
- * max_aniso= and compress= on frames, which builds every frame's scene
- * at the workload's own settings.
+ * Unknown keys are fatal, with a "did you mean" suggestion, and so is
+ * a known key the command does not read: the sweep-only keys (jobs=,
+ * metrics_out=, sweep_journal=, resume=, sim.inject_failure=,
+ * sim.job_timeout_ms=, runner.*) outside sweep, report_out= outside
+ * report, compress= outside render, compare and report, and
+ * max_aniso= on frames (which builds every frame's scene at the
+ * workload's own settings) and stats. config accepts every known key.
  *
  * Observability keys (see README "Observability"):
  *   stats_out=<file.json|.csv>  structured export of every registered
@@ -63,6 +67,7 @@
  *   report_out=<file.md|.html>  report destination (report command)
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -146,16 +151,55 @@ collectConfig(int argc, char **argv, int first)
 }
 
 /**
- * Unknown-key validation. Every key SimConfig::fromConfig (or scene
- * loading) queried is known automatically; knownConfigKeys() — the
- * authoritative table texpim-lint rule C1 reconciles against the
+ * Known keys that only some commands read, with those commands. Any
+ * other command given one of them fails instead of silently ignoring
+ * it; `config` only echoes the configuration and accepts every key.
+ */
+const std::map<std::string, std::vector<std::string>> &
+commandOnlyKeys()
+{
+    static const std::vector<std::string> sweep = {"sweep"};
+    static const std::map<std::string, std::vector<std::string>> keys = {
+        // frames builds every frame's scene itself, at the workload's
+        // own anisotropy and texel format; sweep specs carry no format.
+        {"compress", {"render", "compare", "report"}},
+        {"max_aniso", {"render", "compare", "report", "sweep"}},
+        {"report_out", {"report"}},
+        {"jobs", sweep},
+        {"metrics_out", sweep},
+        {"resume", sweep},
+        {"runner.max_retries", sweep},
+        {"runner.retry_backoff_ms", sweep},
+        {"sim.inject_failure", sweep},
+        {"sim.job_timeout_ms", sweep},
+        {"sweep_journal", sweep},
+    };
+    return keys;
+}
+
+/**
+ * Key validation for command `cmd`. Every key SimConfig::fromConfig
+ * (or scene loading) queried is known automatically; knownConfigKeys()
+ * — the authoritative table texpim-lint rule C1 reconciles against the
  * sources and the README — covers the CLI-only keys too. Unknown keys
- * are fatal, with a "did you mean" suggestion.
+ * are fatal, with a "did you mean" suggestion, and so is a known key
+ * that `cmd` does not read (commandOnlyKeys()).
  */
 void
-validateConfig(const Config &cfg)
+validateConfig(const Config &cfg, const std::string &cmd)
 {
     cfg.checkKnownKeys(knownConfigKeys());
+    if (cmd == "config")
+        return;
+    for (const auto &[key, readers] : commandOnlyKeys()) {
+        if (!cfg.has(key) ||
+            std::find(readers.begin(), readers.end(), cmd) != readers.end())
+            continue;
+        std::string list;
+        for (const std::string &r : readers)
+            list += (list.empty() ? "" : ", ") + r;
+        TEXPIM_FATAL(cmd, " does not read ", key, "= (read by: ", list, ")");
+    }
 }
 
 Scene
@@ -303,7 +347,7 @@ cmdRender(int argc, char **argv)
     Config cfg = collectConfig(argc, argv, 3);
     Scene scene = loadScene(argv[2], cfg);
     SimConfig sc = SimConfig::fromConfig(cfg);
-    validateConfig(cfg);
+    validateConfig(cfg, "render");
     RenderingSimulator sim(sc);
     beginTracing(cfg);
     beginProfiling(cfg);
@@ -343,7 +387,7 @@ cmdCompare(int argc, char **argv)
     Scene scene = loadScene(argv[2], cfg);
     std::string stats_out = cfg.getString("stats_out", "");
     SimConfig::fromConfig(cfg); // query every sim key, then validate
-    validateConfig(cfg);
+    validateConfig(cfg, "compare");
     beginTracing(cfg);
 
     std::string prof_out = cfg.getString("prof_out", "");
@@ -393,13 +437,7 @@ cmdFrames(int argc, char **argv)
     Config cfg = collectConfig(argc, argv, 4);
     Workload wl = readWorkload(game, cfg);
     SimConfig sc = SimConfig::fromConfig(cfg);
-    validateConfig(cfg);
-    // renderSequence builds every frame's scene itself, at the
-    // workload's own anisotropy and texel format.
-    for (const char *key : {"max_aniso", "compress"})
-        if (cfg.has(key))
-            TEXPIM_FATAL("frames does not read ", key,
-                         "=: every frame keeps the workload's setting");
+    validateConfig(cfg, "frames");
     RenderingSimulator sim(sc);
     beginTracing(cfg);
     beginProfiling(cfg);
@@ -537,7 +575,7 @@ cmdSweep(int argc, char **argv)
         TEXPIM_FATAL(
             "trace_out= requires a build with -DTEXPIM_TRACING=ON");
 #endif
-    validateConfig(cfg);
+    validateConfig(cfg, "sweep");
 
     std::vector<ExperimentSpec> specs;
     for (Design d : {Design::Baseline, Design::BPim, Design::STfim,
@@ -673,7 +711,7 @@ cmdConfig(int argc, char **argv)
 {
     Config cfg = collectConfig(argc, argv, 2);
     SimConfig sc = SimConfig::fromConfig(cfg);
-    validateConfig(cfg);
+    validateConfig(cfg, "config");
     std::printf("design: %s\n", designName(sc.design));
     std::printf("gpu: %u clusters x %u shaders, tile %u, tex unit %u+%u "
                 "ALUs, L1 %llu KB, L2 %llu KB, window %u\n",
@@ -710,7 +748,7 @@ cmdReport(int argc, char **argv)
     Config cfg = collectConfig(argc, argv, 3);
     Scene scene = loadScene(argv[2], cfg);
     SimConfig::fromConfig(cfg); // query every sim key, then validate
-    validateConfig(cfg);
+    validateConfig(cfg, "report");
     beginTracing(cfg);
 
     bool wall = cfg.getBool("prof.wall", false);
@@ -758,7 +796,7 @@ cmdStats(int argc, char **argv)
         sc.design = d;
         sims.push_back(std::make_unique<RenderingSimulator>(sc));
     }
-    validateConfig(cfg);
+    validateConfig(cfg, "stats");
 
     // Dedup by (group, stat): the four designs share components.
     std::map<std::pair<std::string, std::string>,

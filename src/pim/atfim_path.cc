@@ -16,7 +16,7 @@ AtfimTexturePath::AtfimTexturePath(const GpuParams &gpu,
                                    const RobustnessParams &robustness)
     : TexturePath("tex_atfim"), gpu_(gpu), atfim_(atfim), pkts_(pkts),
       hmc_(hmc), robust_(robustness, hmc), l2_("atfim_l2", gpu.texL2),
-      unit_free_(gpu.clusters, 0),
+      unit_free_(gpu.clusters, 0), parent_values_(gpu.texL1.lineBytes),
       l1_hits_(stats_.counter(
           "l1_hits", "angle-valid parent texel hits in L1")),
       l1_misses_(stats_.counter("l1_misses", "parent texels absent from L1")),
@@ -197,32 +197,27 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
 
                 // The refill replaces the whole cache line (one camera
                 // angle per line, SV-D): values the line held from the
-                // old angle are gone, so drop their stored copies too.
-                Addr line = l1.lineAddr(parent.addr);
-                for (Addr a = line; a < line + l1.lineBytes();
-                     a += kBytesPerTexel) {
-                    if (a != parent.addr)
-                        parent_values_.erase(a);
-                }
+                // old angle are gone, and the fresh value is stored.
+                parent_values_.refill(parent.addr, parent.value);
             }
         }
 
         // Functional value: a reuse-hit takes the stored (possibly
-        // stale — that is the approximation) value; recalculation
-        // refreshes the store with the fresh value.
-        auto it = parent_values_.find(parent.addr);
-        if (reuse && it != parent_values_.end()) {
-            const ColorF &stored = it->second;
-            values[p] = stored;
-            float err = std::fabs(stored.r - parent.value.r) +
-                        std::fabs(stored.g - parent.value.g) +
-                        std::fabs(stored.b - parent.value.b);
+        // stale — that is the approximation) value, storing the fresh
+        // one if none is set; a recalculation just stored it.
+        const ColorF *stored =
+            reuse ? parent_values_.reuse(parent.addr, parent.value)
+                  : nullptr;
+        if (stored != nullptr) {
+            values[p] = *stored;
+            float err = std::fabs(stored->r - parent.value.r) +
+                        std::fabs(stored->g - parent.value.g) +
+                        std::fabs(stored->b - parent.value.b);
             reuse_error_.sample(err / 3.0);
             if (err > 3.0f / 255.0f)
                 ++reuse_mismatches_;
         } else {
             values[p] = parent.value;
-            parent_values_[parent.addr] = parent.value;
         }
     }
 

@@ -28,7 +28,6 @@
 #define TEXPIM_PIM_ATFIM_PATH_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/tag_cache.hh"
@@ -37,6 +36,7 @@
 #include "mem/gap_resource.hh"
 #include "mem/hmc.hh"
 #include "pim/packages.hh"
+#include "pim/parent_value_store.hh"
 #include "pim/robustness.hh"
 
 namespace texpim {
@@ -129,11 +129,11 @@ class AtfimTexturePath : public TexturePath
     GapResource logic_pipe_;
 
     /**
-     * Functional store of computed parent-texel values keyed by texel
-     * address. A cache hit reuses the stored (possibly stale — that is
-     * the approximation) value; any recalculation refreshes it.
+     * Functional store of computed parent-texel values, per L1 line.
+     * A cache hit reuses the stored (possibly stale — that is the
+     * approximation) value; any recalculation refreshes it.
      */
-    std::unordered_map<Addr, ColorF> parent_values_;
+    ParentValueStore parent_values_;
 
     std::vector<Addr> child_blocks_; //!< replay-side consolidation buffer
 

@@ -136,6 +136,13 @@ TEST_P(Conservation, Doom3SnapshotBalances)
         EXPECT_EQ(at(snap, "hmc.packages_to_host"), packages);
         EXPECT_LE(offloaded, children);
         EXPECT_LE(children, offloaded * scene.settings.maxAniso);
+
+        // A stored parent value is read only on an angle-valid hit,
+        // and each read is one reuse_error sample.
+        double reused = at(snap, "tex_atfim.reuse_error.count");
+        EXPECT_GT(reused, 0.0);
+        EXPECT_LE(reused, at(snap, "tex_atfim.l1_hits") +
+                              at(snap, "tex_atfim.l2_hits"));
     }
 }
 
