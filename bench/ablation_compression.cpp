@@ -40,7 +40,7 @@ main(int argc, char **argv)
     {
         SimConfig cfg;
         cfg.design = Design::Baseline;
-        base = runSuite(cfg, opt);
+        base = runSuites({cfg}, opt)[0];
         base_frame = metricOf(base, frame);
         base_traffic = metricOf(base, traffic);
     }

@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared helpers for the per-figure bench binaries: run design points
- * over the Table II workload suite, compute normalized series, and
- * print paper-style tables with the paper's reference numbers quoted
+ * Shared helpers for the suite bench binaries: run design points over
+ * the Table II workload suite, compute normalized series, and print
+ * paper-style tables with the paper's reference numbers quoted
  * alongside.
  */
 
@@ -75,23 +75,18 @@ struct MetricSeries
  *   { "schema": "texpim-bench-v1", "bench": "...",
  *     "workloads": [...], "series": { "<name>": [...], ... } }
  *
- * Writes to `path` when non-empty, else to the TEXPIM_METRICS_OUT
- * environment variable when set, else does nothing — so every bench
- * can call it unconditionally after printing its table.
+ * Writes to the file the TEXPIM_METRICS_OUT environment variable
+ * names when it is set, else does nothing — so a bench can call it
+ * unconditionally after printing its tables.
  */
 inline void
 emitMetricsJson(const std::string &bench,
                 const std::vector<std::string> &workloads,
-                const std::vector<MetricSeries> &series,
-                const std::string &path = "")
+                const std::vector<MetricSeries> &series)
 {
-    std::string out = path;
-    if (out.empty()) {
-        const char *env = std::getenv("TEXPIM_METRICS_OUT");
-        if (env == nullptr || *env == '\0')
-            return;
-        out = env;
-    }
+    const char *out = std::getenv("TEXPIM_METRICS_OUT");
+    if (out == nullptr || *out == '\0')
+        return;
     JsonWriter w;
     w.beginObject();
     w.keyValue("schema", "texpim-bench-v1");
@@ -110,7 +105,7 @@ emitMetricsJson(const std::string &bench,
     w.endObject();
     w.endObject();
     writeTextFile(out, w.str());
-    std::fprintf(stderr, "metrics: wrote %s\n", out.c_str());
+    std::fprintf(stderr, "metrics: wrote %s\n", out);
 }
 
 } // namespace texpim::bench

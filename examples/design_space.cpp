@@ -35,21 +35,8 @@ int
 main(int argc, char **argv)
 {
     Workload wl{Game::Doom3, 640, 480};
-    if (argc > 1) {
-        std::string g = argv[1];
-        if (g == "doom3")
-            wl.game = Game::Doom3;
-        else if (g == "fear")
-            wl.game = Game::Fear;
-        else if (g == "hl2")
-            wl.game = Game::HalfLife2;
-        else if (g == "riddick")
-            wl.game = Game::Riddick;
-        else if (g == "wolfenstein")
-            wl.game = Game::Wolfenstein;
-        else
-            TEXPIM_FATAL("unknown game '", g, "'");
-    }
+    if (argc > 1 && !parseGame(argv[1], wl.game))
+        TEXPIM_FATAL("unknown game '", argv[1], "'");
     if (argc > 2 &&
         std::sscanf(argv[2], "%ux%u", &wl.width, &wl.height) != 2)
         TEXPIM_FATAL("bad resolution '", argv[2], "'");

@@ -40,7 +40,8 @@
  * Recognized keys: every SimConfig key (design=, disable_aniso=,
  * gpu.render_threads=, gpu.pipeline_depth=, gpu.schedule=,
  * atfim.angle_threshold_rad=, fault_*) plus:
- *   width=, height= (1..65536), frame=, seed=, out=<frame.ppm>,
+ *   width=, height= (1..65536), frame=, seed= (every command that
+ *   renders: all but stats), out=<frame.ppm> (render and frames),
  *   max_aniso= (1..32; render, compare, report and sweep),
  *   compress=true (BC1 textures; render, compare and report)
  *
@@ -48,9 +49,13 @@
  * a known key the command does not read: the sweep-only keys (jobs=,
  * metrics_out=, sweep_journal=, resume=, sim.inject_failure=,
  * sim.job_timeout_ms=, runner.*) outside sweep, report_out= outside
- * report, compress= outside render, compare and report, and
- * max_aniso= on frames (which builds every frame's scene at the
- * workload's own settings) and stats. config accepts every known key.
+ * report, compress= outside render, compare and report, max_aniso= on
+ * frames (which builds every frame's scene at the workload's own
+ * settings) and stats, out= outside render and frames, stats_out= on
+ * report and stats, prof= outside render, compare and frames, the
+ * other prof keys on sweep and stats, and the scene and trace keys
+ * (width=, height=, frame=, seed=, trace_out=, trace_cap=) on stats.
+ * config accepts every known key.
  *
  * Observability keys (see README "Observability"):
  *   stats_out=<file.json|.csv>  structured export of every registered
@@ -60,6 +65,8 @@
  *                               (load in chrome://tracing or Perfetto)
  *   trace_cap=<N>               trace event cap (default 1000000)
  *   prof=1                      enable the cycle-domain profiler
+ *                               (render, compare, frames; report
+ *                               always profiles)
  *   prof_out=<file.json>        zone-tree profile export (implies prof=1)
  *   prof.epoch_cycles=<N>       utilization sampling period (default 65536)
  *   prof.wall=1                 include host wall-clock fields in the
@@ -95,24 +102,6 @@
 using namespace texpim;
 
 namespace {
-
-bool
-parseGame(const std::string &g, Game &out)
-{
-    if (g == "doom3")
-        out = Game::Doom3;
-    else if (g == "fear")
-        out = Game::Fear;
-    else if (g == "hl2")
-        out = Game::HalfLife2;
-    else if (g == "riddick")
-        out = Game::Riddick;
-    else if (g == "wolfenstein")
-        out = Game::Wolfenstein;
-    else
-        return false;
-    return true;
-}
 
 constexpr unsigned kMaxUnsigned = std::numeric_limits<unsigned>::max();
 
@@ -159,12 +148,31 @@ const std::map<std::string, std::vector<std::string>> &
 commandOnlyKeys()
 {
     static const std::vector<std::string> sweep = {"sweep"};
+    // stats only instantiates the designs; it renders no scene.
+    static const std::vector<std::string> scene = {
+        "render", "compare", "frames", "sweep", "report"};
     static const std::map<std::string, std::vector<std::string>> keys = {
         // frames builds every frame's scene itself, at the workload's
         // own anisotropy and texel format; sweep specs carry no format.
         {"compress", {"render", "compare", "report"}},
         {"max_aniso", {"render", "compare", "report", "sweep"}},
         {"report_out", {"report"}},
+        {"width", scene},
+        {"height", scene},
+        {"frame", scene},
+        {"seed", scene},
+        {"trace_out", scene},
+        {"trace_cap", scene},
+        // Images are written per frame; compare, report and sweep
+        // render several designs and write none.
+        {"out", {"render", "frames"}},
+        // report always profiles and writes its own report; sweep
+        // merges per-spec stats instead of profiling.
+        {"stats_out", {"render", "compare", "frames", "sweep"}},
+        {"prof", {"render", "compare", "frames"}},
+        {"prof_out", {"render", "compare", "frames", "report"}},
+        {"prof.epoch_cycles", {"render", "compare", "frames", "report"}},
+        {"prof.wall", {"render", "compare", "frames", "report"}},
         {"jobs", sweep},
         {"metrics_out", sweep},
         {"resume", sweep},

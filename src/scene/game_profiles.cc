@@ -349,6 +349,19 @@ gameName(Game g)
     }
 }
 
+bool
+parseGame(const std::string &name, Game &out)
+{
+    for (Game g : {Game::Doom3, Game::Fear, Game::HalfLife2, Game::Riddick,
+                   Game::Wolfenstein}) {
+        if (name == gameName(g)) {
+            out = g;
+            return true;
+        }
+    }
+    return false;
+}
+
 const char *
 gameLibrary(Game g)
 {

@@ -25,6 +25,11 @@ enum class Game : u8 { Doom3, Fear, HalfLife2, Riddick, Wolfenstein };
 
 const char *gameName(Game g);
 
+/** Parse a game token, the inverse of gameName(): doom3, fear, hl2,
+ *  riddick or wolfenstein. Returns false, leaving `out` alone,
+ *  otherwise. */
+bool parseGame(const std::string &name, Game &out);
+
 /** Rendering library per Table II (informational). */
 const char *gameLibrary(Game g);
 

@@ -1,12 +1,15 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "sim/runner/experiment_runner.hh"
 
@@ -87,12 +90,6 @@ runSuites(const std::vector<SimConfig> &configs, const SuiteOptions &opt)
     return out;
 }
 
-std::vector<WorkloadResult>
-runSuite(const SimConfig &cfg, const SuiteOptions &opt)
-{
-    return runSuites({cfg}, opt).front();
-}
-
 double
 mean(const std::vector<double> &v)
 {
@@ -170,30 +167,57 @@ ResultTable::print(std::ostream &os, int precision,
     os << "\n\n";
 }
 
+namespace {
+
+constexpr unsigned kMaxUnsigned = std::numeric_limits<unsigned>::max();
+
+/** --seed: any u64, decimal or 0x-prefixed; a sign, junk or overflow
+ *  is fatal (strtoull alone would wrap "-1" and read "abc" as 0). */
+u64
+parseSeed(const char *raw)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(raw, &end, 0);
+    if (end == raw || *end != '\0' || errno == ERANGE ||
+        std::strchr(raw, '-') != nullptr)
+        TEXPIM_FATAL("--seed must be an unsigned 64-bit integer, got ",
+                     raw);
+    return u64(v);
+}
+
+} // namespace
+
 SuiteOptions
 parseSuiteArgs(int argc, char **argv)
 {
     SuiteOptions opt;
     // texpim-lint: allow(D1) worker-count knob only; results are
-    // thread-count-invariant by construction (PR 3).
+    // thread-count-invariant by construction.
     if (const char *env = std::getenv("TEXPIM_JOBS"); env && *env)
-        opt.jobs = unsigned(std::atoi(env));
+        opt.jobs = Config::parseUnsigned("TEXPIM_JOBS", env, 0, kMaxUnsigned);
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
+        const std::string flag = argv[i];
+        auto value = [&]() -> const char * {
+            if (i + 1 >= argc)
+                TEXPIM_FATAL(flag, " needs a value");
+            return argv[++i];
+        };
+        if (flag == "--quick") {
             opt.resolutionDivisor = 2;
-        } else if (std::strcmp(argv[i], "--verbose") == 0) {
+        } else if (flag == "--verbose") {
             opt.verbose = true;
-        } else if (std::strcmp(argv[i], "--frame") == 0 && i + 1 < argc) {
-            opt.frame = unsigned(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            opt.seed = u64(std::strtoull(argv[++i], nullptr, 0));
-        } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            opt.jobs = unsigned(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--timeout-ms") == 0 &&
-                   i + 1 < argc) {
-            opt.jobTimeoutMs = u64(std::strtoull(argv[++i], nullptr, 0));
+        } else if (flag == "--frame") {
+            opt.frame = Config::parseUnsigned(flag, value(), 0, kMaxUnsigned);
+        } else if (flag == "--seed") {
+            opt.seed = parseSeed(value());
+        } else if (flag == "--jobs") {
+            opt.jobs = Config::parseUnsigned(flag, value(), 0, kMaxUnsigned);
+        } else if (flag == "--timeout-ms") {
+            opt.jobTimeoutMs =
+                Config::parseUnsigned(flag, value(), 0, kMaxUnsigned);
         } else {
-            TEXPIM_FATAL("unknown argument '", argv[i],
+            TEXPIM_FATAL("unknown argument '", flag,
                          "' (try --quick, --frame N, --seed S, --jobs N, "
                          "--timeout-ms T, --verbose)");
         }

@@ -45,17 +45,13 @@ struct SuiteOptions
 /** The workload list, optionally downscaled. */
 std::vector<Workload> suiteWorkloads(const SuiteOptions &opt);
 
-/** Run one design over the whole suite (runner-backed: the workloads
- *  execute on opt.jobs worker threads, results in suite order). */
-std::vector<WorkloadResult> runSuite(const SimConfig &cfg,
-                                     const SuiteOptions &opt);
-
 /**
- * Run several design points over the whole suite through ONE worker
- * pool: the full (config x workload) grid is submitted up front, so a
- * slow tail workload of one design overlaps the next design's work.
- * out[c][w] is configs[c] on suiteWorkloads(opt)[w], exactly what the
- * corresponding runSuite calls would return.
+ * Run design points over the whole suite through ONE worker pool: the
+ * full (config x workload) grid is submitted up front, so a slow tail
+ * workload of one design overlaps the next design's work. out[c][w] is
+ * configs[c] on suiteWorkloads(opt)[w]; each spec runs in its own
+ * SimContext, so it does not depend on which other configs share the
+ * grid. A failed spec is fatal.
  */
 std::vector<std::vector<WorkloadResult>>
 runSuites(const std::vector<SimConfig> &configs, const SuiteOptions &opt);
@@ -88,8 +84,13 @@ class ResultTable
     std::vector<std::vector<double>> cols_;
 };
 
-/** Parse common CLI flags: --quick (divide resolutions by 2 and use a
- *  reduced suite), --frame N, --verbose. */
+/**
+ * Parse the bench flags: --quick (halve every workload's resolution;
+ * the suite keeps all its workloads), --frame N, --seed S, --jobs N,
+ * --timeout-ms T and --verbose; TEXPIM_JOBS sets the default --jobs.
+ * A malformed or out-of-range value, a flag missing its value or an
+ * unknown flag is fatal.
+ */
 SuiteOptions parseSuiteArgs(int argc, char **argv);
 
 } // namespace texpim

@@ -26,6 +26,21 @@ TEST(GameProfiles, ResolutionDrivesDefaultAniso)
     EXPECT_EQ(defaultMaxAniso(320), 4u);
 }
 
+TEST(GameProfiles, ParseGameInvertsGameName)
+{
+    for (Game g : {Game::Doom3, Game::Fear, Game::HalfLife2, Game::Riddick,
+                   Game::Wolfenstein}) {
+        Game parsed = Game::Doom3;
+        ASSERT_TRUE(parseGame(gameName(g), parsed)) << gameName(g);
+        EXPECT_EQ(parsed, g);
+    }
+    Game untouched = Game::Riddick;
+    for (const char *bad : {"", "Doom3", "halflife2", "doom", "quake"}) {
+        EXPECT_FALSE(parseGame(bad, untouched)) << bad;
+        EXPECT_EQ(untouched, Game::Riddick);
+    }
+}
+
 class AllWorkloads : public testing::TestWithParam<size_t>
 {};
 
