@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "example_args.hh"
 #include "sim/simulator.hh"
 
 using namespace texpim;
@@ -37,9 +38,8 @@ main(int argc, char **argv)
     Workload wl{Game::Doom3, 640, 480};
     if (argc > 1 && !parseGame(argv[1], wl.game))
         TEXPIM_FATAL("unknown game '", argv[1], "'");
-    if (argc > 2 &&
-        std::sscanf(argv[2], "%ux%u", &wl.width, &wl.height) != 2)
-        TEXPIM_FATAL("bad resolution '", argv[2], "'");
+    if (argc > 2)
+        parseResolution(argv[2], wl);
 
     Scene scene = buildGameScene(wl, 3);
     SimConfig base;

@@ -8,10 +8,12 @@
  * Usage: quality_explorer [game] [WxH] [frame]
  */
 
+#include <climits>
 #include <cstdio>
 #include <string>
 
 #include "common/logging.hh"
+#include "example_args.hh"
 #include "quality/image_metrics.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
@@ -25,11 +27,10 @@ main(int argc, char **argv)
     unsigned frame = 3;
     if (argc > 1 && !parseGame(argv[1], wl.game))
         TEXPIM_FATAL("unknown game '", argv[1], "'");
-    if (argc > 2 &&
-        std::sscanf(argv[2], "%ux%u", &wl.width, &wl.height) != 2)
-        TEXPIM_FATAL("bad resolution '", argv[2], "'");
+    if (argc > 2)
+        parseResolution(argv[2], wl);
     if (argc > 3)
-        frame = unsigned(std::atoi(argv[3]));
+        frame = Config::parseUnsigned("frame", argv[3], 0, UINT_MAX);
 
     Scene scene = buildGameScene(wl, frame);
 

@@ -12,10 +12,10 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "common/logging.hh"
+#include "example_args.hh"
 #include "quality/image_metrics.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
@@ -28,9 +28,8 @@ main(int argc, char **argv)
     Workload wl{Game::Doom3, 320, 240};
     if (argc > 1 && !parseGame(argv[1], wl.game))
         TEXPIM_FATAL("unknown game '", argv[1], "'");
-    if (argc > 2 &&
-        std::sscanf(argv[2], "%ux%u", &wl.width, &wl.height) != 2)
-        TEXPIM_FATAL("bad resolution '", argv[2], "' (expected WxH)");
+    if (argc > 2)
+        parseResolution(argv[2], wl);
 
     Scene scene = buildGameScene(wl, /*frame=*/3);
     std::printf("workload %s: %u triangles, %u textures, aniso %ux\n",

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "example_args.hh"
 #include "quality/image_metrics.hh"
 #include "scene/trace.hh"
 #include "sim/simulator.hh"
@@ -25,9 +26,8 @@ main(int argc, char **argv)
     std::string path = "workload.texpim";
     if (argc > 1 && !parseGame(argv[1], wl.game))
         TEXPIM_FATAL("unknown game '", argv[1], "'");
-    if (argc > 2 &&
-        std::sscanf(argv[2], "%ux%u", &wl.width, &wl.height) != 2)
-        TEXPIM_FATAL("bad resolution '", argv[2], "'");
+    if (argc > 2)
+        parseResolution(argv[2], wl);
     if (argc > 3)
         path = argv[3];
 

@@ -10,12 +10,13 @@
  *   design: baseline | bpim | stfim | atfim   (default baseline)
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "common/logging.hh"
+#include "example_args.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 
@@ -30,24 +31,12 @@ main(int argc, char **argv)
 
     if (argc > 1 && !parseGame(argv[1], wl.game))
         TEXPIM_FATAL("unknown game '", argv[1], "'");
-    if (argc > 2 &&
-        std::sscanf(argv[2], "%ux%u", &wl.width, &wl.height) != 2)
-        TEXPIM_FATAL("bad resolution '", argv[2], "'");
-    if (argc > 3) {
-        std::string d = argv[3];
-        if (d == "baseline")
-            design = Design::Baseline;
-        else if (d == "bpim")
-            design = Design::BPim;
-        else if (d == "stfim")
-            design = Design::STfim;
-        else if (d == "atfim")
-            design = Design::ATfim;
-        else
-            TEXPIM_FATAL("unknown design '", d, "'");
-    }
+    if (argc > 2)
+        parseResolution(argv[2], wl);
+    if (argc > 3 && !parseDesign(argv[3], design))
+        TEXPIM_FATAL("unknown design '", argv[3], "'");
     if (argc > 4)
-        frame = unsigned(std::atoi(argv[4]));
+        frame = Config::parseUnsigned("frame", argv[4], 0, UINT_MAX);
 
     Scene scene = buildGameScene(wl, frame);
     SimConfig cfg;

@@ -82,7 +82,6 @@ class TagCache
 
     u64 lineBytes() const { return params_.lineBytes; }
     Addr lineAddr(Addr addr) const { return addr & ~(params_.lineBytes - 1); }
-    unsigned numSets() const { return num_sets_; }
 
     u64 hits() const { return hits_; }
     u64 misses() const { return misses_; }

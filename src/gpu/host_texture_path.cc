@@ -82,9 +82,9 @@ HostTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
 {
     TEXPIM_ASSERT(base.clusterId < params_.clusters, "bad cluster id");
     // Coalesce to cache lines directly (the mask TagCache::lineAddr
-    // applies), yielding the sorted/deduplicated block list of the
-    // scalar sampler's TexFetch trace (the differential suite pins the
-    // equality).
+    // applies), yielding the sorted/deduplicated line list of every
+    // texel the filter fetches (the differential suite pins it against
+    // the reference sampler's fetch trace).
     recordConventionalQuad(base, coords, count,
                            ~Addr(l1_[base.clusterId]->lineBytes() - 1),
                            stream, scratch);

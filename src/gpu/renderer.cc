@@ -584,13 +584,8 @@ Renderer::recordPhase(FrameCtx &ctx)
     unsigned threads = std::min<unsigned>(params_.renderThreads,
                                           std::max<size_t>(1, work.size()));
 
-    if (threads == 1) {
-        TileWorker worker;
-        for (u32 ti : work)
-            rasterizeTile(ctx, ti, worker);
-        return;
-    }
-
+    // The calling thread is worker 0; with one thread it drains the
+    // whole list and no pool thread starts.
     std::atomic<size_t> cursor{0};
     auto drain = [&]() {
         TileWorker worker;

@@ -2,15 +2,6 @@
 
 namespace texpim {
 
-u64
-ReplayStream::footprintBytes() const
-{
-    return u64(samples.capacity()) * sizeof(TexSampleRec) +
-           u64(blocks.capacity()) * sizeof(Addr) +
-           u64(parents.capacity()) * sizeof(ParentRec) +
-           u64(childBlocks.capacity()) * sizeof(Addr);
-}
-
 void
 ReplayStream::appendSampleFrom(const ReplayStream &src, u32 idx)
 {
@@ -35,13 +26,6 @@ ReplayStream::appendSampleFrom(const ReplayStream &src, u32 idx)
     r.parentOff = po;
 
     samples.push_back(r);
-}
-
-u64
-TileRecord::footprintBytes() const
-{
-    return u64(frags.capacity()) * sizeof(FragRecord) +
-           stream.footprintBytes() + u64(encoded.capacity());
 }
 
 u64

@@ -69,9 +69,8 @@ struct TexSampleRec
     float levelWeight = 0.0f;
 
     /** Host-side bilinear/trilinear combine of four parent values per
-     *  level (the exact expression DecomposedSampleResult::combine
-     *  evaluates, so replayed colors match the scalar sampler
-     *  bit-for-bit). */
+     *  level (the expression tree the reference sampler's decomposed
+     *  order evaluates, so replayed colors match it bit-for-bit). */
     ColorF
     combine(const ColorF *parent_values) const
     {
@@ -111,9 +110,6 @@ struct ReplayStream
      * to the scalar path's.
      */
     void appendSampleFrom(const ReplayStream &src, u32 idx);
-
-    /** Heap bytes the recorded arrays occupy (capacity, not size). */
-    u64 footprintBytes() const;
 };
 
 /** One covered fragment, in tile rasterization order. */
@@ -163,9 +159,6 @@ struct TileRecord
     /** Deallocate the raw record arrays (capacity back to zero),
      *  keeping `encoded`; used after encoding a tile. */
     void releaseDecoded();
-
-    /** Heap bytes this tile's records occupy (capacity, not size). */
-    u64 footprintBytes() const;
 
     /** In-memory bytes of the decoded record arrays (size-based — the
      *  bandwidth a consumer of the raw arrays would touch). */

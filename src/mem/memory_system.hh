@@ -71,7 +71,6 @@ class MemorySystem
      * or be cleared first.
      */
     void setTrafficSink(TrafficSink *sink) { sink_ = sink; }
-    TrafficSink *trafficSink() const { return sink_; }
 
     /** Peak off-chip bandwidth in bytes per core cycle (for reports). */
     virtual double peakOffChipBytesPerCycle() const = 0;

@@ -86,8 +86,8 @@ class StfimTexturePath : public TexturePath
      * Degraded completion with B-PIM semantics, entered from `start`:
      * the texel blocks are fetched with ordinary host reads over the
      * external links and filtered by the host shader cluster. The
-     * color is the same `sampleConventional` result as the offload
-     * path, so degradation never changes the image.
+     * color is the same `sampleConventionalQuad` result as the
+     * offload path, so degradation never changes the image.
      */
     TexResponse hostFallback(const TexRequest &req, Cycle start,
                              const ReplayStream &stream,

@@ -133,27 +133,6 @@ makeRoom(Vec3 c, Vec3 h, float uv_scale)
 }
 
 Mesh
-makeCorridor(Vec3 e, float width, float height, float length, float uv_scale)
-{
-    Mesh m;
-    float hw = width * 0.5f;
-    // Floor, normal +Y; u along the corridor so anisotropy stretches
-    // along the view direction.
-    m.append(makeQuad({e.x - hw, e.y, e.z}, {0, 0, -length},
-                      {width, 0, 0}, uv_scale));
-    // Ceiling, normal -Y.
-    m.append(makeQuad({e.x - hw, e.y + height, e.z}, {width, 0, 0},
-                      {0, 0, -length}, uv_scale));
-    // Left wall, normal +X.
-    m.append(makeQuad({e.x - hw, e.y, e.z}, {0, height, 0},
-                      {0, 0, -length}, uv_scale));
-    // Right wall, normal -X.
-    m.append(makeQuad({e.x + hw, e.y, e.z}, {0, 0, -length},
-                      {0, height, 0}, uv_scale));
-    return m;
-}
-
-Mesh
 makeTerrain(unsigned n, float size, float amplitude, u64 seed)
 {
     TEXPIM_ASSERT(n >= 1, "terrain needs at least one quad");

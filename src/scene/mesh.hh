@@ -1,9 +1,9 @@
 /**
  * @file
  * Triangle meshes and procedural mesh builders for the workload
- * generator: quads, boxes, inward-facing rooms, corridors, terrain
- * grids and columns. These are the geometric vocabulary from which the
- * five game profiles assemble their scenes.
+ * generator: quads, boxes, inward-facing rooms, terrain grids and
+ * columns. These are the geometric vocabulary from which the five game
+ * profiles assemble their scenes.
  */
 
 #ifndef TEXPIM_SCENE_MESH_HH
@@ -77,14 +77,6 @@ Mesh makeBox(Vec3 center, Vec3 half_extent, float uv_scale = 1.0f);
  * anisotropic-filtering consumers in the game profiles.
  */
 Mesh makeRoom(Vec3 center, Vec3 half_extent, float uv_scale = 4.0f);
-
-/**
- * A corridor along -Z: floor, ceiling and both side walls, length
- * `length`, cross-section `width` x `height`. The camera flying down
- * the corridor sees all four surfaces at oblique angles.
- */
-Mesh makeCorridor(Vec3 entry_center, float width, float height,
-                  float length, float uv_scale = 8.0f);
 
 /**
  * A terrain grid in the XZ plane: `n` x `n` quads over `size` x `size`

@@ -86,16 +86,6 @@ TrafficAttribution::bytesByClass(TrafficChannel channel,
     return t;
 }
 
-u64
-TrafficAttribution::offChipTextureBytes(int tex) const
-{
-    u64 t = 0;
-    for (const auto &[k, b] : bytes_)
-        if (k.channel == TrafficChannel::OffChip && k.tex == tex)
-            t += b;
-    return t;
-}
-
 void
 TrafficAttribution::emitCounters(TraceEvents &trace) const
 {

@@ -80,10 +80,6 @@ class TrafficAttribution : public TrafficSink
     /** Bytes observed on one channel for one traffic class. */
     u64 bytesByClass(TrafficChannel channel, TrafficClass cls) const;
 
-    /** Bytes charged to one texture across mips and lanes, off-chip
-     *  channel only. */
-    u64 offChipTextureBytes(int tex) const;
-
     /** Per-lane, per-epoch byte counts (utilization timeline). */
     const std::map<std::pair<int, u64>, u64> &laneEpochBytes() const
     {
@@ -106,8 +102,6 @@ class TrafficAttribution : public TrafficSink
         seq_tag_hits_ = tag_hits;
         has_sequence_ = true;
     }
-
-    bool hasSequenceReuse() const { return has_sequence_; }
 
     /**
      * Emit the per-lane timelines as Chrome-trace counter tracks

@@ -249,17 +249,13 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
         }
     };
 
+    // The calling thread is worker 0, so jobs=1 starts no thread.
     unsigned jobs = effectiveJobs(specs.size());
-    if (jobs <= 1) {
-        // Inline serial path — same per-attempt contexts, no threads.
-        work();
-        return results;
-    }
-
     std::vector<std::thread> workers;
-    workers.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t)
+    workers.reserve(jobs - 1);
+    for (unsigned t = 1; t < jobs; ++t)
         workers.emplace_back(work);
+    work();
     for (std::thread &t : workers)
         t.join();
     return results;

@@ -4,7 +4,10 @@
  * anisotropic filtering, in both the conventional order (bilinear →
  * trilinear → anisotropic, Fig. 3) and the A-TFIM-decomposed order
  * (anisotropic first, §V-B), which splits every sample into *parent
- * texels* computed in the HMC from *child texels*.
+ * texels* computed in the HMC from *child texels*. The two quad-SoA
+ * kernels below are the library's only sampler; the scalar reference
+ * the tests compare them against lives in
+ * tests/support/reference_sampler.hh.
  *
  * Anisotropic footprint samples are spaced at integer texel offsets
  * along the major axis. That choice keeps the bilinear weights of all
@@ -16,7 +19,7 @@
 #ifndef TEXPIM_TEX_SAMPLER_HH
 #define TEXPIM_TEX_SAMPLER_HH
 
-#include <vector>
+#include <utility>
 
 #include "geom/color.hh"
 #include "geom/vec.hh"
@@ -47,88 +50,6 @@ struct SampleCoords
     float cameraAngle = 0.0f; //!< view/surface angle in radians (§V-C)
 };
 
-/** One texel fetch in the conventional filtering order. */
-struct TexFetch
-{
-    Addr addr;
-    u8 level;
-};
-
-/** Result of conventional (baseline) filtering. */
-// texpim-lint: caller-owned result buffer inside each worker's
-// SamplerScratch
-struct SampleResult
-{
-    ColorF color{};
-    unsigned anisoRatio = 1;        //!< N (1 = isotropic)
-    std::vector<TexFetch> fetches;  //!< every texel touched, in order
-    unsigned filterOps = 0;         //!< weighted-MAC count for energy
-
-    void
-    clear()
-    {
-        color = ColorF{};
-        anisoRatio = 1;
-        fetches.clear();
-        filterOps = 0;
-    }
-};
-
-/** A parent texel and the child texels that approximate it (§V-A). */
-struct ParentTexel
-{
-    Addr addr;                  //!< address with anisotropic filtering off
-    ColorF value{};             //!< anisotropic average of the children
-    u8 level;
-    std::vector<Addr> children; //!< child texel addresses in the HMC
-};
-
-/** Result of A-TFIM-decomposed filtering. */
-// texpim-lint: caller-owned result buffer inside each worker's
-// SamplerScratch
-struct DecomposedSampleResult
-{
-    ColorF color{};
-    unsigned anisoRatio = 1;
-    std::vector<ParentTexel> parents; //!< 4 (bilinear) or 8 (trilinear)
-    unsigned hostFilterOps = 0; //!< bilinear/trilinear MACs on the GPU
-    unsigned pimFilterOps = 0;  //!< averaging MACs in the HMC logic layer
-
-    // Recombination weights, so a caller substituting cached (possibly
-    // stale) parent values can redo the host-side bilinear/trilinear:
-    // parents are ordered corners (0,0),(1,0),(0,1),(1,1) per level.
-    unsigned numLevels = 1;
-    float fx[2] = {0.0f, 0.0f}; //!< bilinear x-weight per level
-    float fy[2] = {0.0f, 0.0f}; //!< bilinear y-weight per level
-    float levelWeight = 0.0f;   //!< trilinear blend toward level 1
-
-    /** Host-side combine of four parent values per level. */
-    ColorF
-    combine(const ColorF *parent_values) const
-    {
-        ColorF lv[2];
-        for (unsigned l = 0; l < numLevels; ++l) {
-            const ColorF *c = parent_values + l * 4;
-            lv[l] = lerp(lerp(c[0], c[1], fx[l]), lerp(c[2], c[3], fx[l]),
-                         fy[l]);
-        }
-        return numLevels == 2 ? lerp(lv[0], lv[1], levelWeight) : lv[0];
-    }
-
-    void
-    clear()
-    {
-        color = ColorF{};
-        anisoRatio = 1;
-        parents.clear();
-        hostFilterOps = 0;
-        pimFilterOps = 0;
-        numLevels = 1;
-        fx[0] = fx[1] = fy[0] = fy[1] = 0.0f;
-        levelWeight = 0.0f;
-    }
-};
-
 /** LOD and anisotropy derived from the screen-space derivatives. */
 struct LodInfo
 {
@@ -154,10 +75,11 @@ LodInfo computeLod(const Texture &tex, const SampleCoords &coords,
 // screen quads whose lanes share texture, filter mode and max
 // anisotropy, and the samplers below filter up to four lanes per call
 // with structure-of-arrays accumulation. Every per-lane FP expression
-// tree is identical to the scalar sampleConventional/sampleDecomposed
-// path (same helpers, same evaluation order, -ffp-contract=off), so
-// results are bit-identical — the property the differential test
-// suite (tests/tex/test_sampler_quad.cc) pins down.
+// tree is identical to the scalar reference sampler's
+// (tests/support/reference_sampler.cc: same helpers, same evaluation
+// order, -ffp-contract=off), so results are bit-identical — the
+// property the differential test suite (tests/tex/test_sampler_quad.cc)
+// pins down.
 // ---------------------------------------------------------------------
 
 constexpr unsigned kQuadLanes = 4;
@@ -233,9 +155,6 @@ struct AnisoOffsetCache
  */
 struct SamplerScratch
 {
-    std::vector<std::pair<int, int>> off0; //!< aniso offsets, level 0
-    std::vector<std::pair<int, int>> off1; //!< aniso offsets, level 1
-
     AnisoOffsetCache offsetCache; //!< footprint-offset memo table
 
     // Quad-path result buffers (TexturePath::sampleQuad overrides).
@@ -250,52 +169,12 @@ struct SamplerScratch
 };
 
 /**
- * Conventional filtering (Fig. 3 order). Appends every texel fetch to
- * `out.fetches`; `out` is an in/out parameter so hot loops can reuse
- * its buffers, and `scratch` holds the per-thread working vectors.
- */
-void sampleConventional(const Texture &tex, const SampleCoords &coords,
-                        FilterMode mode, unsigned max_aniso,
-                        SampleResult &out, SamplerScratch &scratch);
-
-/** Convenience overload with throwaway scratch (tests, one-shots). */
-inline void
-sampleConventional(const Texture &tex, const SampleCoords &coords,
-                   FilterMode mode, unsigned max_aniso, SampleResult &out)
-{
-    SamplerScratch scratch;
-    sampleConventional(tex, coords, mode, max_aniso, out, scratch);
-}
-
-/**
- * A-TFIM-decomposed filtering (§V): anisotropic averaging first (child
- * texels → parent texels, in the HMC), then bilinear/trilinear over the
- * parent texels (on the host GPU). Produces the same color as
- * sampleConventional up to float rounding — the property §V-B proves.
- * Reuses `out`'s parent/children capacity across calls.
- */
-void sampleDecomposed(const Texture &tex, const SampleCoords &coords,
-                      FilterMode mode, unsigned max_aniso,
-                      DecomposedSampleResult &out, SamplerScratch &scratch);
-
-/** Convenience overload with throwaway scratch (tests, one-shots). */
-inline void
-sampleDecomposed(const Texture &tex, const SampleCoords &coords,
-                 FilterMode mode, unsigned max_aniso,
-                 DecomposedSampleResult &out)
-{
-    SamplerScratch scratch;
-    sampleDecomposed(tex, coords, mode, max_aniso, out, scratch);
-}
-
-/**
  * Conventional filtering of up to kQuadLanes lanes sharing (texture,
- * mode, max_aniso), bit-identical per lane to sampleConventional.
- * Instead of a TexFetch vector, each lane's fetch addresses are masked
+ * mode, max_aniso), bit-identical per lane to the scalar reference.
+ * Instead of a per-fetch trace, each lane's fetch addresses are masked
  * with `block_mask` (the caller's cache-line / DRAM-burst mask),
- * sorted and deduplicated in place in `out.blocks` — the same
- * canonical block list the texture paths derive from the scalar fetch
- * trace, computed without the intermediate vector.
+ * sorted and deduplicated in place in `out.blocks`: the canonical
+ * block list the texture paths replay.
  */
 void sampleConventionalQuad(const Texture &tex, const SampleCoords *coords,
                             unsigned count, FilterMode mode,
@@ -304,7 +183,7 @@ void sampleConventionalQuad(const Texture &tex, const SampleCoords *coords,
 
 /**
  * A-TFIM-decomposed filtering of up to kQuadLanes lanes, bit-identical
- * per lane to sampleDecomposed in every field it outputs. It outputs
+ * per lane to the scalar reference in every field it outputs. It outputs
  * no final color: replay recombines the parent values
  * (TexSampleRec::combine), which may be reused stale ones. Child
  * addresses are masked with `child_mask` (DRAM-burst granularity) but

@@ -1,15 +1,15 @@
 /**
  * @file
- * Sampling internals shared by the scalar reference sampler
- * (sampler.cc) and the quad-SoA sampler (sampler_quad.cc).
+ * Sampling internals shared by the quad-SoA sampler (sampler_quad.cc)
+ * and the scalar reference sampler the tests use as its oracle
+ * (tests/support/reference_sampler.cc).
  *
- * The quad path must produce bit-identical results to the scalar
- * path — the differential tests use the scalar path as their oracle —
- * so the per-level geometry and the anisotropic footprint offsets live
- * here once instead of being re-derived (and drifting) in two places. Everything here is pure
- * float math with no state; both samplers call these with identical
- * arguments per fragment, so identical results follow from
- * `-ffp-contract=off` and the single definition.
+ * The quad path must produce bit-identical results to the oracle, so
+ * the per-level geometry and the anisotropic footprint offsets live
+ * here once instead of being re-derived (and drifting) in two places.
+ * Everything here is pure float math with no state; both samplers call
+ * these with identical arguments per fragment, so identical results
+ * follow from `-ffp-contract=off` and the single definition.
  */
 
 #ifndef TEXPIM_TEX_SAMPLER_DETAIL_HH
@@ -87,9 +87,10 @@ anisoOffsetsInto(const Texture &tex, const LodInfo &lod, unsigned level,
  * complete input key (direction bits, span bits, N, level dimensions)
  * and copies it to `out`, computing the entry on a miss. Pure
  * memoization of a pure function — results are bit-identical to the
- * direct call for any hit pattern, so the scalar and quad samplers may
- * share or not share a cache freely. Footprints wider than the fixed
- * entry arrays fall through to the direct computation.
+ * direct call for any hit pattern. The reference sampler calls
+ * anisoOffsetsInto uncached, so the differential tests check the memo
+ * too. Footprints wider than the fixed entry arrays fall through to
+ * the direct computation.
  */
 inline void
 anisoOffsetsCached(const Texture &tex, const LodInfo &lod, unsigned level,

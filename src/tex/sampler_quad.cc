@@ -1,14 +1,15 @@
 /**
  * @file
- * Quad-SoA sampler: up to four fragments of one 2x2 screen quad
- * filtered per call, with per-mip-level MipView accessors hoisted out
- * of the texel loops and fetch records written straight into fixed
- * per-lane arrays (no TexFetch vector, no per-fragment allocation).
+ * Quad-SoA sampler, the library's only one: up to four fragments of
+ * one 2x2 screen quad filtered per call, with per-mip-level MipView
+ * accessors hoisted out of the texel loops and fetch records written
+ * straight into fixed per-lane arrays (no per-fragment allocation).
  *
  * FP-identity rules (see DESIGN.md "Quad-SoA sampling"):
  *  - every per-lane float expression is the same tree the scalar
- *    sampler evaluates, in the same order (-ffp-contract=off keeps
- *    the compiler from fusing them differently);
+ *    reference sampler (tests/support/reference_sampler.cc) evaluates,
+ *    in the same order (-ffp-contract=off keeps the compiler from
+ *    fusing them differently);
  *  - transcendentals (computeLod) stay per-lane scalar calls;
  *  - restructured loops only ever reorder work *across* lanes or
  *    corners whose accumulation chains are independent, never within

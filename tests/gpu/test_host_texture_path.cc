@@ -5,6 +5,7 @@
 #include "mem/hmc.hh"
 #include "scene/procedural_texture.hh"
 #include "support/process_request.hh"
+#include "support/reference_sampler.hh"
 
 namespace texpim {
 namespace {

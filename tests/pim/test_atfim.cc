@@ -4,6 +4,7 @@
 #include "sim/design.hh"
 #include "scene/procedural_texture.hh"
 #include "support/process_request.hh"
+#include "support/reference_sampler.hh"
 
 namespace texpim {
 namespace {

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "support/reference_sampler.hh"
 #include "tex/sampler.hh"
 
 namespace texpim {

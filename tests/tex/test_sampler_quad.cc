@@ -1,7 +1,8 @@
 /**
  * @file
  * Differential lockdown of the quad-SoA sampler against the scalar
- * reference: sampleConventionalQuad / sampleDecomposedQuad must equal
+ * reference (tests/support/reference_sampler.hh):
+ * sampleConventionalQuad / sampleDecomposedQuad must equal
  * sampleConventional / sampleDecomposed *bit for bit* — colors, counts,
  * routes, canonical block lists, and the parent decompositions (fx,
  * fy, level weight, parent values and child blocks) that determine a
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "support/reference_sampler.hh"
 #include "tex/sampler.hh"
 
 namespace texpim {

@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "common/rng.hh"
+#include "support/reference_sampler.hh"
 #include "tex/sampler.hh"
 
 namespace texpim {
