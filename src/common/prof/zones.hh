@@ -35,14 +35,16 @@ namespace prof {
     Z(kZoneGeometry, "frame/geometry", kZoneFrame,                            \
       "geometry phase: vertex fetch, shading, clip and raster setup")         \
     Z(kZoneSample, "frame/sample", kZoneFrame,                                \
-      "phase-1 functional rasterization and texture sampling")                \
+      "texture requests sampled (count); wall: the functional setup "         \
+      "(geometry, tile binning) - tiles themselves record inside "            \
+      "frame/replay")                                                         \
     Z(kZoneReplay, "frame/replay", kZoneFrame,                                \
-      "phase-2 timing replay of the recorded streams")                        \
+      "phase-2 timing replay, tiles streaming in from the record")            \
     Z(kZoneSchedule, "frame/replay/tiles", kZoneReplay,                       \
       "per-tile work scheduled by the phase-2 cluster scheduler")             \
-    Z(kZoneDecode, "frame/replay/decode", kZoneReplay,                        \
-      "host wall-clock spent decoding encoded tile streams during replay "    \
-      "(wall-only, like the phase scopes)")                                   \
+    Z(kZoneWait, "frame/replay/wait", kZoneReplay,                            \
+      "host wall-clock the replay spent waiting for, or itself recording, "   \
+      "the tile it chose next (wall-only, coordinating thread)")              \
     Z(kZoneTagCache, "mem/tagcache", kZoneNone,                               \
       "tag-cache lookups (texture L1/L2 and ROP Z/color caches)")             \
     Z(kZoneHmcLink, "mem/hmc/link", kZoneNone,                                \

@@ -59,12 +59,13 @@ struct GpuParams
     unsigned fragmentPipelineCycles = 6;
 
     /**
-     * Worker threads for the two-phase renderer's functional phase.
-     * 1 runs record/replay serially; N > 1 rasterizes tiles on N
-     * workers before the serial timing replay. Every value produces
-     * bit-identical framebuffers, cycle counts and statistics — the
-     * knob only trades host wall clock. Must be at least 1. Config key
-     * `gpu.render_threads`.
+     * Tile recorders of the two-phase renderer: the coordinating
+     * thread plus renderThreads - 1 pool threads that record tiles
+     * while the serial timing replay consumes them through the
+     * streaming window. 1 records each tile inline just before its
+     * replay. Every value produces bit-identical framebuffers, cycle
+     * counts and statistics — the knob only trades host wall clock.
+     * Must be at least 1. Config key `gpu.render_threads`.
      */
     unsigned renderThreads = 1;
 
@@ -89,12 +90,13 @@ struct GpuParams
 
     /**
      * Frames in flight for sequence rendering (SequenceRunner): while
-     * frame k's serial timing replay runs on the main thread, up to
-     * pipelineDepth-1 later frames may run their functional phase on
-     * the render_threads worker pool. 1 (the default) renders frames
-     * strictly one after another. Replay always consumes frames in
-     * order, so images, cycles and statistics are bit-identical at
-     * any depth. Must be at least 1. Config key `gpu.pipeline_depth`.
+     * frame k streams through the record pool and the main thread's
+     * timing replay, a prep thread builds and sets up (geometry, tile
+     * binning) up to pipelineDepth-1 later frames. 1 (the default)
+     * renders frames strictly one after another. Replay always
+     * consumes frames in order, so images, cycles and statistics are
+     * bit-identical at any depth. Must be at least 1. Config key
+     * `gpu.pipeline_depth`.
      */
     unsigned pipelineDepth = 1;
 

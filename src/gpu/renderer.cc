@@ -4,6 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #include "common/logging.hh"
@@ -11,7 +15,6 @@
 #include "common/sim_context.hh"
 #include "common/trace_events.hh"
 #include "gpu/replay.hh"
-#include "gpu/replay_codec.hh"
 
 namespace texpim {
 
@@ -30,9 +33,9 @@ struct PendingFrag
 } // namespace
 
 /**
- * Per-worker phase-1 state: the sampler scratch plus the quad
- * batching buffers. One instance per worker thread; capacities persist
- * across tiles so the steady state allocates nothing.
+ * Per-recorder phase-1 state: the sampler scratch plus the quad
+ * batching buffers. One instance per recording thread; capacities
+ * persist across tiles so the steady state allocates nothing.
  */
 struct Renderer::TileWorker
 {
@@ -102,8 +105,12 @@ struct Renderer::FrameCtx
     double angleSum = 0.0;
     u64 anisoSum = 0;
 
-    // Phase-1 output, indexed by tile index.
-    std::vector<TileRecord> records;
+    // Per-tile record accounting, indexed by tile index. Each entry is
+    // written by the thread that records the tile and read after the
+    // window's pool has joined.
+    std::vector<u64> tileBytes; //!< TileRecord::sizeBytes()
+    std::vector<u64> tileHash;  //!< TileRecord::hash()
+    std::vector<u32> replayOrder; //!< tile indices in replay order
 
     // Per-tile sorted-unique texel block footprints (sequence reuse
     // accounting; empty unless asked).
@@ -123,6 +130,217 @@ struct Renderer::TileWork
     u64 zLineMisses = 0;
     u64 cLineMisses = 0;
 };
+
+namespace {
+
+/** Tiles each cluster may have recorded ahead of its replay: the
+ *  streaming window. One — the cluster's next unreplayed tile — keeps
+ *  a frame's live record to one tile per cluster. */
+constexpr unsigned kWindowTiles = 1;
+
+} // namespace
+
+/**
+ * The streaming window between the two phases of one frame. Each
+ * cluster's next kWindowTiles unreplayed tiles are open for recording
+ * into the cluster's window slots. A pool of gpu.render_threads - 1
+ * threads claims open tiles, oldest opening first, and publishes each
+ * recorded tile through its slot's release/acquire ready flag. The
+ * coordinating thread replays in the schedule's order regardless:
+ * take() records the chosen tile inline if no pool thread claimed it,
+ * or waits on its flag; done() empties the slot and opens the
+ * cluster's next tile in it. Which tile replays next never depends on
+ * readiness, so the replay is bit-identical at any thread count.
+ *
+ * The destructor stops the pool, wakes every waiting thread and joins
+ * them, so a replay that unwinds (SimTimeout, SimPanic) leaks no
+ * thread and no recorder outlives the slots it writes.
+ */
+class Renderer::TileWindow
+{
+  public:
+    TileWindow(Renderer &r, FrameCtx &ctx);
+    ~TileWindow() { shutdown(); }
+    TileWindow(const TileWindow &) = delete;
+    TileWindow &operator=(const TileWindow &) = delete;
+
+    /** The record of tile `k` of cluster `c`'s list, recorded inline if
+     *  no pool thread claimed it, else once its recorder publishes it.
+     *  Coordinating thread only. */
+    const TileRecord &take(unsigned c, size_t k, FrameStats &fs);
+
+    /** The replay is done with tile `k` of cluster `c`: empty its slot
+     *  and open tile k + kWindowTiles in it. Coordinating thread only. */
+    void done(unsigned c, size_t k);
+
+  private:
+    enum State : u32 { kIdle, kOpen, kClaimed, kReady, kFailed };
+
+    struct Slot
+    {
+        TileRecord rec;
+        u32 tile = 0; //!< written before the kOpen release store
+        std::atomic<u32> state{kIdle};
+    };
+
+    Slot &
+    slot(unsigned c, size_t k)
+    {
+        return slots_[c * kWindowTiles + k % kWindowTiles];
+    }
+
+    void open(unsigned c, size_t k);
+    void work();
+    void shutdown();
+
+    Renderer &r_;
+    FrameCtx &ctx_;
+    std::vector<Slot> slots_;
+    TileWorker inline_; //!< the coordinating thread's record scratch
+
+    std::mutex mu_;
+    std::condition_variable wake_;
+    std::deque<Slot *> opened_; //!< guarded by mu_; oldest opening first
+    bool stop_ = false;         //!< guarded by mu_
+    std::exception_ptr error_;  //!< guarded by mu_; first pool failure
+    std::vector<std::thread> pool_;
+};
+
+Renderer::TileWindow::TileWindow(Renderer &r, FrameCtx &ctx)
+    : r_(r), ctx_(ctx), slots_(size_t(r.params_.clusters) * kWindowTiles)
+{
+    size_t tiles = 0;
+    for (const auto &list : ctx.clusterTiles)
+        tiles += list.size();
+    // The coordinating thread is the last recorder; a pool larger
+    // than the frame's tile count could never be busy.
+    size_t threads = std::min<size_t>(r.params_.renderThreads - 1, tiles);
+    try {
+        pool_.reserve(threads);
+        for (size_t t = 0; t < threads; ++t)
+            pool_.emplace_back([this] { work(); });
+    } catch (...) {
+        shutdown();
+        throw;
+    }
+    for (size_t k = 0; k < kWindowTiles; ++k)
+        for (unsigned c = 0; c < r.params_.clusters; ++c)
+            open(c, k);
+}
+
+void
+Renderer::TileWindow::shutdown()
+{
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        stop_ = true;
+    }
+    wake_.notify_all();
+    for (std::thread &t : pool_)
+        t.join();
+    pool_.clear();
+}
+
+void
+Renderer::TileWindow::open(unsigned c, size_t k)
+{
+    if (k >= ctx_.clusterTiles[c].size())
+        return;
+    Slot &s = slot(c, k);
+    s.tile = ctx_.clusterTiles[c][k];
+    s.state.store(kOpen, std::memory_order_release);
+    if (pool_.empty())
+        return;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        opened_.push_back(&s);
+    }
+    wake_.notify_one();
+}
+
+// texpim-lint: phase-root pool thread of the streaming window; records
+// claimed tiles while the coordinating thread replays earlier ones
+void
+Renderer::TileWindow::work()
+{
+    TileWorker worker;
+    for (;;) {
+        Slot *s = nullptr;
+        {
+            std::unique_lock<std::mutex> lk(mu_);
+            wake_.wait(lk, [&] { return stop_ || !opened_.empty(); });
+            if (stop_)
+                return;
+            s = opened_.front();
+            opened_.pop_front();
+        }
+        // A stale opening (the coordinating thread recorded the tile
+        // inline, or already reused the slot) fails the claim.
+        u32 expect = kOpen;
+        if (!s->state.compare_exchange_strong(expect, kClaimed,
+                                              std::memory_order_acquire))
+            continue;
+        u32 outcome = kReady;
+        try {
+            r_.rasterizeTile(ctx_, s->tile, s->rec, worker);
+        } catch (...) {
+            std::lock_guard<std::mutex> lk(mu_);
+            if (!error_) {
+                // texpim-lint: allow(P2) guarded by mu_; rethrown on the
+                // coordinating thread when it takes the failed tile
+                error_ = std::current_exception();
+            }
+            outcome = kFailed;
+        }
+        s->state.store(outcome, std::memory_order_release);
+        s->state.notify_one();
+    }
+}
+
+const TileRecord &
+Renderer::TileWindow::take(unsigned c, size_t k, FrameStats &fs)
+{
+    Slot &s = slot(c, k);
+    u32 st = s.state.load(std::memory_order_acquire);
+    if (st != kReady) {
+        // Wall-only zone on the coordinating thread (rule D2): the
+        // replay stalls here until the chosen tile is recorded.
+        TEXPIM_PROF_SCOPE(prof::kZoneWait);
+        double t0 = wallSeconds();
+        if (st == kOpen &&
+            s.state.compare_exchange_strong(st, kClaimed,
+                                            std::memory_order_acquire)) {
+            r_.rasterizeTile(ctx_, s.tile, s.rec, inline_);
+            st = kReady;
+            s.state.store(kReady, std::memory_order_relaxed);
+        }
+        while (st == kClaimed) {
+            s.state.wait(kClaimed, std::memory_order_acquire);
+            st = s.state.load(std::memory_order_acquire);
+        }
+        fs.wallReplayWaitSec += wallSeconds() - t0;
+    }
+    if (st == kFailed) {
+        std::exception_ptr e;
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            e = error_;
+        }
+        std::rethrow_exception(e);
+    }
+    TEXPIM_ASSERT(st == kReady, "tile window: cluster ", c, " tile ", k,
+                  " taken but never opened");
+    return s.rec;
+}
+
+void
+Renderer::TileWindow::done(unsigned c, size_t k)
+{
+    Slot &s = slot(c, k);
+    s.rec.clear(); // keeps the arrays' capacity for the next tile
+    s.state.store(kIdle, std::memory_order_relaxed);
+    open(c, k + kWindowTiles);
+}
 
 namespace {
 
@@ -241,10 +459,9 @@ Renderer::replayPhase(FrameCtx &ctx, FrameStats &fs)
 {
     FrameBuffer &fb = ctx.fb;
 
-    // One reusable decode scratch for the whole (serial) phase: after
-    // the first few tiles its arrays stop growing, so decoding churns
-    // no allocator state.
-    TileRecord decoded;
+    // Starts the record pool; its destructor joins it, on unwind too.
+    TileWindow window(*this, ctx);
+    ctx.replayOrder.reserve(ctx.bins.size());
 
     // Cooperative cancellation at tile granularity: a single branch
     // per tile when no watchdog deadline is armed (the zero-overhead
@@ -288,7 +505,9 @@ Renderer::replayPhase(FrameCtx &ctx, FrameStats &fs)
         }
         if (cluster == params_.clusters)
             break;
-        u32 ti = ctx.clusterTiles[cluster][ctx.nextTile[cluster]++];
+        size_t k = ctx.nextTile[cluster]++;
+        u32 ti = ctx.clusterTiles[cluster][k];
+        ctx.replayOrder.push_back(ti);
         ++fs.tilesProcessed;
         Cycle tile_start = ctx.clusterTime[cluster];
 
@@ -302,7 +521,9 @@ Renderer::replayPhase(FrameCtx &ctx, FrameStats &fs)
         w.issueFrontier = tile_start;
         Cycle last_rop = tile_start;
 
-        replayTile(ctx, decoded, cluster, ti, tile_start, w, fs);
+        replayTile(ctx, window.take(cluster, k, fs), cluster, ti,
+                   tile_start, w, fs);
+        window.done(cluster, k);
 
         // ROP traffic for this tile: Z read-modify-write on Z-cache
         // misses, color writeback on color-cache misses. The ROP
@@ -352,10 +573,10 @@ Renderer::replayPhase(FrameCtx &ctx, FrameStats &fs)
 }
 
 void
-Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileWorker &worker)
+Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileRecord &rec,
+                        TileWorker &worker)
 {
     FrameBuffer &fb = ctx.fb;
-    TileRecord &rec = ctx.records[ti];
     auto &bin = ctx.bins[ti];
     // Same assignment binTilesToClusters used, so the recorded stream
     // matches the cluster that replays it.
@@ -461,7 +682,7 @@ Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileWorker &worker)
 
     if (ctx.collectBlocks) {
         // Tile texel-block footprint for the sequence reuse census,
-        // taken before the raw arrays go away.
+        // taken before the window slot is reused.
         std::vector<Addr> &blk = ctx.tileBlocks[ti];
         blk.reserve(rec.stream.blocks.size() +
                     rec.stream.childBlocks.size());
@@ -475,12 +696,8 @@ Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileWorker &worker)
         blk.erase(std::unique(blk.begin(), blk.end()), blk.end());
     }
 
-    // Compact the tile: between the phases the frame holds only the
-    // delta/varint-encoded stream; the raw arrays are released here
-    // and reconstructed tile by tile during replay.
-    rec.decodedBytes = rec.decodedSizeBytes();
-    encodeTileRecord(rec, rec.encoded);
-    rec.releaseDecoded();
+    ctx.tileBytes[ti] = rec.sizeBytes();
+    ctx.tileHash[ti] = rec.hash();
 }
 
 void
@@ -568,69 +785,15 @@ Renderer::flushQuadBatch(FrameCtx &ctx, const SetupTriangle &st,
 }
 
 void
-Renderer::recordPhase(FrameCtx &ctx)
-{
-    ctx.records.assign(ctx.bins.size(), TileRecord{});
-
-    // Flat work list of non-empty tiles; workers pull with an atomic
-    // cursor. Tiles are disjoint framebuffer regions and every record
-    // is tile-private, so phase 1 shares no mutable state between
-    // workers (the texture paths' sampleQuad() is const and pure).
-    std::vector<u32> work;
-    for (u32 ti = 0; ti < ctx.bins.size(); ++ti)
-        if (!ctx.bins[ti].empty())
-            work.push_back(ti);
-
-    unsigned threads = std::min<unsigned>(params_.renderThreads,
-                                          std::max<size_t>(1, work.size()));
-
-    // The calling thread is worker 0; with one thread it drains the
-    // whole list and no pool thread starts.
-    std::atomic<size_t> cursor{0};
-    auto drain = [&]() {
-        TileWorker worker;
-        for (;;) {
-            size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= work.size())
-                break;
-            rasterizeTile(ctx, work[i], worker);
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (unsigned t = 1; t < threads; ++t)
-        pool.emplace_back(drain);
-    drain();
-    for (auto &th : pool)
-        th.join();
-}
-
-void
-Renderer::replayTile(FrameCtx &ctx, TileRecord &decoded, unsigned cluster,
-                     u32 ti, Cycle tile_start, TileWork &w, FrameStats &fs)
+Renderer::replayTile(FrameCtx &ctx, const TileRecord &rec,
+                     unsigned cluster, u32 ti, Cycle tile_start,
+                     TileWork &w, FrameStats &fs)
 {
     FrameBuffer &fb = ctx.fb;
 
     // Consuming end of the record-stream flow arrow (the producing
-    // "s" event is emitted after recordPhase joins its workers).
+    // "s" event is emitted before the replay starts).
     TEXPIM_TRACE_FLOW_END("replay", "tile_stream", cluster, tile_start, ti);
-    const TileRecord &enc = ctx.records[ti];
-    bool ok;
-    {
-        // Wall-only zone (this phase is serial, so charging here
-        // respects rule D2; wall never enters the deterministic
-        // export).
-        TEXPIM_PROF_SCOPE(prof::kZoneDecode);
-        ok = decodeTileRecord(enc.encoded.data(), enc.encoded.size(),
-                              decoded);
-    }
-    TEXPIM_ASSERT(ok, "tile ", ti, ": corrupt encoded replay stream");
-    const TileRecord &rec = decoded;
-    // Peak of the decode-on-demand scratch: with per-tile decoding
-    // the replay never holds more than one tile's raw arrays.
-    fs.recordBytesPeak =
-        std::max(fs.recordBytesPeak, decoded.decodedSizeBytes());
     fs.hierZTrianglesSkipped += rec.hierZSkipped;
 
     for (const FragRecord &fr : rec.frags) {
@@ -728,6 +891,8 @@ Renderer::setupFrameCtx(FrameCtx &ctx)
         if (!ctx.bins[ti].empty())
             ctx.clusterTiles[ti % params_.clusters].push_back(ti);
     }
+    ctx.tileBytes.assign(ctx.bins.size(), 0);
+    ctx.tileHash.assign(ctx.bins.size(), 0);
 
     // Per-fragment cluster occupancy: the fixed-function fragment
     // pipeline (interpolation, shader issue, ROP slot) plus the shader
@@ -738,8 +903,8 @@ Renderer::setupFrameCtx(FrameCtx &ctx)
             params_.shadersPerCluster);
 }
 
-// texpim-lint: phase-root functional phase-1 entry; runs off-thread in
-// pipelined sequences and fans out to the render pool
+// texpim-lint: phase-root functional setup; runs off-thread in
+// pipelined sequences
 std::unique_ptr<Renderer::FrameJob>
 Renderer::recordFrame(const Scene &scene, FrameBuffer &fb)
 {
@@ -753,35 +918,20 @@ Renderer::recordFrame(const Scene &scene, FrameBuffer &fb)
     FrameStats &fs = job->fs_;
 
     double t0 = wallSeconds();
-    fb.clear();
-    ctx.geomComputeCycles = geometryFunctional(scene, ctx.tris, fs);
-    setupFrameCtx(ctx);
+    {
+        // Wall-only zone; inert when a pipelined sequence sets frames
+        // up on its prep thread (no profiler context there, rule D2).
+        // texpim-lint: allow(P1) wall-only zone:
+        // charges no cycle-domain profile; inert on the prep thread (D2)
+        TEXPIM_PROF_SCOPE(prof::kZoneSample);
+        fb.clear();
+        ctx.geomComputeCycles = geometryFunctional(scene, ctx.tris, fs);
+        setupFrameCtx(ctx);
+    }
 
     ctx.collectBlocks = collect_frame_blocks_;
     if (ctx.collectBlocks)
         ctx.tileBlocks.assign(ctx.bins.size(), {});
-
-    {
-        // Wall-only zone; inert when a pipelined sequence records on
-        // its prep thread (no profiler context there, rule D2).
-        // texpim-lint: allow(P1) wall-only zone:
-        // charges no cycle-domain profile; inert on the prep thread (D2)
-        TEXPIM_PROF_SCOPE(prof::kZoneSample);
-        recordPhase(ctx);
-    }
-
-    // FNV-1a over the encoded tiles in tile-index order: a cheap
-    // fingerprint of the whole record stream, byte-invariant across
-    // gpu.render_threads (the stream-equivalence tests compare it
-    // between worker counts).
-    u64 h = 14695981039346656037ull;
-    for (const TileRecord &rec : ctx.records) {
-        fs.recordBytes += rec.encoded.size();
-        fs.recordBytesDecoded += rec.decodedBytes;
-        for (u8 b : rec.encoded)
-            h = (h ^ b) * 1099511628211ull;
-    }
-    fs.recordStreamHash = h;
     fs.wallPhase1Sec = wallSeconds() - t0;
     return job;
 }
@@ -821,7 +971,7 @@ Renderer::finishFrame(FrameJob &job)
     ctx.nextTile.assign(params_.clusters, 0);
 
     // Producing end of the per-tile record-stream flow arrows, emitted
-    // on the coordinating thread after the workers joined (the workers
+    // on the coordinating thread before the stream starts (recorders
     // carry no tracer context, rule D2); the "f" ends are emitted at
     // each tile's replay start.
     if (TraceEvents::active())
@@ -835,9 +985,49 @@ Renderer::finishFrame(FrameJob &job)
     }
     fs.wallPhase2Sec = wallSeconds() - t1;
 
+    accountRecords(ctx, fs);
     finishTail(ctx, fs);
-    job.ctx_.reset(); // release the frame's working memory
+    // The census outlives the frame's working memory: sequences read
+    // it after finishing the frame.
+    job.tileBlocks_ = std::move(ctx.tileBlocks);
+    job.ctx_.reset();
     return fs;
+}
+
+void
+Renderer::accountRecords(const FrameCtx &ctx, FrameStats &fs) const
+{
+    // FNV-1a over the per-tile hashes in tile-index order: a cheap
+    // fingerprint of the whole record stream, invariant across
+    // gpu.render_threads (the stream-equivalence test compares it
+    // between thread counts).
+    u64 h = 14695981039346656037ull;
+    for (size_t ti = 0; ti < ctx.tileHash.size(); ++ti) {
+        h = (h ^ ctx.tileHash[ti]) * 1099511628211ull;
+        fs.recordBytes += ctx.tileBytes[ti];
+    }
+    fs.recordStreamHash = h;
+    fs.recordBytesDecoded = fs.recordBytes;
+
+    // The window's peak, stepped through the replay order: before
+    // each step it holds every cluster's next kWindowTiles unreplayed
+    // tiles.
+    auto bytesAt = [&](unsigned c, size_t k) -> u64 {
+        const std::vector<u32> &list = ctx.clusterTiles[c];
+        return k < list.size() ? ctx.tileBytes[list[k]] : 0;
+    };
+    std::vector<size_t> head(params_.clusters, 0);
+    u64 live = 0;
+    for (unsigned c = 0; c < params_.clusters; ++c)
+        for (size_t k = 0; k < kWindowTiles; ++k)
+            live += bytesAt(c, k);
+    for (u32 ti : ctx.replayOrder) {
+        unsigned c = ti % params_.clusters;
+        fs.recordBytesPeak = std::max(fs.recordBytesPeak, live);
+        live -= bytesAt(c, head[c]);
+        live += bytesAt(c, head[c] + kWindowTiles);
+        ++head[c];
+    }
 }
 
 Renderer::FrameJob::FrameJob() = default;
@@ -861,13 +1051,11 @@ std::vector<Addr>
 Renderer::FrameJob::uniqueBlocks() const
 {
     std::vector<Addr> out;
-    if (!ctx_ || !ctx_->collectBlocks)
-        return out;
     size_t total = 0;
-    for (const auto &t : ctx_->tileBlocks)
+    for (const auto &t : tileBlocks_)
         total += t.size();
     out.reserve(total);
-    for (const auto &t : ctx_->tileBlocks)
+    for (const auto &t : tileBlocks_)
         out.insert(out.end(), t.begin(), t.end());
     // tie-break: block addresses are u64 (total order); duplicates are
     // interchangeable and unique() drops them.

@@ -54,16 +54,26 @@ struct FrameStats
 
     // Host wall clock of the simulator itself (for texbench).
     // Not simulated results: never exported by writeSimResultJson.
-    double wallPhase1Sec = 0.0; //!< functional raster phase
-    double wallPhase2Sec = 0.0; //!< timing replay phase
-    u64 recordBytes = 0;        //!< encoded replay-stream bytes (all tiles)
-    u64 recordBytesDecoded = 0; //!< decoded (raw-array) record bytes
-    u64 recordStreamHash = 0;   //!< FNV-1a over encoded tiles, tile order
-    /** Largest single-tile decoded record during replay: the peak of
-     *  the decode-on-demand scratch, versus recordBytesDecoded which
-     *  is what holding every tile decoded at once would cost.
-     *  Deterministic (the replay is serial), but bench-only like the
-     *  fields above. */
+    double wallPhase1Sec = 0.0; //!< recordFrame: geometry + tile binning
+    /** finishFrame up to the end of the replay: frame-start resets,
+     *  geometry traffic and the streamed tile record + timing replay. */
+    double wallPhase2Sec = 0.0;
+    /** Part of wallPhase2Sec the coordinating thread spent waiting
+     *  for, or itself recording, the tile the replay chose next. */
+    double wallReplayWaitSec = 0.0;
+
+    // Record accounting. Deterministic (pure functions of the scene
+    // and the replay order, identical at any gpu.render_threads), but
+    // bench-only like the wall fields above.
+    u64 recordBytes = 0;        //!< raw record bytes of all tiles
+    u64 recordBytesDecoded = 0; //!< the same total (no encoded form)
+    /** FNV-1a of the per-tile TileRecord::hash() values, folded in
+     *  tile-index order. */
+    u64 recordStreamHash = 0;
+    /** Peak live record bytes of the streaming window: the largest,
+     *  over the replay's steps, sum of the record bytes of every
+     *  cluster's next unreplayed tile. The window holds those tiles
+     *  and no others, versus recordBytesDecoded for the whole frame. */
     u64 recordBytesPeak = 0;
 };
 
@@ -79,29 +89,28 @@ class Renderer
 
     /**
      * Render one frame functionally and temporally: recordFrame()
-     * then finishFrame(). Phase 1 rasterizes tiles (on
-     * params.renderThreads worker threads) recording per-tile replay
-     * streams; phase 2 replays them serially through the timing
-     * model. Every thread count produces bit-identical framebuffers,
-     * cycle counts and statistics.
+     * then finishFrame(). Tiles stream from the functional record
+     * (on params.renderThreads threads) into the serial timing replay
+     * through a one-tile-per-cluster window. Every thread count
+     * produces bit-identical framebuffers, cycle counts and
+     * statistics.
      */
     FrameStats renderFrame(const Scene &scene, FrameBuffer &fb);
 
     /**
-     * A frame whose functional phase has run but whose timing replay
-     * has not. Produced by recordFrame(), consumed by finishFrame().
-     * Keeps the scene and framebuffer it was recorded against by
-     * reference — both must outlive the job.
+     * A frame whose functional setup has run but whose tiles have not
+     * been recorded or replayed. Produced by recordFrame(), consumed
+     * by finishFrame(). Keeps the scene and framebuffer it was set up
+     * against by reference — both must outlive the job.
      */
     class FrameJob;
 
     /**
-     * Phase 1 only: rasterize the frame functionally (coverage, early
-     * Z, texture sampling into per-tile replay streams) on the
-     * render_threads worker pool. Touches no simulation state — the
-     * memory system, caches, texture-path timing and all statistics
-     * are untouched, and the texture paths' sampleQuad() is const
-     * and pure — so a later frame's recordFrame() may run
+     * Functional setup only: clear the framebuffer, shade, clip and
+     * set up the geometry, bin triangles to tiles and build the
+     * clusters' tile lists. Touches no simulation state — the memory
+     * system, caches, texture-path timing and all statistics are
+     * untouched — so a later frame's recordFrame() may run
      * concurrently with an earlier frame's finishFrame() (the
      * inter-frame pipeline SequenceRunner builds).
      */
@@ -109,18 +118,18 @@ class Renderer
                                           FrameBuffer &fb);
 
     /**
-     * Phase 2: geometry/texture/ROP traffic, the serial timing replay
-     * and end-of-frame accounting for a recorded frame. Must run on
-     * the coordinating thread, and jobs from consecutive recordFrame()
-     * calls must be finished in recording order — then results are
-     * bit-identical to renderFrame() at any pipeline depth. Consumes
-     * the job (its working state is released).
+     * Geometry/texture/ROP traffic, the streamed tile record + serial
+     * timing replay, and end-of-frame accounting for a set-up frame.
+     * Must run on the coordinating thread, and jobs from consecutive
+     * recordFrame() calls must be finished in recording order — then
+     * results are bit-identical to renderFrame() at any pipeline
+     * depth. Consumes the job: its working state is released, except
+     * the block census (FrameJob::uniqueBlocks()).
      */
     FrameStats finishFrame(FrameJob &job);
 
-    /** Collect per-tile texel-block footprints during recordFrame()
-     *  for the sequence reuse accounting; see
-     *  FrameJob::uniqueBlocks(). */
+    /** Collect per-tile texel-block footprints while tiles record, for
+     *  the sequence reuse accounting; see FrameJob::uniqueBlocks(). */
     void setCollectFrameBlocks(bool on) { collect_frame_blocks_ = on; }
 
     StatGroup &stats() { return stats_; }
@@ -157,8 +166,9 @@ class Renderer
     };
 
     struct FrameCtx;   // per-frame working state, defined in renderer.cc
-    struct TileWorker; // per-worker phase-1 scratch, defined in renderer.cc
+    struct TileWorker; // per-recorder phase-1 scratch, defined in renderer.cc
     struct TileWork;   // one tile's replayed fragment work, renderer.cc
+    class TileWindow;  // the record -> replay streaming window, renderer.cc
 
     /** Geometry, functional half: vertex shading, clipping, triangle
      *  setup. Fills `tris` and returns the compute-cycle cost (vertex
@@ -181,11 +191,17 @@ class Renderer
      *  traffic, stats counters, deterministic profile charges. */
     void finishTail(FrameCtx &ctx, FrameStats &fs);
 
+    /** Record accounting from the per-tile byte counts and hashes and
+     *  the replay order: recordBytes*, recordStreamHash. */
+    void accountRecords(const FrameCtx &ctx, FrameStats &fs) const;
+
     /** Phase 1, one tile: rasterize, tile-local early Z, functional
-     *  texture sampling; fills (and then encodes) ctx.records[ti].
-     *  Thread-safe across distinct tiles (touches only tile-disjoint
-     *  state plus the caller-owned worker scratch). */
-    void rasterizeTile(FrameCtx &ctx, u32 ti, TileWorker &worker);
+     *  texture sampling into `rec` (empty on entry), plus the tile's
+     *  census blocks, byte count and hash in `ctx`. Thread-safe across
+     *  distinct tiles (touches only tile-disjoint state plus the
+     *  caller-owned record and worker scratch). */
+    void rasterizeTile(FrameCtx &ctx, u32 ti, TileRecord &rec,
+                       TileWorker &worker);
 
     /** Filter one triangle's buffered fragments in 2x2 screen quads,
      *  then emit records in original fragment order. */
@@ -193,21 +209,19 @@ class Renderer
                         unsigned cluster, TileWorker &worker,
                         TileRecord &rec);
 
-    /** Phase 1 driver: rasterize every non-empty tile, on
-     *  params_.renderThreads workers when > 1. */
-    void recordPhase(FrameCtx &ctx);
-
     /** Phase 2: the cluster scheduler. Picks tiles in gpu.schedule
-     *  order, replays each through replayTile(), then settles ROP
-     *  traffic and the cluster clock. */
+     *  order, takes each from the streaming window (recording it
+     *  inline or waiting for the pool thread recording it), replays
+     *  it through replayTile(), then settles ROP traffic and the
+     *  cluster clock. */
     // texpim-lint: replay-root the serial phase-2 scheduler; per-tile
     // and per-request stat updates go through held references
     void replayPhase(FrameCtx &ctx, FrameStats &fs);
 
-    /** Phase 2, one tile: decode its record into `decoded` and replay
-     *  the fragments through the Z/color caches, the in-flight window
-     *  and the texture path, accumulating into `w`. */
-    void replayTile(FrameCtx &ctx, TileRecord &decoded, unsigned cluster,
+    /** Phase 2, one tile: replay the recorded fragments through the
+     *  Z/color caches, the in-flight window and the texture path,
+     *  accumulating into `w`. */
+    void replayTile(FrameCtx &ctx, const TileRecord &rec, unsigned cluster,
                     u32 ti, Cycle tile_start, TileWork &w, FrameStats &fs);
 
     GpuParams params_;
@@ -241,8 +255,10 @@ class Renderer::FrameJob
     FrameBuffer &fb() const;
 
     /** Sorted unique texel block/line addresses the frame's recorded
-     *  streams touch (base blocks plus A-TFIM child blocks). Empty
-     *  unless setCollectFrameBlocks(true) enabled the census. */
+     *  streams touch (base blocks plus A-TFIM child blocks). Tiles
+     *  record during finishFrame(), so the census is empty before the
+     *  job is finished, and empty unless setCollectFrameBlocks(true)
+     *  enabled it. */
     std::vector<Addr> uniqueBlocks() const;
 
   private:
@@ -250,7 +266,9 @@ class Renderer::FrameJob
     FrameJob();
 
     std::unique_ptr<FrameCtx> ctx_;
-    FrameStats fs_{}; //!< phase-1 partials (geometry stats, record bytes)
+    FrameStats fs_{}; //!< setup partials (geometry stats, wallPhase1Sec)
+    /** Per-tile census footprints, kept past finishFrame(). */
+    std::vector<std::vector<Addr>> tileBlocks_;
 };
 
 } // namespace texpim

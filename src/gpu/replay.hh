@@ -17,9 +17,14 @@
  * A-TFIM's state-dependent angle-reuse image are bit-identical at any
  * worker count.
  *
- * The flattened layout (per-tile arrays indexed by offset/count pairs
- * instead of per-fragment vectors) keeps phase 1 free of per-fragment
- * heap allocation and the records compact.
+ * The two phases of one frame stream: a tile is recorded into its
+ * cluster's window slot shortly before the replay reaches it and the
+ * slot is reused once the replay is done with it (see
+ * Renderer::TileWindow), so a frame never holds more than one record
+ * per cluster. The flattened layout (per-tile arrays indexed by
+ * offset/count pairs instead of per-fragment vectors) keeps phase 1
+ * free of per-fragment heap allocation, and a reused slot's arrays
+ * keep their capacity.
  */
 
 #ifndef TEXPIM_GPU_REPLAY_HH
@@ -128,41 +133,31 @@ struct FragRecord
 };
 
 /** Everything phase 1 recorded for one tile. */
-// texpim-lint: caller-owned one record per tile, owned by the
-// worker that rasterizes that tile
+// texpim-lint: caller-owned one window slot's record, written only by
+// the recorder that claimed the slot's tile
 struct TileRecord
 {
     std::vector<FragRecord> frags;
     ReplayStream stream;
     u64 hierZSkipped = 0; //!< triangles skipped by hierarchical Z
 
-    /**
-     * Delta/varint encoding of this tile's records (encodeTileRecord).
-     * In the two-phase renderer each worker encodes its tile at the
-     * end of rasterizeTile and releases the raw arrays, so between the
-     * phases a frame holds only the compact streams; phase 2 decodes
-     * tile by tile into one reusable scratch TileRecord.
-     */
-    std::vector<u8> encoded;
-    u64 decodedBytes = 0; //!< decodedSizeBytes() at encode time
-
+    /** Empty the record, keeping the arrays' capacity for reuse. */
     void
     clear()
     {
         frags.clear();
         stream.clear();
         hierZSkipped = 0;
-        encoded.clear();
-        decodedBytes = 0;
     }
 
-    /** Deallocate the raw record arrays (capacity back to zero),
-     *  keeping `encoded`; used after encoding a tile. */
-    void releaseDecoded();
+    /** In-memory bytes of the record arrays (size-based — the
+     *  bandwidth the replay of this tile touches). */
+    u64 sizeBytes() const;
 
-    /** In-memory bytes of the decoded record arrays (size-based — the
-     *  bandwidth a consumer of the raw arrays would touch). */
-    u64 decodedSizeBytes() const;
+    /** FNV-1a over the record's fields in a fixed order, one 64-bit
+     *  word (one or two fields packed) per step. Padding bytes never
+     *  enter it, so it is a pure function of the recorded values. */
+    u64 hash() const;
 };
 
 } // namespace texpim

@@ -80,7 +80,9 @@ class TexturePath
      * .anisoRatio) per lane. Pure: touches no caches, pipelines,
      * statistics or memory-system state, so concurrent calls from
      * phase-1 worker threads are safe (each worker owns its stream
-     * and scratch).
+     * and scratch), and so is a call concurrent with replay() on the
+     * coordinating thread, which the renderer's tile streaming window
+     * makes every frame: it reads nothing replay() writes.
      */
     // texpim-lint: phase-root functional phase-1 entry; every override
     // runs concurrently on the render pool

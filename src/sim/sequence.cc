@@ -51,7 +51,6 @@ SequenceRunner::run(const Workload &wl, unsigned num_frames,
 
 SequenceRunner::PendingFrame
 SequenceRunner::recordOne(const Workload &wl, unsigned frame, u64 seed,
-                          std::vector<Addr> &prev_blocks,
                           std::shared_ptr<TextureStore> &textures)
 {
     PendingFrame p;
@@ -63,25 +62,23 @@ SequenceRunner::recordOne(const Workload &wl, unsigned frame, u64 seed,
     p.fb = std::make_shared<FrameBuffer>(p.scene->settings.width,
                                          p.scene->settings.height);
     p.job = sim_.recordSequenceFrame(*p.scene, *p.fb);
-
-    // Block reuse versus the previous frame. Computed here because the
-    // job's footprint dies with finishFrame, and because the recording
-    // order is the frame order on both the serial and pipelined paths
-    // (one prep thread records frames one at a time) — so `prev`
-    // really is frame f-1 regardless of pipelining.
-    std::vector<Addr> blocks = p.job->uniqueBlocks();
-    p.uniqueBlocks = blocks.size();
-    p.reusedPrev = intersectionCount(prev_blocks, blocks);
-    prev_blocks = std::move(blocks);
     return p;
 }
 
 SimResult
-SequenceRunner::finishOne(PendingFrame &p)
+SequenceRunner::finishOne(PendingFrame &p, std::vector<Addr> &prev_blocks)
 {
     sim_.resetFrameStats();
     SimResult r = sim_.finishSequenceFrame(*p.job, std::move(p.fb));
-    sim_.noteFrameReuse(r, p.uniqueBlocks, p.reusedPrev);
+
+    // Block reuse versus the previous frame. The tiles record while
+    // the frame finishes, so the census exists only now; frames finish
+    // in order on both the serial and pipelined paths, so `prev`
+    // really is frame f-1 regardless of pipelining.
+    std::vector<Addr> blocks = p.job->uniqueBlocks();
+    u64 reused = intersectionCount(prev_blocks, blocks);
+    sim_.noteFrameReuse(r, blocks.size(), reused);
+    prev_blocks = std::move(blocks);
     return r;
 }
 
@@ -94,9 +91,8 @@ SequenceRunner::runSerial(const Workload &wl, unsigned num_frames,
     std::vector<Addr> prev_blocks;
     std::shared_ptr<TextureStore> textures;
     for (unsigned f = 0; f < num_frames; ++f) {
-        PendingFrame p =
-            recordOne(wl, start_frame + f, seed, prev_blocks, textures);
-        out.push_back(finishOne(p));
+        PendingFrame p = recordOne(wl, start_frame + f, seed, textures);
+        out.push_back(finishOne(p, prev_blocks));
     }
     return out;
 }
@@ -106,31 +102,39 @@ SequenceRunner::runPipelined(const Workload &wl, unsigned num_frames,
                              unsigned start_frame, u64 seed,
                              unsigned depth)
 {
-    // One prep thread records frames ahead (scene build + functional
-    // rasterization on the render_threads pool); the coordinating
-    // thread finishes them strictly in order. `in_flight` counts
-    // frames recorded or recording but not yet finished, bounding both
-    // the queue and the prep thread's lead to gpu.pipeline_depth.
+    // One prep thread sets frames up ahead (scene build + geometry and
+    // tile binning); the coordinating thread finishes them strictly in
+    // order, streaming each frame's tiles from the render_threads
+    // record pool into its replay. `in_flight` counts frames set up or
+    // being set up but not yet finished, bounding both the queue and
+    // the prep thread's lead to gpu.pipeline_depth.
     //
     // Equivalence to runSerial: recordFrame touches no simulation
-    // state, so overlapping frame k+1's recording with frame k's
-    // replay reorders nothing the timing phase can observe, and the
-    // in-order finishes replay the exact serial sequence.
+    // state, so overlapping frame k+1's setup with frame k's replay
+    // reorders nothing the timing phase can observe, and the in-order
+    // finishes replay the exact serial sequence.
     std::mutex mu;
     std::condition_variable can_record;
     std::condition_variable can_finish;
     std::deque<PendingFrame> ready;
-    unsigned in_flight = 0;
     bool stop = false;
     std::exception_ptr prep_error;
 
-    // texpim-lint: phase-root prep thread records frame k+1 while
-    // frame k's serial replay runs on the caller thread
+    // The first frame is set up here: the coordinating thread has to
+    // wait for it anyway, and it builds the level's textures. Built on
+    // a prep thread, they landed in that thread's allocator arena,
+    // which the next run's prep thread need not get back, so repeated
+    // sequences kept one freed texture set per arena (peak RSS 447 ->
+    // 691 MiB over texbench's path-baseline).
+    std::shared_ptr<TextureStore> textures;
+    ready.push_back(recordOne(wl, start_frame, seed, textures));
+    unsigned in_flight = 1;
+
+    // texpim-lint: phase-root prep thread sets frame k+1 up while
+    // frame k streams through the caller thread's replay
     std::thread prep([&] {
         try {
-            std::vector<Addr> prev_blocks;
-            std::shared_ptr<TextureStore> textures;
-            for (unsigned f = 0; f < num_frames; ++f) {
+            for (unsigned f = 1; f < num_frames; ++f) {
                 {
                     std::unique_lock<std::mutex> lk(mu);
                     can_record.wait(
@@ -139,8 +143,8 @@ SequenceRunner::runPipelined(const Workload &wl, unsigned num_frames,
                         return;
                     ++in_flight;
                 }
-                PendingFrame p = recordOne(wl, start_frame + f, seed,
-                                           prev_blocks, textures);
+                PendingFrame p =
+                    recordOne(wl, start_frame + f, seed, textures);
                 {
                     std::lock_guard<std::mutex> lk(mu);
                     ready.push_back(std::move(p));
@@ -156,6 +160,7 @@ SequenceRunner::runPipelined(const Workload &wl, unsigned num_frames,
 
     std::vector<SimResult> out;
     out.reserve(num_frames);
+    std::vector<Addr> prev_blocks;
     try {
         for (unsigned f = 0; f < num_frames; ++f) {
             PendingFrame p;
@@ -168,7 +173,7 @@ SequenceRunner::runPipelined(const Workload &wl, unsigned num_frames,
                 p = std::move(ready.front());
                 ready.pop_front();
             }
-            out.push_back(finishOne(p));
+            out.push_back(finishOne(p, prev_blocks));
             {
                 std::lock_guard<std::mutex> lk(mu);
                 --in_flight;

@@ -4,18 +4,17 @@
  * RenderingSimulator::renderSequence, with inter-frame phase
  * pipelining.
  *
- * The two-phase renderer splits a frame into a pure functional phase
- * (recordFrame: rasterize + sample into replay streams, touches no
- * simulation state) and a serial timing phase (finishFrame: traffic,
- * replay, accounting). Across a sequence those phases pipeline: while
- * frame k replays on the coordinating thread, frame k+1 rasterizes on
- * the gpu.render_threads worker pool from a prep thread.
- * gpu.pipeline_depth bounds the frames in flight (recorded or
- * recording but not yet finished), and the coordinating thread always
- * finishes frames in recording order — so images, cycle counts and
- * statistics are bit-identical to the unpipelined sequence by
- * construction (the functional phase cannot observe or perturb the
- * timing phase).
+ * The renderer splits a frame into a pure functional setup
+ * (recordFrame: geometry, tile binning; touches no simulation state)
+ * and finishFrame, which streams the tiles from the gpu.render_threads
+ * record pool into the serial timing replay. Across a sequence the two
+ * pipeline: while frame k streams on the coordinating thread and the
+ * pool, a prep thread builds frame k+1's scene and sets it up.
+ * gpu.pipeline_depth bounds the frames in flight (set up or being set
+ * up but not yet finished), and the coordinating thread always
+ * finishes frames in order — so images, cycle counts and statistics
+ * are bit-identical to the unpipelined sequence by construction (the
+ * functional setup cannot observe or perturb the timing phase).
  *
  * Pipelining engages when gpu.pipeline_depth > 1 and the sequence has
  * more than one frame; otherwise the serial path runs.
@@ -28,8 +27,9 @@
  * from scratch.
  *
  * The runner also accounts inter-frame reuse: per frame, the distinct
- * texel blocks touched, how many of them the previous frame also
- * touched, and the texture-path tag-cache hits on lines warm from an
+ * texel blocks touched (the census, taken once the frame is finished,
+ * because its tiles record during finishFrame), how many of them the
+ * previous frame also touched, and the texture-path tag-cache hits on lines warm from an
  * earlier frame (see TagCache epochs). Exported per frame on
  * SimResult / the frame's TrafficAttribution and accumulated in the
  * "sequence" stat group.
@@ -61,7 +61,7 @@ class SequenceRunner
                                unsigned start_frame, u64 seed);
 
   private:
-    /** A frame whose functional phase has run: everything the timing
+    /** A frame whose functional setup has run: everything the timing
      *  phase needs, owned so the scene and framebuffer outlive the
      *  job across the thread handoff. */
     struct PendingFrame
@@ -69,32 +69,29 @@ class SequenceRunner
         std::unique_ptr<Scene> scene;
         std::shared_ptr<FrameBuffer> fb;
         std::unique_ptr<Renderer::FrameJob> job;
-        u64 uniqueBlocks = 0;
-        u64 reusedPrev = 0;
     };
 
-    /** Build + prepare the scene for `frame`, record its functional
-     *  phase and compute block reuse against `prev_blocks` (updated
-     *  in place). The scene adopts `textures`, the level's store from
-     *  the sequence's first frame; when null (first frame) the scene
+    /** Build + prepare the scene for `frame` and run its functional
+     *  setup. The scene adopts `textures`, the level's store from the
+     *  sequence's first frame; when null (first frame) the scene
      *  builds it and `textures` keeps it. Runs on the prep thread when
      *  pipelining. */
     PendingFrame recordOne(const Workload &wl, unsigned frame, u64 seed,
-                           std::vector<Addr> &prev_blocks,
                            std::shared_ptr<TextureStore> &textures);
 
-    /** Reset per-frame stats, replay and finalize one recorded frame.
-     *  Coordinating thread only, in recording order. */
-    SimResult finishOne(PendingFrame &p);
+    /** Reset per-frame stats, stream and finalize one set-up frame,
+     *  then take its block census and reuse against `prev_blocks`
+     *  (updated in place). Coordinating thread only, in frame order. */
+    SimResult finishOne(PendingFrame &p, std::vector<Addr> &prev_blocks);
 
-    /** Unpipelined two-phase sequence (record and finish alternate on
-     *  the coordinating thread). */
+    /** Unpipelined sequence (setup and finish alternate on the
+     *  coordinating thread). */
     std::vector<SimResult> runSerial(const Workload &wl,
                                      unsigned num_frames,
                                      unsigned start_frame, u64 seed);
 
-    /** The inter-frame pipeline: a prep thread records ahead, bounded
-     *  by gpu.pipeline_depth; finishes stay in order. */
+    /** The inter-frame pipeline: a prep thread sets frames up ahead,
+     *  bounded by gpu.pipeline_depth; finishes stay in order. */
     std::vector<SimResult> runPipelined(const Workload &wl,
                                         unsigned num_frames,
                                         unsigned start_frame, u64 seed,

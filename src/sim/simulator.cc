@@ -45,8 +45,9 @@ writeSimResultJson(JsonWriter &w, const SimResult &r)
     w.keyValue("crc_errors", r.crcErrors);
     w.keyValue("link_retries", r.linkRetries);
     w.keyValue("pim_fallbacks", r.pimFallbacks);
-    // FrameStats' host wall-clock fields (wallPhase1Sec/wallPhase2Sec/
-    // recordBytes) are intentionally absent: stats_out files must stay
+    // FrameStats' host wall-clock and record fields (wallPhase1Sec/
+    // wallPhase2Sec/wallReplayWaitSec/recordBytes*) are intentionally
+    // absent: stats_out files must stay
     // byte-identical across runs, hosts and gpu.render_threads
     // settings. texbench reports them separately.
     w.endObject();
@@ -175,7 +176,7 @@ RenderingSimulator::beginSequence()
                   "rendering under a different SimContext than the one "
                   "this simulator was built under");
     build();
-    // The census adds phase-1 work only (tile-disjoint vectors); the
+    // The census adds record work only (tile-disjoint vectors); the
     // replay streams, timing and statistics are unchanged by it.
     renderer_->setCollectFrameBlocks(true);
     if (!seq_stats_) {
@@ -253,7 +254,7 @@ RenderingSimulator::finishSequenceFrame(Renderer::FrameJob &job,
                   "rendering under a different SimContext than the one "
                   "this simulator was built under");
     // Same observable order as renderOnce: attribution is installed
-    // before any traffic flows (the recording phase produced none).
+    // before any traffic flows (the functional setup produced none).
     installAttribution(job.scene());
     SimResult r;
     r.image = std::move(fb);

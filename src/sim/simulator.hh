@@ -129,8 +129,9 @@ class RenderingSimulator
     // --- Split frame entry points (the inter-frame pipeline) ---
     //
     // SequenceRunner (sim/sequence.hh) overlaps frame k+1's functional
-    // phase with frame k's timing replay through these. They are also
-    // usable directly; renderSequence is the packaged driver.
+    // setup with frame k's streamed record + replay through these.
+    // They are also usable directly; renderSequence is the packaged
+    // driver.
 
     /** Build the pipeline once and enable per-tile block-footprint
      *  collection (sequence reuse accounting). Call before the first
@@ -149,21 +150,23 @@ class RenderingSimulator
     void resetFrameStats();
 
     /**
-     * Phase 1 of one sequence frame: functional rasterization into
-     * replay records. Touches no simulation state (Renderer::
-     * recordFrame's contract), so it may run on a prep thread while
-     * the coordinating thread replays an earlier frame. `scene` must
-     * already be prepareFrameScene'd, and scene and fb must outlive
-     * the returned job.
+     * Functional setup of one sequence frame: geometry and tile
+     * binning (Renderer::recordFrame). Touches no simulation state, so
+     * it may run on a prep thread while the coordinating thread
+     * finishes an earlier frame. `scene` must already be
+     * prepareFrameScene'd, and scene and fb must outlive the returned
+     * job.
      */
     std::unique_ptr<Renderer::FrameJob>
     recordSequenceFrame(const Scene &scene, FrameBuffer &fb);
 
     /**
-     * Phase 2 of one sequence frame: attribution install, timing
-     * replay and result assembly. Coordinating thread only, and jobs
-     * must be finished in recording order — then every SimResult is
-     * bit-identical to the unpipelined sequence. Consumes the job.
+     * The rest of one sequence frame: attribution install, the
+     * streamed tile record + timing replay, and result assembly.
+     * Coordinating thread only, and jobs must be finished in recording
+     * order — then every SimResult is bit-identical to the unpipelined
+     * sequence. Consumes the job; its block census
+     * (FrameJob::uniqueBlocks()) is available only afterwards.
      */
     SimResult finishSequenceFrame(Renderer::FrameJob &job,
                                   std::shared_ptr<FrameBuffer> fb);

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gpu/host_texture_path.hh"
 #include "gpu/renderer.hh"
 #include "mem/gddr5.hh"
+#include "scene/game_profiles.hh"
 #include "scene/procedural_texture.hh"
+#include "sim/runner/experiment_runner.hh"
 
 namespace texpim {
 namespace {
@@ -150,6 +154,97 @@ TEST(RendererDeath, MismatchedFramebufferPanics)
     FrameBuffer fb(32, 32);
     EXPECT_DEATH({ rig.renderer.renderFrame(s, fb); },
                  "does not match scene resolution");
+}
+
+// ------------------------------------------- sim-level record stream
+
+ExperimentSpec
+equivalenceSpec(Design d, unsigned threads)
+{
+    ExperimentSpec spec;
+    spec.config.design = d;
+    spec.config.gpu.schedule = GpuParams::Schedule::RoundRobin;
+    spec.config.gpu.renderThreads = threads;
+    spec.workload = Workload{Game::Doom3, 160, 120};
+    spec.frame = 3;
+    spec.seed = 0x7e01d;
+    spec.maxAniso = 0;
+    return spec;
+}
+
+ExperimentResult
+runSpec(const ExperimentSpec &spec)
+{
+    SimContext ctx;
+    SimContext::Scope scope(ctx);
+    return ExperimentRunner::runOne(spec);
+}
+
+TEST(StreamEquivalence, EncodedStreamInvariantAcrossRenderThreads)
+{
+    // The record hash and byte counts are pure functions of the
+    // (stable-ordered) record arrays and the replay order, so they
+    // must not move with the recorder count — the property that makes
+    // record_bytes a meaningful metric at any thread setting.
+    // threads=4 races the window's pool against the replay of the
+    // same frame (the TSan configuration of this suite).
+    for (Design d : {Design::Baseline, Design::BPim, Design::STfim,
+                     Design::ATfim}) {
+        ExperimentResult ref = runSpec(equivalenceSpec(d, 1));
+        EXPECT_GT(ref.result.frame.recordBytes, 0u);
+        EXPECT_GT(ref.result.frame.recordStreamHash, 0u);
+        for (unsigned threads : {2u, 4u}) {
+            SCOPED_TRACE(std::string(designName(d)) + " threads=" +
+                         std::to_string(threads));
+            ExperimentResult r = runSpec(equivalenceSpec(d, threads));
+            EXPECT_EQ(r.result.frame.recordStreamHash,
+                      ref.result.frame.recordStreamHash);
+            EXPECT_EQ(r.result.frame.recordBytes,
+                      ref.result.frame.recordBytes);
+            EXPECT_EQ(r.result.frame.recordBytesDecoded,
+                      ref.result.frame.recordBytesDecoded);
+            EXPECT_EQ(r.result.frame.recordBytesPeak,
+                      ref.result.frame.recordBytesPeak);
+            EXPECT_EQ(r.imageFnv1a, ref.imageFnv1a);
+        }
+    }
+}
+
+TEST(StreamEquivalence, WindowPeakFitsBudgetAt640x480)
+{
+    // The live record of a streamed frame is one tile per cluster.
+    // Budgets for the Doom3 640x480 frame 3 scene: the measured window
+    // peak plus 10 % slack. The peak is a pure function of the scene
+    // and the replay order, so this fails deterministically when the
+    // record grows or the window widens, however noisy the host. Raise
+    // a budget only with a DESIGN.md rationale.
+    struct Budget
+    {
+        Design design;
+        u64 measured; //!< recordBytesPeak when the budget was set
+    };
+    const Budget budgets[] = {
+        {Design::Baseline, 1'098'844},
+        {Design::ATfim, 6'426'304},
+    };
+    for (const Budget &b : budgets) {
+        SCOPED_TRACE(designName(b.design));
+        ExperimentSpec spec;
+        spec.config.design = b.design;
+        spec.config.gpu.renderThreads = 4;
+        spec.workload = Workload{Game::Doom3, 640, 480};
+        spec.frame = 3;
+        spec.seed = 0x7e01d;
+        spec.maxAniso = defaultMaxAniso(640);
+        const FrameStats frame = runSpec(spec).result.frame;
+        EXPECT_GT(frame.recordBytesPeak, 0u);
+        EXPECT_LE(frame.recordBytesPeak, b.measured + b.measured / 10)
+            << "peak " << frame.recordBytesPeak;
+        // The window holds at most 1/16 of the frame's record.
+        EXPECT_LE(frame.recordBytesPeak * 16, frame.recordBytesDecoded)
+            << "peak " << frame.recordBytesPeak << " of "
+            << frame.recordBytesDecoded;
+    }
 }
 
 } // namespace

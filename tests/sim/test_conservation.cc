@@ -9,10 +9,18 @@
  * cycles cannot see a stat bound to the wrong name, but these sums
  * can. The checks read StatRegistry::snapshot() after the render, so
  * the timing path carries no extra code for them.
+ *
+ * Physical lower bounds close the file: a frame cannot finish before
+ * its off-chip bytes have crossed the memory interface at peak
+ * bandwidth, nor before its shaded fragments have passed the clusters'
+ * fragment pipelines. They hold for any correct timing model, so they
+ * also catch a replay that drops or reorders work into an impossible
+ * schedule.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 
@@ -147,6 +155,64 @@ TEST_P(Conservation, Doom3SnapshotBalances)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, Conservation,
+                         ::testing::Values(Design::Baseline, Design::BPim,
+                                           Design::STfim, Design::ATfim),
+                         [](const auto &info) {
+                             std::string name;
+                             for (char c : std::string(designName(info.param)))
+                                 if (std::isalnum((unsigned char)c))
+                                     name += c;
+                             return name;
+                         });
+
+class PhysicalBounds : public ::testing::TestWithParam<Design>
+{
+};
+
+TEST_P(PhysicalBounds, FrameCyclesCoverBandwidthAndFragmentWork)
+{
+    for (Game game : {Game::Doom3, Game::HalfLife2}) {
+        SCOPED_TRACE(gameName(game));
+        Workload wl{game, 320, 240};
+        Scene scene = buildGameScene(wl, 3, 0x7e01d);
+        scene.settings.maxAniso = defaultMaxAniso(wl.width);
+
+        SimContext ctx;
+        SimContext::Scope scope(ctx);
+        SimConfig cfg;
+        cfg.design = GetParam();
+        RenderingSimulator sim(cfg);
+        SimResult r = sim.renderScene(scene);
+        const double cycles = double(r.frame.frameCycles);
+
+        // Bandwidth: every off-chip byte crosses the interface no
+        // faster than its peak rate. Scanout (the FrameBuffer class)
+        // is issued at frame end, after the frame's last cycle, so it
+        // is excluded.
+        const u64 scanout = r.offChipBytesByClass[unsigned(
+            TrafficClass::FrameBuffer)];
+        EXPECT_GT(scanout, 0u);
+        double bytes = double(r.offChipTotalBytes - scanout);
+        EXPECT_GT(bytes, 0.0);
+        EXPECT_GE(cycles, bytes / sim.memory().peakOffChipBytesPerCycle());
+
+        // Fragment work: each shaded fragment occupies its cluster for
+        // the fixed-function pipeline or its share of the shader ALU
+        // time, whichever is longer, after geometry; the busiest of
+        // the clusters takes at least the average.
+        const GpuParams &gpu = cfg.gpu;
+        double per_frag = double(std::max<Cycle>(
+            gpu.fragmentPipelineCycles,
+            (gpu.fragmentShaderCycles + gpu.shadersPerCluster - 1) /
+                gpu.shadersPerCluster));
+        EXPECT_GT(r.frame.fragmentsShaded, 0u);
+        EXPECT_GE(cycles, double(r.frame.geometryCycles) +
+                              double(r.frame.fragmentsShaded) * per_frag /
+                                  gpu.clusters);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, PhysicalBounds,
                          ::testing::Values(Design::Baseline, Design::BPim,
                                            Design::STfim, Design::ATfim),
                          [](const auto &info) {

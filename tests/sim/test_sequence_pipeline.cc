@@ -5,14 +5,18 @@
  * gpu.pipeline_depth x gpu.render_threads combination (the pipelined
  * functional phase cannot be allowed to perturb the timing replay),
  * plus golden-hash chains for two game sequences, inter-frame reuse
- * accounting, and the replay peak-memory bound.
+ * accounting, the replay peak-memory bound, and cancellation and
+ * teardown of the record -> replay streaming window.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
 #include <vector>
 
+#include "common/deadline.hh"
 #include "common/sim_context.hh"
 #include "common/stat_registry.hh"
 #include "quality/image_metrics.hh"
@@ -303,6 +307,125 @@ TEST(SequencePipeline, AtfimPsnrOverFramesByThreshold)
     // Never recalculating is the quality floor of the sweep.
     EXPECT_LE(min_psnr[2], min_psnr[0] + 1e-9);
     EXPECT_GE(min_psnr[2], 25.0) << "no-recalc quality collapsed";
+}
+
+// --- Cancellation and teardown of the streaming window ---------------
+//
+// A replay that unwinds mid-frame must stop the record pool, wake every
+// waiting recorder and join it before the frame's slots go away. The
+// deadline is armed at half of a measured uncancelled run, so it
+// expires mid-run whatever the build's speed (sanitizers, Debug); a
+// fresh simulator must then render the golden frame again.
+
+const Workload kFull{Game::Doom3, 640, 480};
+
+// Doom3 640x480 frame 3 under A-TFIM, horizon schedule, default seed:
+// what `texpim render doom3 width=640 height=480 design=atfim` renders.
+constexpr u64 kFullAtfimHash = 0x8d3d4dd4100bba78ull;
+constexpr Cycle kFullAtfimCycles = 137412;
+
+using Clock = std::chrono::steady_clock;
+
+/** Half the milliseconds since `t0`, at least 1. */
+u64
+halfElapsedMs(Clock::time_point t0)
+{
+    auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                  Clock::now() - t0)
+                  .count();
+    return std::max<u64>(1, u64(ms) / 2);
+}
+
+SimResult
+renderCold(const SimConfig &cfg, const Scene &scene)
+{
+    SimContext ctx;
+    SimContext::Scope scope(ctx);
+    RenderingSimulator sim(cfg);
+    return sim.renderScene(scene);
+}
+
+TEST(SequencePipeline, DeadlineUnwindsAStreamingFrame)
+{
+    const SimConfig cfg = seqCfg(Design::ATfim, 4, 1);
+    const Scene scene = buildGameScene(kFull, 3);
+
+    Clock::time_point t0 = Clock::now();
+    SimResult ref = renderCold(cfg, scene);
+    u64 budget_ms = halfElapsedMs(t0);
+    EXPECT_EQ(imageHash(*ref.image), kFullAtfimHash)
+        << std::hex << imageHash(*ref.image);
+    EXPECT_EQ(ref.frame.frameCycles, kFullAtfimCycles);
+
+    {
+        SimContext ctx;
+        SimContext::Scope scope(ctx);
+        RenderingSimulator sim(cfg);
+        ctx.deadline().arm(budget_ms);
+        EXPECT_THROW(sim.renderScene(scene), SimTimeout);
+    }
+
+    SimResult again = renderCold(cfg, scene);
+    EXPECT_EQ(imageHash(*again.image), kFullAtfimHash);
+    EXPECT_EQ(again.frame.frameCycles, kFullAtfimCycles);
+}
+
+TEST(SequencePipeline, DeadlineUnwindsAPipelinedSequence)
+{
+    // Depth 2: the prep thread sets frame 4 up while frame 3 streams.
+    const SimConfig cfg = seqCfg(Design::ATfim, 4, 2);
+    auto run = [&] {
+        SimContext ctx;
+        SimContext::Scope scope(ctx);
+        RenderingSimulator sim(cfg);
+        return sim.renderSequence(kFull, 2, 3);
+    };
+
+    Clock::time_point t0 = Clock::now();
+    std::vector<SimResult> ref = run();
+    u64 budget_ms = halfElapsedMs(t0);
+    ASSERT_EQ(ref.size(), 2u);
+    // A sequence's first frame is a cold frame.
+    EXPECT_EQ(imageHash(*ref[0].image), kFullAtfimHash);
+    EXPECT_EQ(ref[0].frame.frameCycles, kFullAtfimCycles);
+
+    {
+        SimContext ctx;
+        SimContext::Scope scope(ctx);
+        RenderingSimulator sim(cfg);
+        ctx.deadline().arm(budget_ms);
+        EXPECT_THROW(sim.renderSequence(kFull, 2, 3), SimTimeout);
+    }
+
+    std::vector<SimResult> again = run();
+    ASSERT_EQ(again.size(), 2u);
+    for (size_t f = 0; f < 2; ++f) {
+        SCOPED_TRACE("frame " + std::to_string(3 + f));
+        EXPECT_EQ(imageHash(*again[f].image), imageHash(*ref[f].image));
+        EXPECT_EQ(again[f].frame.frameCycles, ref[f].frame.frameCycles);
+    }
+    EXPECT_EQ(imageHash(*again[0].image), kFullAtfimHash);
+}
+
+TEST(SequencePipeline, MoreRecordersThanTilesStayBitIdentical)
+{
+    // 64x48 is 12 tiles and 32x32 is 4: at most that many are ever
+    // open, so most of the 7 pool threads find nothing to claim and
+    // must still shut down cleanly at every frame's end.
+    for (Workload wl : {Workload{Game::Doom3, 64, 48},
+                        Workload{Game::Doom3, 32, 32}}) {
+        for (Design d : {Design::Baseline, Design::ATfim}) {
+            SCOPED_TRACE(std::string(designName(d)) + " " +
+                         std::to_string(wl.width) + "x" +
+                         std::to_string(wl.height));
+            SeqPrint ref = runSeq(seqCfg(d, 1, 1), wl, 2);
+            SeqPrint run = runSeq(seqCfg(d, 8, 2), wl, 2);
+            ASSERT_EQ(run.frames.size(), ref.frames.size());
+            for (size_t f = 0; f < ref.frames.size(); ++f)
+                EXPECT_TRUE(run.frames[f] == ref.frames[f]) << "frame " << f;
+            EXPECT_EQ(run.stats, ref.stats);
+        }
+    }
 }
 
 } // namespace
