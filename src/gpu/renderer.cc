@@ -26,8 +26,6 @@ struct PendingFrag
     FragRecord fr;
     SampleCoords coords{};       //!< base-layer sampling coordinates
     SampleCoords detailCoords{}; //!< detail layer, when kHasDetail
-    i32 tmpBase = -1;   //!< base sample index in TileWorker::tmp
-    i32 tmpDetail = -1; //!< detail sample index in TileWorker::tmp
 };
 
 } // namespace
@@ -42,7 +40,6 @@ struct Renderer::TileWorker
     SamplerScratch scratch;
     std::vector<PendingFrag> pending; //!< one triangle's fragments
     std::vector<u32> order;           //!< shaded pendings, quad-sorted
-    ReplayStream tmp;                 //!< quad-call output, pre-reorder
 };
 
 namespace {
@@ -643,8 +640,8 @@ Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileRecord &rec,
                     fr.flags |= FragRecord::kHasDetail;
 
                 // Defer sampling: the triangle's fragments are filtered
-                // in 2x2 quads at flushQuadBatch, and the records
-                // re-emitted in this (raster) order.
+                // in 2x2 quads at flushQuadBatch, and the fragments
+                // emitted in this (raster) order.
                 PendingFrag p;
                 p.fr = fr;
                 p.coords.uv = frag.uv;
@@ -684,12 +681,7 @@ Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileRecord &rec,
         // Tile texel-block footprint for the sequence reuse census,
         // taken before the window slot is reused.
         std::vector<Addr> &blk = ctx.tileBlocks[ti];
-        blk.reserve(rec.stream.blocks.size() +
-                    rec.stream.childBlocks.size());
-        blk.insert(blk.end(), rec.stream.blocks.begin(),
-                   rec.stream.blocks.end());
-        blk.insert(blk.end(), rec.stream.childBlocks.begin(),
-                   rec.stream.childBlocks.end());
+        blk.assign(rec.stream.blocks.begin(), rec.stream.blocks.end());
         // tie-break: block addresses are u64 (total order); duplicates
         // are interchangeable and unique() drops them.
         std::sort(blk.begin(), blk.end());
@@ -733,7 +725,6 @@ Renderer::flushQuadBatch(FrameCtx &ctx, const SetupTriangle &st,
     base.maxAniso = scene.settings.maxAniso;
     base.clusterId = cluster;
 
-    worker.tmp.clear();
     SampleCoords qc[kQuadLanes];
     u32 lanes[kQuadLanes];
     for (size_t s = 0; s < worker.order.size();) {
@@ -747,14 +738,14 @@ Renderer::flushQuadBatch(FrameCtx &ctx, const SetupTriangle &st,
             ++s;
         }
 
-        u32 b0 = u32(worker.tmp.samples.size());
-        tex_.sampleQuad(base, qc, n, worker.tmp, worker.scratch);
+        u32 b0 = u32(rec.stream.samples.size());
+        tex_.sampleQuad(base, qc, n, rec.stream, worker.scratch);
         for (unsigned l = 0; l < n; ++l) {
-            pending[lanes[l]].tmpBase = i32(b0 + l);
+            FragRecord &fr = pending[lanes[l]].fr;
+            fr.sample = b0 + l;
             // The sampleQuad contract fills the renderer's LOD probe
             // (aniso-ratio telemetry) per lane.
-            pending[lanes[l]].fr.lodAniso =
-                u8(worker.scratch.quadProbeAniso[l]);
+            fr.lodAniso = u8(worker.scratch.quadProbeAniso[l]);
         }
 
         if (detail >= 0) {
@@ -762,25 +753,18 @@ Renderer::flushQuadBatch(FrameCtx &ctx, const SetupTriangle &st,
             dbase.tex = &scene.textures->texture(u32(detail));
             for (unsigned l = 0; l < n; ++l)
                 qc[l] = pending[lanes[l]].detailCoords;
-            u32 d0 = u32(worker.tmp.samples.size());
-            tex_.sampleQuad(dbase, qc, n, worker.tmp, worker.scratch);
+            u32 d0 = u32(rec.stream.samples.size());
+            tex_.sampleQuad(dbase, qc, n, rec.stream, worker.scratch);
             for (unsigned l = 0; l < n; ++l)
-                pending[lanes[l]].tmpDetail = i32(d0 + l);
+                pending[lanes[l]].fr.detail = d0 + l;
         }
     }
 
-    // Emit in the original (raster) fragment order: the order the
-    // timing replay walks the tile, which the golden images pin.
-    for (PendingFrag &p : pending) {
-        FragRecord fr = p.fr;
-        if ((fr.flags & FragRecord::kShaded) != 0) {
-            fr.sample = u32(rec.stream.samples.size());
-            rec.stream.appendSampleFrom(worker.tmp, u32(p.tmpBase));
-            if ((fr.flags & FragRecord::kHasDetail) != 0)
-                rec.stream.appendSampleFrom(worker.tmp, u32(p.tmpDetail));
-        }
-        rec.frags.push_back(fr);
-    }
+    // Emit the fragments in the original (raster) order: the order the
+    // timing replay walks the tile, which the golden images pin. Their
+    // samples stay in quad order; replay reaches them by index.
+    for (const PendingFrag &p : pending)
+        rec.frags.push_back(p.fr);
     pending.clear();
 }
 
@@ -834,7 +818,7 @@ Renderer::replayTile(FrameCtx &ctx, const TileRecord &rec,
                 std::max(w.aluFrontier, ctx.windows[cluster].oldest());
             w.issueFrontier = std::max(w.issueFrontier, dreq.issue);
             TexResponse dresp =
-                tex_.replay(dreq, rec.stream, fr.sample + 1);
+                tex_.replay(dreq, rec.stream, fr.detail);
             ctx.windows[cluster].push(dresp.complete);
             texel = (texel * dresp.color * 2.0f).clamped();
         }

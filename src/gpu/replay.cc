@@ -4,40 +4,13 @@
 
 namespace texpim {
 
-void
-ReplayStream::appendSampleFrom(const ReplayStream &src, u32 idx)
-{
-    TexSampleRec r = src.samples[idx];
-
-    u32 bo = u32(blocks.size());
-    blocks.insert(blocks.end(), src.blocks.begin() + r.blockOff,
-                  src.blocks.begin() + r.blockOff + r.blockCount);
-    r.blockOff = bo;
-
-    u32 po = u32(parents.size());
-    for (u32 pi = 0; pi < r.parentCount; ++pi) {
-        ParentRec pr = src.parents[r.parentOff + pi];
-        u32 co = u32(childBlocks.size());
-        childBlocks.insert(childBlocks.end(),
-                           src.childBlocks.begin() + pr.childOff,
-                           src.childBlocks.begin() + pr.childOff +
-                               r.anisoRatio);
-        pr.childOff = co;
-        parents.push_back(pr);
-    }
-    r.parentOff = po;
-
-    samples.push_back(r);
-}
-
 u64
 TileRecord::sizeBytes() const
 {
     return u64(frags.size()) * sizeof(FragRecord) +
            u64(stream.samples.size()) * sizeof(TexSampleRec) +
            u64(stream.blocks.size()) * sizeof(Addr) +
-           u64(stream.parents.size()) * sizeof(ParentRec) +
-           u64(stream.childBlocks.size()) * sizeof(Addr);
+           u64(stream.parents.size()) * sizeof(ParentRec);
 }
 
 namespace {
@@ -79,7 +52,7 @@ TileRecord::hash() const
         f.word(u64(fr.x) | u64(fr.y) << 16 | u64(fr.flags) << 32 |
                u64(fr.lodAniso) << 40);
         f.pair(fr.angle, fr.diffuse);
-        f.word(fr.sample);
+        f.pair(fr.sample, fr.detail);
     }
     for (const TexSampleRec &r : stream.samples) {
         f.color(r.color);
@@ -97,10 +70,7 @@ TileRecord::hash() const
     for (const ParentRec &p : stream.parents) {
         f.word(p.addr);
         f.color(p.value);
-        f.word(p.childOff);
     }
-    for (Addr a : stream.childBlocks)
-        f.word(a);
     return f.h;
 }
 

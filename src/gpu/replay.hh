@@ -6,9 +6,11 @@
  * coverage, tile-local early Z, shading terms, and the *functional*
  * half of texture filtering run on a worker pool, and everything the
  * timing model will need is captured in per-tile records — per-
- * fragment shading terms plus, per texture request, the texel-fetch
- * stream (deduplicated cache lines / DRAM blocks), and either the
- * functional filter color or the A-TFIM parent decomposition.
+ * fragment shading terms plus, per texture request, its fetch slice of
+ * ReplayStream::blocks (the deduplicated cache lines / DRAM bursts of a
+ * conventional path, or the child bursts of an A-TFIM sample's
+ * parents) and either the functional filter color or the A-TFIM
+ * parent decomposition.
  *
  * Phase 2 (timing, serial) replays the records through the cluster
  * clocks, in-flight windows, caches, memory system and PIM paths in
@@ -24,7 +26,9 @@
  * per cluster. The flattened layout (per-tile arrays indexed by
  * offset/count pairs instead of per-fragment vectors) keeps phase 1
  * free of per-fragment heap allocation, and a reused slot's arrays
- * keep their capacity.
+ * keep their capacity. The quad kernels append their samples to the
+ * tile's stream directly, so a sample is written once, where replay
+ * reads it; fragments point at their samples by index.
  */
 
 #ifndef TEXPIM_GPU_REPLAY_HH
@@ -37,14 +41,14 @@
 
 namespace texpim {
 
-/** One recorded A-TFIM parent texel (§V): address, fresh value, and
- *  the child-block slice it expands to in the HMC. Every parent of a
- *  sample has exactly the sample's anisoRatio children. */
+/** One recorded A-TFIM parent texel (§V): address and fresh value.
+ *  Every parent of a sample has exactly the sample's anisoRatio
+ *  children; parent p's child bursts are
+ *  blocks[blockOff + p·N, blockOff + (p+1)·N) of its sample. */
 struct ParentRec
 {
     Addr addr = 0;     //!< parent texel address (aniso disabled)
     ColorF value{};    //!< freshly computed anisotropic average
-    u32 childOff = 0;  //!< first of anisoRatio ReplayStream::childBlocks
 };
 
 /**
@@ -58,8 +62,10 @@ struct TexSampleRec
     ColorF color{};    //!< functional filter result (conventional
                        //!< paths; A-TFIM recombines its parents)
     Addr route = 0;    //!< package routing address (first texel fetch)
-    u32 blockOff = 0;  //!< first entry in ReplayStream::blocks
-    u32 blockCount = 0;
+    u32 blockOff = 0;  //!< first entry in ReplayStream::blocks: lines /
+                       //!< bursts (conventional paths) or the
+                       //!< parent-major child bursts (A-TFIM)
+    u32 blockCount = 0; //!< A-TFIM: parentCount · anisoRatio
     u32 texels = 0;    //!< texel fetches before line/block coalescing
     u32 filterOps = 0;
     u32 anisoRatio = 1;
@@ -93,9 +99,8 @@ struct TexSampleRec
 struct ReplayStream
 {
     std::vector<TexSampleRec> samples;
-    std::vector<Addr> blocks;      //!< coalesced lines/blocks, per sample
-    std::vector<ParentRec> parents;    //!< A-TFIM parents, per sample
-    std::vector<Addr> childBlocks; //!< A-TFIM child blocks, per parent
+    std::vector<Addr> blocks;       //!< fetch slices, per sample
+    std::vector<ParentRec> parents; //!< A-TFIM parents, per sample
 
     void
     clear()
@@ -103,18 +108,7 @@ struct ReplayStream
         samples.clear();
         blocks.clear();
         parents.clear();
-        childBlocks.clear();
     }
-
-    /**
-     * Append sample `idx` of `src` — including its block, parent and
-     * child-block slices — to this stream, rewriting the offsets. Used
-     * by the quad-batched rasterizer, which filters same-quad fragments
-     * together into a temporary stream and then emits the records in
-     * the original fragment order so the replayed stream is identical
-     * to the scalar path's.
-     */
-    void appendSampleFrom(const ReplayStream &src, u32 idx);
 };
 
 /** One covered fragment, in tile rasterization order. */
@@ -129,8 +123,14 @@ struct FragRecord
     float angle = 0.0f; //!< camera angle (radians)
     float diffuse = 1.0f;
     u32 sample = 0;     //!< base request in ReplayStream::samples
-                        //!< (detail request, if any, is sample + 1)
+    u32 detail = 0;     //!< detail request, when kHasDetail
 };
+
+// recordBytes and the window peak are sizeof-based: a layout drift
+// must be a deliberate change, not a silent one.
+static_assert(sizeof(ParentRec) == 24);
+static_assert(sizeof(FragRecord) == 24);
+static_assert(sizeof(TexSampleRec) == 80);
 
 /** Everything phase 1 recorded for one tile. */
 // texpim-lint: caller-owned one window slot's record, written only by

@@ -73,8 +73,12 @@ class TexturePath
      * share everything but coordinates (the renderer batches the 2x2
      * fragment quads of one triangle; `base` supplies the shared
      * texture / mode / maxAniso / cluster) through the quad-SoA
-     * samplers and append one TexSampleRec (plus its block/parent
-     * streams) per lane, in lane order. Every implementation also
+     * samplers and append one TexSampleRec (plus its block slice and,
+     * for A-TFIM, its parents) per lane, in lane order, to the end of
+     * `stream`. The renderer passes the tile's record stream and
+     * points its FragRecords at the appended samples in place (lane l
+     * is the stream's sample count before the call, plus l), so a
+     * sample is never copied after this call. Every implementation also
      * fills scratch.quadProbeAniso[0..count) with the renderer's
      * LOD-probe aniso ratio (computeLod(tex, coords, maxAniso)
      * .anisoRatio) per lane. Pure: touches no caches, pipelines,

@@ -115,15 +115,14 @@ AtfimTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
 
         rec.parentOff = u32(stream.parents.size());
         rec.parentCount = out.parentCount[q];
-        for (unsigned p = 0; p < out.parentCount[q]; ++p) {
-            ParentRec pr;
-            pr.addr = out.parentAddr[q][p];
-            pr.value = out.parentValue[q][p];
-            pr.childOff = u32(stream.childBlocks.size());
-            const Addr *cb = out.childBlocks[q] + size_t(p) * n;
-            stream.childBlocks.insert(stream.childBlocks.end(), cb, cb + n);
-            stream.parents.push_back(pr);
-        }
+        for (unsigned p = 0; p < out.parentCount[q]; ++p)
+            stream.parents.push_back(
+                {out.parentAddr[q][p], out.parentValue[q][p]});
+        // Parent-major child bursts, the layout replay() indexes.
+        rec.blockOff = u32(stream.blocks.size());
+        rec.blockCount = out.parentCount[q] * n;
+        stream.blocks.insert(stream.blocks.end(), out.childBlocks[q],
+                             out.childBlocks[q] + rec.blockCount);
         stream.samples.push_back(rec);
         // Linear modes only here, so the sampler's computeLod is the
         // renderer's probe.
@@ -236,10 +235,10 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
         child_blocks_.clear();
         u64 gran = atfim_.childFetchGranularityBytes;
         for (unsigned i = 0; i < n_miss; ++i) {
-            const ParentRec &mp =
-                stream.parents[rec.parentOff + miss_idx[i]];
-            for (u32 j = 0; j < rec.anisoRatio; ++j)
-                child_blocks_.push_back(stream.childBlocks[mp.childOff + j]);
+            const Addr *cb = stream.blocks.data() + rec.blockOff +
+                             size_t(miss_idx[i]) * rec.anisoRatio;
+            child_blocks_.insert(child_blocks_.end(), cb,
+                                 cb + rec.anisoRatio);
         }
         if (atfim_.consolidateChildren) {
             // tie-break: child block addresses are u64 (total order);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "pim/atfim_path.hh"
 #include "sim/design.hh"
 #include "scene/procedural_texture.hh"
@@ -139,6 +142,48 @@ TEST(Atfim, ConsolidationMergesOverlappingChildren)
     // block count must be below the raw child count.
     EXPECT_LT(f.counter("child_blocks_fetched"),
               f.counter("children_generated"));
+}
+
+TEST(Atfim, ChildBlocksAreTheSampleBlockSlice)
+{
+    // A sample's child bursts are its slice of ReplayStream::blocks,
+    // parent-major and exactly as the decomposed sampler emits them,
+    // and the replay fetches that slice.
+    Fixture f;
+    TexRequest r = f.request(0.6f, 0.6f, 1.3f);
+    ReplayStream stream;
+    SamplerScratch scratch;
+    f.atfim->sampleQuad(r, &r.coords, 1, stream, scratch);
+    ASSERT_EQ(stream.samples.size(), 1u);
+    const TexSampleRec &rec = stream.samples[0];
+    ASSERT_GT(rec.anisoRatio, 1u);
+    ASSERT_EQ(rec.blockCount, rec.parentCount * rec.anisoRatio);
+
+    QuadDecompOut want;
+    AnisoOffsetCache ocache;
+    const Addr mask = ~Addr(AtfimParams{}.childFetchGranularityBytes - 1);
+    sampleDecomposedQuad(f.tex, &r.coords, 1, r.mode, r.maxAniso, mask,
+                         want, ocache);
+    ASSERT_EQ(want.parentCount[0], rec.parentCount);
+    ASSERT_EQ(want.anisoRatio[0], rec.anisoRatio);
+    std::vector<Addr> slice(stream.blocks.begin() + rec.blockOff,
+                            stream.blocks.begin() + rec.blockOff +
+                                rec.blockCount);
+    EXPECT_EQ(slice, std::vector<Addr>(want.childBlocks[0],
+                                       want.childBlocks[0] + rec.blockCount));
+
+    // One-texel cache lines keep the parents from sharing a line, so
+    // a cold replay offloads every parent and the consolidated fetch
+    // is the slice's distinct bursts.
+    GpuParams gp;
+    gp.texL1.lineBytes = gp.texL2.lineBytes = kBytesPerTexel;
+    AtfimTexturePath cold(gp, AtfimParams{}, PimPacketParams{}, f.hmc);
+    cold.replay(r, stream, 0);
+    const StatGroup &st = cold.stats();
+    ASSERT_EQ(st.findCounter("parents_offloaded").value(), rec.parentCount);
+    std::sort(slice.begin(), slice.end());
+    slice.erase(std::unique(slice.begin(), slice.end()), slice.end());
+    EXPECT_EQ(st.findCounter("child_blocks_fetched").value(), slice.size());
 }
 
 TEST(Atfim, OffloadTrafficIsPackagesNotTexels)

@@ -206,10 +206,11 @@ TEST(SequencePipeline, AtfimCountsInterFrameTagReuse)
 
 TEST(SequencePipeline, ReplayPeakMemoryStaysPerTile)
 {
-    // Satellite: the replay decodes one tile at a time, so the peak
-    // decoded scratch must be far below the whole frame's decoded
-    // footprint. A regression that decodes every tile up front trips
-    // the 1/4 bound immediately (a 160x120 frame has 80 tiles).
+    // The replay streams tiles through a window holding one
+    // unreplayed tile record per cluster, so the window's peak bytes
+    // must be far below the whole frame's record. A regression that
+    // records every tile ahead of the replay trips the 1/4 bound
+    // immediately (a 160x120 frame has 80 tiles).
     SimConfig cfg = seqCfg(Design::Baseline, 1, 1);
     SimContext ctx;
     SimContext::Scope scope(ctx);

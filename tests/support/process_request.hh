@@ -1,9 +1,10 @@
 /**
  * @file
  * Test-side driver for a single texture request: phase 1 then phase 2
- * back to back. The renderer records a whole frame before replaying
- * any of it; unit tests use this to push one request at a time through
- * a TexturePath and observe its caches, pipelines and statistics.
+ * back to back. The renderer streams whole tiles from record into
+ * replay through a per-cluster window; unit tests use this to push one
+ * request at a time through a TexturePath and observe its caches,
+ * pipelines and statistics.
  */
 
 #ifndef TEXPIM_TESTS_SUPPORT_PROCESS_REQUEST_HH
