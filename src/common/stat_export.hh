@@ -148,7 +148,6 @@ struct Value
 
     bool isNull() const { return kind == Kind::Null; }
     bool isObject() const { return kind == Kind::Object; }
-    bool isArray() const { return kind == Kind::Array; }
 
     /** Member lookup (objects only); nullptr when absent. */
     const Value *find(const std::string &key) const;

@@ -77,18 +77,6 @@ Mat4::scale(Vec3 s)
 }
 
 Mat4
-Mat4::rotateX(float a)
-{
-    Mat4 r;
-    float c = std::cos(a), s = std::sin(a);
-    r.at(1, 1) = c;
-    r.at(1, 2) = -s;
-    r.at(2, 1) = s;
-    r.at(2, 2) = c;
-    return r;
-}
-
-Mat4
 Mat4::rotateY(float a)
 {
     Mat4 r;
@@ -97,18 +85,6 @@ Mat4::rotateY(float a)
     r.at(0, 2) = s;
     r.at(2, 0) = -s;
     r.at(2, 2) = c;
-    return r;
-}
-
-Mat4
-Mat4::rotateZ(float a)
-{
-    Mat4 r;
-    float c = std::cos(a), s = std::sin(a);
-    r.at(0, 0) = c;
-    r.at(0, 1) = -s;
-    r.at(1, 0) = s;
-    r.at(1, 1) = c;
     return r;
 }
 

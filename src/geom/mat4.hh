@@ -35,9 +35,7 @@ class Mat4
     static Mat4 identity();
     static Mat4 translate(Vec3 t);
     static Mat4 scale(Vec3 s);
-    static Mat4 rotateX(float radians);
     static Mat4 rotateY(float radians);
-    static Mat4 rotateZ(float radians);
 
     /** Right-handed lookAt (OpenGL convention, looking down -Z). */
     static Mat4 lookAt(Vec3 eye, Vec3 center, Vec3 up);

@@ -89,14 +89,15 @@ struct GpuParams
     Schedule schedule = Schedule::Horizon;
 
     /**
-     * Frames in flight for sequence rendering (SequenceRunner): while
-     * frame k streams through the record pool and the main thread's
-     * timing replay, a prep thread builds and sets up (geometry, tile
-     * binning) up to pipelineDepth-1 later frames. 1 (the default)
-     * renders frames strictly one after another. Replay always
-     * consumes frames in order, so images, cycles and statistics are
-     * bit-identical at any depth. Must be at least 1. Config key
-     * `gpu.pipeline_depth`.
+     * Inter-frame pipelining for sequence rendering
+     * (RenderingSimulator::renderSequence). At any value above 1,
+     * while frame k streams through the record pool and the main
+     * thread's timing replay, one other thread builds and sets up
+     * (geometry, tile binning) frame k+1; a longer lead never paid,
+     * as set-up takes 2-3% of a frame's finish. 1 (the default) renders
+     * frames strictly one after another. Replay always consumes frames
+     * in order, so images, cycles and statistics are bit-identical at
+     * any depth. Must be at least 1. Config key `gpu.pipeline_depth`.
      */
     unsigned pipelineDepth = 1;
 

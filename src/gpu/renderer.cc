@@ -128,21 +128,13 @@ struct Renderer::TileWork
     u64 cLineMisses = 0;
 };
 
-namespace {
-
-/** Tiles each cluster may have recorded ahead of its replay: the
- *  streaming window. One — the cluster's next unreplayed tile — keeps
- *  a frame's live record to one tile per cluster. */
-constexpr unsigned kWindowTiles = 1;
-
-} // namespace
-
 /**
  * The streaming window between the two phases of one frame. Each
- * cluster's next kWindowTiles unreplayed tiles are open for recording
- * into the cluster's window slots. A pool of gpu.render_threads - 1
- * threads claims open tiles, oldest opening first, and publishes each
- * recorded tile through its slot's release/acquire ready flag. The
+ * cluster's next unreplayed tile is open for recording into the
+ * cluster's window slot, which keeps a frame's live record to one tile
+ * per cluster. A pool of gpu.render_threads - 1 threads claims open
+ * tiles, oldest opening first, and publishes each recorded tile
+ * through its slot's release/acquire ready flag. The
  * coordinating thread replays in the schedule's order regardless:
  * take() records the chosen tile inline if no pool thread claimed it,
  * or waits on its flag; done() empties the slot and opens the
@@ -167,7 +159,7 @@ class Renderer::TileWindow
     const TileRecord &take(unsigned c, size_t k, FrameStats &fs);
 
     /** The replay is done with tile `k` of cluster `c`: empty its slot
-     *  and open tile k + kWindowTiles in it. Coordinating thread only. */
+     *  and open tile k + 1 in it. Coordinating thread only. */
     void done(unsigned c, size_t k);
 
   private:
@@ -180,19 +172,13 @@ class Renderer::TileWindow
         std::atomic<u32> state{kIdle};
     };
 
-    Slot &
-    slot(unsigned c, size_t k)
-    {
-        return slots_[c * kWindowTiles + k % kWindowTiles];
-    }
-
     void open(unsigned c, size_t k);
     void work();
     void shutdown();
 
     Renderer &r_;
     FrameCtx &ctx_;
-    std::vector<Slot> slots_;
+    std::vector<Slot> slots_; //!< one per cluster
     TileWorker inline_; //!< the coordinating thread's record scratch
 
     std::mutex mu_;
@@ -204,7 +190,7 @@ class Renderer::TileWindow
 };
 
 Renderer::TileWindow::TileWindow(Renderer &r, FrameCtx &ctx)
-    : r_(r), ctx_(ctx), slots_(size_t(r.params_.clusters) * kWindowTiles)
+    : r_(r), ctx_(ctx), slots_(r.params_.clusters)
 {
     size_t tiles = 0;
     for (const auto &list : ctx.clusterTiles)
@@ -220,9 +206,8 @@ Renderer::TileWindow::TileWindow(Renderer &r, FrameCtx &ctx)
         shutdown();
         throw;
     }
-    for (size_t k = 0; k < kWindowTiles; ++k)
-        for (unsigned c = 0; c < r.params_.clusters; ++c)
-            open(c, k);
+    for (unsigned c = 0; c < r.params_.clusters; ++c)
+        open(c, 0);
 }
 
 void
@@ -243,7 +228,7 @@ Renderer::TileWindow::open(unsigned c, size_t k)
 {
     if (k >= ctx_.clusterTiles[c].size())
         return;
-    Slot &s = slot(c, k);
+    Slot &s = slots_[c];
     s.tile = ctx_.clusterTiles[c][k];
     s.state.store(kOpen, std::memory_order_release);
     if (pool_.empty())
@@ -297,7 +282,7 @@ Renderer::TileWindow::work()
 const TileRecord &
 Renderer::TileWindow::take(unsigned c, size_t k, FrameStats &fs)
 {
-    Slot &s = slot(c, k);
+    Slot &s = slots_[c];
     u32 st = s.state.load(std::memory_order_acquire);
     if (st != kReady) {
         // Wall-only zone on the coordinating thread (rule D2): the
@@ -333,10 +318,10 @@ Renderer::TileWindow::take(unsigned c, size_t k, FrameStats &fs)
 void
 Renderer::TileWindow::done(unsigned c, size_t k)
 {
-    Slot &s = slot(c, k);
+    Slot &s = slots_[c];
     s.rec.clear(); // keeps the arrays' capacity for the next tile
     s.state.store(kIdle, std::memory_order_relaxed);
-    open(c, k + kWindowTiles);
+    open(c, k + 1);
 }
 
 namespace {
@@ -904,9 +889,9 @@ Renderer::recordFrame(const Scene &scene, FrameBuffer &fb)
     double t0 = wallSeconds();
     {
         // Wall-only zone; inert when a pipelined sequence sets frames
-        // up on its prep thread (no profiler context there, rule D2).
+        // up on its set-up thread (no profiler context there, rule D2).
         // texpim-lint: allow(P1) wall-only zone:
-        // charges no cycle-domain profile; inert on the prep thread (D2)
+        // charges no cycle-domain profile; inert on the set-up thread (D2)
         TEXPIM_PROF_SCOPE(prof::kZoneSample);
         fb.clear();
         ctx.geomComputeCycles = geometryFunctional(scene, ctx.tris, fs);
@@ -994,8 +979,7 @@ Renderer::accountRecords(const FrameCtx &ctx, FrameStats &fs) const
     fs.recordBytesDecoded = fs.recordBytes;
 
     // The window's peak, stepped through the replay order: before
-    // each step it holds every cluster's next kWindowTiles unreplayed
-    // tiles.
+    // each step it holds every cluster's next unreplayed tile.
     auto bytesAt = [&](unsigned c, size_t k) -> u64 {
         const std::vector<u32> &list = ctx.clusterTiles[c];
         return k < list.size() ? ctx.tileBytes[list[k]] : 0;
@@ -1003,14 +987,13 @@ Renderer::accountRecords(const FrameCtx &ctx, FrameStats &fs) const
     std::vector<size_t> head(params_.clusters, 0);
     u64 live = 0;
     for (unsigned c = 0; c < params_.clusters; ++c)
-        for (size_t k = 0; k < kWindowTiles; ++k)
-            live += bytesAt(c, k);
+        live += bytesAt(c, 0);
     for (u32 ti : ctx.replayOrder) {
         unsigned c = ti % params_.clusters;
         fs.recordBytesPeak = std::max(fs.recordBytesPeak, live);
         live -= bytesAt(c, head[c]);
-        live += bytesAt(c, head[c] + kWindowTiles);
         ++head[c];
+        live += bytesAt(c, head[c]);
     }
 }
 

@@ -112,7 +112,7 @@ class Renderer
      * system, caches, texture-path timing and all statistics are
      * untouched — so a later frame's recordFrame() may run
      * concurrently with an earlier frame's finishFrame() (the
-     * inter-frame pipeline SequenceRunner builds).
+     * inter-frame pipeline of RenderingSimulator::renderSequence).
      */
     std::unique_ptr<FrameJob> recordFrame(const Scene &scene,
                                           FrameBuffer &fb);

@@ -200,8 +200,6 @@ class ExperimentRunner
     /** The resolved worker count run() will use. */
     unsigned effectiveJobs(size_t num_specs) const;
 
-    const RunnerOptions &options() const { return opt_; }
-
     /** Is `category` retryable under these options? */
     bool retryable(JobErrorCategory category) const;
 

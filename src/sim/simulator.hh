@@ -93,7 +93,6 @@ void writeSimResultJson(JsonWriter &w, const SimResult &r);
 
 class SimContext;
 class TrafficAttribution;
-class SequenceRunner;
 
 class RenderingSimulator
 {
@@ -120,6 +119,14 @@ class RenderingSimulator
      * restarts. This exercises §V-C's inter-frame case — "parent
      * texels from different frames have the same fetching address but
      * different camera angles" — which cold single frames cannot.
+     *
+     * At gpu.pipeline_depth > 1 frame k+1's functional setup (scene
+     * build, geometry, tile binning) runs on one other thread while
+     * frame k streams through its record + replay; results are
+     * bit-identical at every depth. The level's TextureStore is built
+     * once by the first frame and adopted by the rest. Per frame, the
+     * distinct texel blocks touched and how many the previous frame
+     * also touched land in SimResult and the "sequence" stat group.
      */
     std::vector<SimResult> renderSequence(const Workload &wl,
                                           unsigned num_frames,
@@ -128,10 +135,9 @@ class RenderingSimulator
 
     // --- Split frame entry points (the inter-frame pipeline) ---
     //
-    // SequenceRunner (sim/sequence.hh) overlaps frame k+1's functional
-    // setup with frame k's streamed record + replay through these.
-    // They are also usable directly; renderSequence is the packaged
-    // driver.
+    // renderSequence overlaps frame k+1's functional setup with frame
+    // k's streamed record + replay through these. They are also usable
+    // directly; renderSequence is the packaged driver.
 
     /** Build the pipeline once and enable per-tile block-footprint
      *  collection (sequence reuse accounting). Call before the first
@@ -152,7 +158,7 @@ class RenderingSimulator
     /**
      * Functional setup of one sequence frame: geometry and tile
      * binning (Renderer::recordFrame). Touches no simulation state, so
-     * it may run on a prep thread while the coordinating thread
+     * it may run on a set-up thread while the coordinating thread
      * finishes an earlier frame. `scene` must already be
      * prepareFrameScene'd, and scene and fb must outlive the returned
      * job.
@@ -173,9 +179,6 @@ class RenderingSimulator
 
     const SimConfig &config() const { return cfg_; }
 
-    /** The observability context this simulator was built under. */
-    SimContext &context() const { return ctx_; }
-
     /** The memory system of the last renderScene call (for stats). */
     const MemorySystem &memory() const;
     /** The texture path of the last renderScene call. */
@@ -194,8 +197,6 @@ class RenderingSimulator
     const TrafficAttribution *attribution() const { return attrib_.get(); }
 
   private:
-    friend class SequenceRunner; //!< reuse export (noteFrameReuse)
-
     void build();
 
     /** Render one frame against the currently built pipeline (shared
@@ -226,8 +227,8 @@ class RenderingSimulator
     std::unique_ptr<TrafficAttribution> attrib_;
     /** "sequence" stat group (frames, unique_blocks, ...), created on
      *  the first beginSequence so single-frame runs don't carry it.
-     *  Lives on the simulator, not the runner: it must outlive the
-     *  sequence for post-run stat export. */
+     *  Lives on the simulator: it must outlive the sequence for
+     *  post-run stat export. */
     std::unique_ptr<StatGroup> seq_stats_;
     MemorySystem *mem_ = nullptr;
 };

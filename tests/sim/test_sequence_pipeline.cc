@@ -20,7 +20,6 @@
 #include "common/sim_context.hh"
 #include "common/stat_registry.hh"
 #include "quality/image_metrics.hh"
-#include "sim/sequence.hh"
 #include "sim/simulator.hh"
 
 namespace texpim {
