@@ -53,6 +53,30 @@ ratio(const std::vector<double> &a, const std::vector<double> &b)
     return out;
 }
 
+/** One design point's results over the suite, and a grid of them. */
+using Suite = std::vector<WorkloadResult>;
+using Grid = std::vector<Suite>;
+using Metric = double (*)(const SimResult &);
+
+inline double
+frameCycles(const SimResult &r)
+{
+    return double(r.frame.frameCycles);
+}
+
+inline double
+texTraffic(const SimResult &r)
+{
+    return double(r.textureTrafficBytes);
+}
+
+/** a's metric over b's, per workload. */
+inline std::vector<double>
+over(const Suite &a, const Suite &b, Metric m)
+{
+    return ratio(metricOf(a, m), metricOf(b, m));
+}
+
 inline void
 printHeader(const char *experiment, const char *paper_result)
 {

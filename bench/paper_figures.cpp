@@ -59,16 +59,6 @@ constexpr Point kDesigns[] = {Base, BPim, STfim, ATfim001};
 constexpr Point kThresholds[] = {ATfim0005, ATfim001, ATfim005, ATfim01,
                                  ATfimNo};
 
-using Suite = std::vector<WorkloadResult>;
-using Grid = std::vector<Suite>;
-using Metric = double (*)(const SimResult &);
-
-double
-frameCycles(const SimResult &r)
-{
-    return double(r.frame.frameCycles);
-}
-
 double
 filterCycles(const SimResult &r)
 {
@@ -76,22 +66,9 @@ filterCycles(const SimResult &r)
 }
 
 double
-texTraffic(const SimResult &r)
-{
-    return double(r.textureTrafficBytes);
-}
-
-double
 energy(const SimResult &r)
 {
     return r.energy.total();
-}
-
-/** a's metric over b's, per workload. */
-std::vector<double>
-over(const Suite &a, const Suite &b, Metric m)
-{
-    return ratio(metricOf(a, m), metricOf(b, m));
 }
 
 /** PSNR of each workload's frame in `rs` against its frame in `ref`. */

@@ -43,7 +43,7 @@ struct MtuParams
      * one offloading package (4x a normal read request) per texture
      * request, which is what reproduces Fig. 12's 2.79x S-TFIM
      * texture-traffic blowup; raise this to study quad-batched
-     * packaging (the ablation bench does).
+     * packaging (bench/extensions does).
      */
     unsigned requestsPerPackage = 1;
 };

@@ -179,6 +179,12 @@ TEST(SequencePipeline, ReuseAccountingSeesFrameToFrameOverlap)
     EXPECT_LE(frames[1].seqBlocksReusedPrev, frames[1].seqUniqueBlocks);
     EXPECT_GT(frames[1].interFrameTagHits, 0u);
 
+    // The census itself is pinned: a rewrite that shifted every
+    // pipeline shape alike would still pass the invariance tests.
+    EXPECT_EQ(frames[0].seqUniqueBlocks, 10788u);
+    EXPECT_EQ(frames[1].seqUniqueBlocks, 10915u);
+    EXPECT_EQ(frames[1].seqBlocksReusedPrev, 6590u);
+
     // And the "sequence" stat group accumulates the same numbers.
     StatRegistry::Snapshot s = ctx.stats().snapshot();
     EXPECT_EQ(s.at("sequence.frames"), 2.0);
@@ -201,6 +207,10 @@ TEST(SequencePipeline, AtfimCountsInterFrameTagReuse)
     auto frames = sim.renderSequence(kSmall, 2);
     EXPECT_EQ(frames[0].interFrameTagHits, 0u);
     EXPECT_GT(frames[1].interFrameTagHits, 0u);
+
+    EXPECT_EQ(frames[0].seqUniqueBlocks, 39608u);
+    EXPECT_EQ(frames[1].seqUniqueBlocks, 40004u);
+    EXPECT_EQ(frames[1].seqBlocksReusedPrev, 23978u);
 }
 
 TEST(SequencePipeline, ReplayPeakMemoryStaysPerTile)
@@ -372,7 +382,7 @@ TEST(SequencePipeline, DeadlineUnwindsAStreamingFrame)
 
 TEST(SequencePipeline, DeadlineUnwindsAPipelinedSequence)
 {
-    // Depth 2: the prep thread sets frame 4 up while frame 3 streams.
+    // Depth 2: frame 4 is set up asynchronously while frame 3 streams.
     const SimConfig cfg = seqCfg(Design::ATfim, 4, 2);
     auto run = [&] {
         SimContext ctx;
