@@ -1,15 +1,14 @@
 /**
  * @file
- * The `texpim` command-line driver: render workloads or traces under
- * any design point, compare designs, and dump configurations — the
- * day-to-day entry point for using the simulator outside the canned
- * benches.
+ * The `texpim` command-line driver: render workloads under any design
+ * point, compare designs, and dump configurations — the day-to-day
+ * entry point for using the simulator outside the canned benches.
  *
- *   texpim render  <game|trace.texpim> [key=value ...]
+ *   texpim render  <game> [key=value ...]
  *   texpim compare <game> [key=value ...]
  *   texpim frames  <game> <count> [key=value ...]
  *   texpim sweep   [game ...] [key=value ...]
- *   texpim report  <game|trace.texpim> [key=value ...]
+ *   texpim report  <game> [key=value ...]
  *   texpim config  [key=value ...]
  *   texpim stats   [key=value ...]
  *
@@ -91,7 +90,6 @@
 #include "common/trace_events.hh"
 #include "gpu/params.hh"
 #include "quality/image_metrics.hh"
-#include "scene/trace.hh"
 #include "sim/attribution/attribution.hh"
 #include "sim/attribution/report.hh"
 #include "sim/experiment.hh"
@@ -104,6 +102,18 @@ using namespace texpim;
 namespace {
 
 constexpr unsigned kMaxUnsigned = std::numeric_limits<unsigned>::max();
+
+/** A game token (doom3, fear, hl2, riddick, wolfenstein); anything
+ *  else is fatal. */
+Game
+readGame(const std::string &name)
+{
+    Game game;
+    if (!parseGame(name, game))
+        TEXPIM_FATAL("unknown game '", name,
+                     "' (games: doom3, fear, hl2, riddick, wolfenstein)");
+    return game;
+}
 
 /** width= and height=, each in [1, 65536]: FragRecord stores u16
  *  pixel coordinates. */
@@ -123,7 +133,7 @@ readMaxAniso(const Config &cfg)
 
 /** trace_cap=: trace events kept before further ones are dropped. */
 u64
-readTraceCap(const Config &cfg)
+readEventCap(const Config &cfg)
 {
     return cfg.getUnsigned("trace_cap",
                            unsigned(TraceEvents::kDefaultEventCap), 0,
@@ -211,17 +221,11 @@ validateConfig(const Config &cfg, const std::string &cmd)
 }
 
 Scene
-loadScene(const std::string &source, const Config &cfg)
+loadScene(const std::string &game, const Config &cfg)
 {
-    Scene scene;
-    Game game;
-    if (parseGame(source, game)) {
-        scene = buildGameScene(readWorkload(game, cfg),
-                               cfg.getUnsigned("frame", 3, 0, kMaxUnsigned),
-                               u64(cfg.getInt("seed", 0x7e01d)));
-    } else {
-        scene = readTraceFile(source);
-    }
+    Scene scene = buildGameScene(readWorkload(readGame(game), cfg),
+                                 cfg.getUnsigned("frame", 3, 0, kMaxUnsigned),
+                                 u64(cfg.getInt("seed", 0x7e01d)));
     if (unsigned max_aniso = readMaxAniso(cfg))
         scene.settings.maxAniso = max_aniso;
     if (cfg.getBool("compress", false))
@@ -255,7 +259,7 @@ beginTracing(const Config &cfg)
 #if !TEXPIM_TRACING
     TEXPIM_FATAL("trace_out= requires a build with -DTEXPIM_TRACING=ON");
 #endif
-    TraceEvents::instance().enable(out, readTraceCap(cfg));
+    TraceEvents::instance().enable(out, readEventCap(cfg));
 }
 
 /** Stop tracing and write the trace file, if tracing was on. */
@@ -351,7 +355,7 @@ int
 cmdRender(int argc, char **argv)
 {
     if (argc < 3)
-        TEXPIM_FATAL("usage: texpim render <game|trace> [key=value ...]");
+        TEXPIM_FATAL("usage: texpim render <game> [key=value ...]");
     Config cfg = collectConfig(argc, argv, 3);
     Scene scene = loadScene(argv[2], cfg);
     SimConfig sc = SimConfig::fromConfig(cfg);
@@ -390,7 +394,7 @@ int
 cmdCompare(int argc, char **argv)
 {
     if (argc < 3)
-        TEXPIM_FATAL("usage: texpim compare <game|trace> [key=value ...]");
+        TEXPIM_FATAL("usage: texpim compare <game> [key=value ...]");
     Config cfg = collectConfig(argc, argv, 3);
     Scene scene = loadScene(argv[2], cfg);
     std::string stats_out = cfg.getString("stats_out", "");
@@ -437,9 +441,7 @@ cmdFrames(int argc, char **argv)
     if (argc < 4)
         TEXPIM_FATAL(
             "usage: texpim frames <game> <count> [key=value ...]");
-    Game game;
-    if (!parseGame(argv[2], game))
-        TEXPIM_FATAL("unknown game '", argv[2], "'");
+    Game game = readGame(argv[2]);
     unsigned count =
         Config::parseUnsigned("frames: count", argv[3], 1, kMaxUnsigned);
     Config cfg = collectConfig(argc, argv, 4);
@@ -571,7 +573,7 @@ cmdSweep(int argc, char **argv)
     RunnerOptions ropt;
     ropt.jobs = cfg.getUnsigned("jobs", 1, 0, kMaxUnsigned); // 0: all cores
     ropt.tracePath = cfg.getString("trace_out", "");
-    ropt.traceCap = readTraceCap(cfg);
+    ropt.traceCap = readEventCap(cfg);
     ropt.jobTimeoutMs =
         cfg.getUnsigned("sim.job_timeout_ms", 0, 0, kMaxUnsigned);
     ropt.maxRetries =
@@ -589,9 +591,7 @@ cmdSweep(int argc, char **argv)
     for (Design d : {Design::Baseline, Design::BPim, Design::STfim,
                      Design::ATfim}) {
         for (const std::string &g : games) {
-            Game game;
-            if (!parseGame(g, game))
-                TEXPIM_FATAL("unknown game '", g, "'");
+            Game game = readGame(g);
             ExperimentSpec spec;
             spec.config = proto;
             spec.config.design = d;
@@ -752,7 +752,7 @@ int
 cmdReport(int argc, char **argv)
 {
     if (argc < 3)
-        TEXPIM_FATAL("usage: texpim report <game|trace> [key=value ...]");
+        TEXPIM_FATAL("usage: texpim report <game> [key=value ...]");
     Config cfg = collectConfig(argc, argv, 3);
     Scene scene = loadScene(argv[2], cfg);
     SimConfig::fromConfig(cfg); // query every sim key, then validate

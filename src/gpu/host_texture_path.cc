@@ -65,13 +65,6 @@ recordConventionalQuad(const TexRequest &base, const SampleCoords *coords,
         stream.blocks.insert(stream.blocks.end(), out.blocks[q],
                              out.blocks[q] + out.blockCount[q]);
         stream.samples.push_back(rec);
-        // For the linear modes the sampler's computeLod *is* the
-        // renderer's probe (same arguments); Nearest filters at
-        // max_aniso 1, so the probe needs its own call.
-        scratch.quadProbeAniso[q] =
-            base.mode == FilterMode::Nearest
-                ? computeLod(*base.tex, coords[q], base.maxAniso).anisoRatio
-                : out.anisoRatio[q];
     }
 }
 

@@ -24,8 +24,7 @@ namespace texpim {
  * Record up to kQuadLanes conventionally filtered samples — the
  * phase-1 half the host and S-TFIM paths share. Each lane's fetch
  * trace is coalesced with `block_mask` (the host L1 line or the
- * S-TFIM MTU burst) and appended to `stream` as one TexSampleRec;
- * scratch.quadProbeAniso gets the renderer's LOD-probe aniso ratio.
+ * S-TFIM MTU burst) and appended to `stream` as one TexSampleRec.
  */
 void recordConventionalQuad(const TexRequest &base,
                             const SampleCoords *coords, unsigned count,

@@ -725,13 +725,8 @@ Renderer::flushQuadBatch(FrameCtx &ctx, const SetupTriangle &st,
 
         u32 b0 = u32(rec.stream.samples.size());
         tex_.sampleQuad(base, qc, n, rec.stream, worker.scratch);
-        for (unsigned l = 0; l < n; ++l) {
-            FragRecord &fr = pending[lanes[l]].fr;
-            fr.sample = b0 + l;
-            // The sampleQuad contract fills the renderer's LOD probe
-            // (aniso-ratio telemetry) per lane.
-            fr.lodAniso = u8(worker.scratch.quadProbeAniso[l]);
-        }
+        for (unsigned l = 0; l < n; ++l)
+            pending[lanes[l]].fr.sample = b0 + l;
 
         if (detail >= 0) {
             TexRequest dbase = base;
@@ -793,7 +788,7 @@ Renderer::replayTile(FrameCtx &ctx, const TileRecord &rec,
         TexResponse resp = tex_.replay(req, rec.stream, fr.sample);
         ctx.windows[cluster].push(resp.complete);
 
-        ctx.anisoSum += fr.lodAniso;
+        ctx.anisoSum += rec.stream.samples[fr.sample].anisoRatio;
 
         ColorF texel = resp.color;
         if (fr.flags & FragRecord::kHasDetail) {

@@ -49,8 +49,7 @@ TileRecord::hash() const
     Fnv64 f;
     f.word(hierZSkipped);
     for (const FragRecord &fr : frags) {
-        f.word(u64(fr.x) | u64(fr.y) << 16 | u64(fr.flags) << 32 |
-               u64(fr.lodAniso) << 40);
+        f.word(u64(fr.x) | u64(fr.y) << 16 | u64(fr.flags) << 32);
         f.pair(fr.angle, fr.diffuse);
         f.pair(fr.sample, fr.detail);
     }

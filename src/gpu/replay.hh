@@ -68,7 +68,8 @@ struct TexSampleRec
     u32 blockCount = 0; //!< A-TFIM: parentCount · anisoRatio
     u32 texels = 0;    //!< texel fetches before line/block coalescing
     u32 filterOps = 0;
-    u32 anisoRatio = 1;
+    u32 anisoRatio = 1; //!< N of computeLod; a fragment's base sample's
+                        //!< N feeds the frame's avg_aniso_ratio
 
     // A-TFIM decomposition (unused by the conventional paths).
     u32 parentOff = 0; //!< first entry in ReplayStream::parents
@@ -119,7 +120,6 @@ struct FragRecord
 
     u16 x = 0, y = 0;   //!< absolute pixel coordinates
     u8 flags = 0;
-    u8 lodAniso = 1;    //!< renderer-side computeLod anisoRatio
     float angle = 0.0f; //!< camera angle (radians)
     float diffuse = 1.0f;
     u32 sample = 0;     //!< base request in ReplayStream::samples

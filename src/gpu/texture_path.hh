@@ -78,11 +78,10 @@ class TexturePath
      * `stream`. The renderer passes the tile's record stream and
      * points its FragRecords at the appended samples in place (lane l
      * is the stream's sample count before the call, plus l), so a
-     * sample is never copied after this call. Every implementation also
-     * fills scratch.quadProbeAniso[0..count) with the renderer's
-     * LOD-probe aniso ratio (computeLod(tex, coords, maxAniso)
-     * .anisoRatio) per lane. Pure: touches no caches, pipelines,
-     * statistics or memory-system state, so concurrent calls from
+     * sample is never copied after this call (the renderer's
+     * avg_aniso_ratio reads the base sample's anisoRatio there too).
+     * Pure: touches no caches, pipelines, statistics or
+     * memory-system state, so concurrent calls from
      * phase-1 worker threads are safe (each worker owns its stream
      * and scratch), and so is a call concurrent with replay() on the
      * coordinating thread, which the renderer's tile streaming window

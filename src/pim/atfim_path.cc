@@ -51,6 +51,8 @@ AtfimTexturePath::AtfimTexturePath(const GpuParams &gpu,
       host_filter_ops_(stats_.counter(
           "host_filter_ops", "host-side bilinear/trilinear ALU ops")),
       addr_ops_(stats_.counter("addr_ops", "host address-generation ALU ops")),
+      aniso_samples_(stats_.counter(
+          "aniso_samples", "sum of anisotropy ratios over requests")),
       reuse_mismatches_(stats_.counter(
           "reuse_mismatches",
           "reused parents differing visibly from fresh values")),
@@ -93,8 +95,6 @@ AtfimTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
 {
     TEXPIM_ASSERT(base.tex != nullptr, "texture request without texture");
     TEXPIM_ASSERT(base.clusterId < l1_.size(), "bad cluster id");
-    TEXPIM_ASSERT(base.mode != FilterMode::Nearest,
-                  "A-TFIM requires a linear filter mode");
 
     const Addr mask = ~Addr(atfim_.childFetchGranularityBytes - 1);
     QuadDecompOut &out = scratch.quadDecomp;
@@ -124,9 +124,6 @@ AtfimTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
         stream.blocks.insert(stream.blocks.end(), out.childBlocks[q],
                              out.childBlocks[q] + rec.blockCount);
         stream.samples.push_back(rec);
-        // Linear modes only here, so the sampler's computeLod is the
-        // renderer's probe.
-        scratch.quadProbeAniso[q] = n;
     }
 }
 
@@ -136,6 +133,7 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
 {
     TEXPIM_ASSERT(req.clusterId < l1_.size(), "bad cluster id");
     const TexSampleRec &rec = stream.samples[idx];
+    aniso_samples_ += rec.anisoRatio;
 
     unsigned n_parents = rec.parentCount;
     float angle = req.coords.cameraAngle;

@@ -154,6 +154,7 @@ class AtfimTexturePath : public TexturePath
     StatCounter &parents_;
     StatCounter &host_filter_ops_;
     StatCounter &addr_ops_;
+    StatCounter &aniso_samples_;
     StatCounter &reuse_mismatches_;
     StatAverage &reuse_error_;
     StatCounter &fallback_child_blocks_;

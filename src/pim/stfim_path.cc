@@ -26,6 +26,8 @@ StfimTexturePath::StfimTexturePath(const GpuParams &gpu,
       addr_ops_(stats_.counter("addr_ops",
                                "MTU address-generation ALU ops")),
       filter_ops_(stats_.counter("filter_ops", "MTU filtering ALU ops")),
+      aniso_samples_(stats_.counter(
+          "aniso_samples", "sum of anisotropy ratios over requests")),
       fallback_host_blocks_(stats_.counter(
           "fallback_host_blocks",
           "texel blocks fetched host-side by degraded requests"))
@@ -95,6 +97,7 @@ StfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
     TEXPIM_ASSERT(req.clusterId < mtus_.size(), "bad cluster id");
     Mtu &mtu = mtus_[req.clusterId];
     const TexSampleRec &rec = stream.samples[idx];
+    aniso_samples_ += rec.anisoRatio;
 
     unsigned texels = rec.texels;
     u64 gran = mtu_params_.fetchGranularityBytes;

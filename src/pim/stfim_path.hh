@@ -106,6 +106,7 @@ class StfimTexturePath : public TexturePath
     StatCounter &packages_;
     StatCounter &addr_ops_;
     StatCounter &filter_ops_;
+    StatCounter &aniso_samples_;
     StatCounter &fallback_host_blocks_;
 };
 

@@ -303,15 +303,11 @@ RenderingSimulator::prepareFrameScene(const Scene &scene) const
     if (cfg_.disableAniso)
         frame_scene.settings.maxAniso = 1;
     // A-TFIM implements anisotropic filtering in memory with the
-    // reorderable equal-weight filter; the request stream must be a
-    // plain linear one regardless of what the scene asked for.
-    if (cfg_.design == Design::ATfim) {
-        if (frame_scene.settings.filterMode == FilterMode::Nearest)
-            frame_scene.settings.filterMode = FilterMode::Bilinear;
-        else if (frame_scene.settings.filterMode ==
-                 FilterMode::TrilinearEwa)
-            frame_scene.settings.filterMode = FilterMode::Trilinear;
-    }
+    // reorderable equal-weight filter, so an EWA scene renders with
+    // plain trilinear there.
+    if (cfg_.design == Design::ATfim &&
+        frame_scene.settings.filterMode == FilterMode::TrilinearEwa)
+        frame_scene.settings.filterMode = FilterMode::Trilinear;
     return frame_scene;
 }
 

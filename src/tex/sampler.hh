@@ -1,6 +1,6 @@
 /**
  * @file
- * Functional texture filtering: nearest / bilinear / trilinear plus
+ * Functional texture filtering: bilinear / trilinear plus
  * anisotropic filtering, in both the conventional order (bilinear →
  * trilinear → anisotropic, Fig. 3) and the A-TFIM-decomposed order
  * (anisotropic first, §V-B), which splits every sample into *parent
@@ -28,7 +28,6 @@
 namespace texpim {
 
 enum class FilterMode : u8 {
-    Nearest,
     Bilinear,
     Trilinear,
     /**
@@ -160,12 +159,6 @@ struct SamplerScratch
     // Quad-path result buffers (TexturePath::sampleQuad overrides).
     QuadConvOut quadConv;
     QuadDecompOut quadDecomp;
-
-    /** Per-lane renderer LOD-probe aniso ratio, filled by every
-     *  TexturePath::sampleQuad implementation so the renderer's quad
-     *  path reuses the sampler's computeLod instead of re-deriving it
-     *  (identical by purity of computeLod). */
-    u32 quadProbeAniso[kQuadLanes] = {1, 1, 1, 1};
 };
 
 /**

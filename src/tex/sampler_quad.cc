@@ -41,26 +41,6 @@ sampleConventionalQuad(const Texture &tex, const SampleCoords *coords,
     TEXPIM_ASSERT(count >= 1 && count <= kQuadLanes, "bad quad lane count ",
                   count);
 
-    if (mode == FilterMode::Nearest) {
-        for (unsigned q = 0; q < count; ++q) {
-            LodInfo lod = computeLod(tex, coords[q], 1);
-            unsigned l = unsigned(std::lround(lod.lambda));
-            const TextureImage &img = tex.level(l);
-            MipView v = tex.mipView(l);
-            int x = int(std::floor(coords[q].uv.x * float(img.width())));
-            int y = int(std::floor(coords[q].uv.y * float(img.height())));
-            Addr a = v.addr(x, y);
-            out.color[q] = v.fetchF(x, y);
-            out.route[q] = a;
-            out.texels[q] = 1;
-            out.filterOps[q] = 1;
-            out.anisoRatio[q] = 1;
-            out.blockCount[q] = 1;
-            out.blocks[q][0] = a & block_mask;
-        }
-        return;
-    }
-
     // Per-lane LOD / level geometry / footprint offsets. The
     // transcendental-heavy computeLod stays a per-lane scalar call:
     // vectorizing libm calls would change results.

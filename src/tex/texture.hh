@@ -111,29 +111,6 @@ struct MipView
     u32 unitShift;       //!< log2 bytes per addressed unit (2, or 3 for BC1)
     bool xMajor;         //!< leftover Morton bits come from x (width > height)
 
-    /** Functional texel read with repeat wrapping. The pre-unpacked
-     *  float pixels hold exactly unpackColor(texel), so one aligned
-     *  load replaces the four int->float conversions per fetch. */
-    ColorF
-    fetchF(int x, int y) const
-    {
-        u32 wx = u32(x) & xMask;
-        u32 wy = u32(y) & yMask;
-        return pixelsF[(size_t(wy) << rowShift) + wx];
-    }
-
-    /** Byte address of texel (x, y), wrapped; equals Texture::texelAddr. */
-    Addr
-    addr(int x, int y) const
-    {
-        u32 bx = (u32(x) & xMask) >> coordShift;
-        u32 by = (u32(y) & yMask) >> coordShift;
-        u64 idx = detail::part1by1(bx & lowMask) |
-                  (detail::part1by1(by & lowMask) << 1);
-        idx |= u64((xMajor ? bx : by) >> sharedBits) << (2 * sharedBits);
-        return levelBase + (idx << unitShift);
-    }
-
     /** Functional read of an already-wrapped coordinate (from tap()). */
     ColorF
     fetchWrapped(u32 wx, u32 wy) const
@@ -151,12 +128,11 @@ struct MipView
 
     /**
      * Addresses and wrapped coordinates of the 2x2 tap anchored at
-     * (x, y). Bit-identical to four addr() calls — each corner address
-     * is assembled from the same interleave/leftover terms addr()
-     * derives — but the per-axis Morton bit spreads are computed once
-     * and shared across the corners (and skipped entirely when the
-     * neighbor coordinate lands in the same addressed unit, as BC1
-     * block coordinates usually do).
+     * (x, y). Bit-identical to four Texture::texelAddr() calls, but
+     * the per-axis Morton bit spreads are computed once and shared
+     * across the corners (and skipped entirely when the neighbor
+     * coordinate lands in the same addressed unit, as BC1 block
+     * coordinates usually do).
      */
     Tap2x2
     tap(int x, int y) const

@@ -209,12 +209,15 @@ TEST(Atfim, StricterThresholdNeverReducesRecalcs)
     }
 }
 
-TEST(AtfimDeath, NearestModeRejected)
+TEST(AtfimDeath, EwaModeRejected)
 {
+    // The Gaussian EWA weights break Eq. (3)'s reorder, so the
+    // decomposed kernel refuses the mode (the simulator coerces it to
+    // Trilinear before A-TFIM sees a request).
     Fixture f;
     TexRequest r = f.request(0.5f, 0.5f, 1.0f);
-    r.mode = FilterMode::Nearest;
-    EXPECT_DEATH({ processRequest(*f.atfim, r); }, "linear filter mode");
+    r.mode = FilterMode::TrilinearEwa;
+    EXPECT_DEATH({ processRequest(*f.atfim, r); }, "equal-weight");
 }
 
 } // namespace

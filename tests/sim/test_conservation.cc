@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <string>
 
 #include "common/sim_context.hh"
@@ -44,6 +45,18 @@ at(const Snapshot &snap, const std::string &key)
         return -1.0;
     }
     return it->second;
+}
+
+/** A design's name with its punctuation dropped ("B-PIM" -> "BPIM"),
+ *  as a test-parameter name. */
+std::string
+designParamName(const ::testing::TestParamInfo<Design> &info)
+{
+    std::string name;
+    for (char c : std::string(designName(info.param)))
+        if (std::isalnum((unsigned char)c))
+            name += c;
+    return name;
 }
 
 /** Identities every memory model's group must satisfy. */
@@ -157,13 +170,64 @@ TEST_P(Conservation, Doom3SnapshotBalances)
 INSTANTIATE_TEST_SUITE_P(AllDesigns, Conservation,
                          ::testing::Values(Design::Baseline, Design::BPim,
                                            Design::STfim, Design::ATfim),
-                         [](const auto &info) {
-                             std::string name;
-                             for (char c : std::string(designName(info.param)))
-                                 if (std::isalnum((unsigned char)c))
-                                     name += c;
-                             return name;
-                         });
+                         designParamName);
+
+/**
+ * Aniso accounting on one small frame, pinned to exact counts: every
+ * design records the same texture requests, so each must report the
+ * same sum of aniso ratios over them (aniso_samples) and the same
+ * frame average over its shaded fragments' base samples
+ * (avg_aniso_ratio). A detail layer scales uv uniformly, so its
+ * sample has its base sample's N; the average pin therefore catches
+ * replay reading a wrong sample index (fr.detail for every fragment
+ * reads 59,752), not a detail layer read in the base's place.
+ */
+class AnisoAccounting : public ::testing::TestWithParam<Design>
+{
+  protected:
+    /** Doom3 160x120 frame 3 under the design, with its snapshot. */
+    SimResult
+    render(Snapshot *snap = nullptr, std::string *tex = nullptr)
+    {
+        Workload wl{Game::Doom3, 160, 120};
+        Scene scene = buildGameScene(wl, 3, 0x7e01d);
+
+        SimContext ctx;
+        SimContext::Scope scope(ctx);
+        SimConfig cfg;
+        cfg.design = GetParam();
+        RenderingSimulator sim(cfg);
+        SimResult r = sim.renderScene(scene);
+        if (snap)
+            *snap = ctx.stats().snapshot();
+        if (tex)
+            *tex = sim.texturePath().stats().name();
+        return r;
+    }
+};
+
+TEST_P(AnisoAccounting, FrameAverageIsPinned)
+{
+    SimResult r = render();
+    EXPECT_EQ(r.frame.fragmentsShaded, 19204u);
+    EXPECT_EQ(std::llround(r.frame.avgAnisoRatio *
+                           double(r.frame.fragmentsShaded)),
+              59938);
+}
+
+TEST_P(AnisoAccounting, EveryPathCountsAnisoSamples)
+{
+    Snapshot snap;
+    std::string tex;
+    SimResult r = render(&snap, &tex);
+    EXPECT_EQ(r.frame.texRequests, 35543u);
+    EXPECT_EQ(at(snap, tex + ".aniso_samples"), 108470.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, AnisoAccounting,
+                         ::testing::Values(Design::Baseline, Design::BPim,
+                                           Design::STfim, Design::ATfim),
+                         designParamName);
 
 class PhysicalBounds : public ::testing::TestWithParam<Design>
 {
@@ -215,13 +279,7 @@ TEST_P(PhysicalBounds, FrameCyclesCoverBandwidthAndFragmentWork)
 INSTANTIATE_TEST_SUITE_P(AllDesigns, PhysicalBounds,
                          ::testing::Values(Design::Baseline, Design::BPim,
                                            Design::STfim, Design::ATfim),
-                         [](const auto &info) {
-                             std::string name;
-                             for (char c : std::string(designName(info.param)))
-                                 if (std::isalnum((unsigned char)c))
-                                     name += c;
-                             return name;
-                         });
+                         designParamName);
 
 } // namespace
 } // namespace texpim

@@ -75,18 +75,6 @@ sampleConventional(const Texture &tex, const SampleCoords &coords,
 {
     out = SampleResult{};
 
-    if (mode == FilterMode::Nearest) {
-        LodInfo lod = computeLod(tex, coords, 1);
-        unsigned l = unsigned(std::lround(lod.lambda));
-        const TextureImage &img = tex.level(l);
-        int x = int(std::floor(coords.uv.x * float(img.width())));
-        int y = int(std::floor(coords.uv.y * float(img.height())));
-        out.color = tex.fetchTexelF(l, x, y);
-        out.fetches.push_back({tex.texelAddr(l, x, y), u8(l)});
-        out.filterOps = 1;
-        return;
-    }
-
     LodInfo lod = computeLod(tex, coords, max_aniso);
     unsigned n = lod.anisoRatio;
     out.anisoRatio = n;

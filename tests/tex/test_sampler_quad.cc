@@ -197,16 +197,14 @@ TEST_P(QuadConvDifferential, MatchesScalarBitForBit)
 std::string
 convParamName(const testing::TestParamInfo<ConvParam> &info)
 {
-    static const char *names[] = {"Nearest", "Bilinear", "Trilinear",
-                                  "TrilinearEwa"};
+    static const char *names[] = {"Bilinear", "Trilinear", "TrilinearEwa"};
     return std::string(names[unsigned(std::get<0>(info.param))]) +
            "_aniso" + std::to_string(std::get<1>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, QuadConvDifferential,
-    testing::Combine(testing::Values(FilterMode::Nearest,
-                                     FilterMode::Bilinear,
+    testing::Combine(testing::Values(FilterMode::Bilinear,
                                      FilterMode::Trilinear,
                                      FilterMode::TrilinearEwa),
                      testing::Values(1u, 4u, 16u)),
