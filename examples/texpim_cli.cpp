@@ -256,9 +256,6 @@ beginTracing(const Config &cfg)
     std::string out = cfg.getString("trace_out", "");
     if (out.empty())
         return;
-#if !TEXPIM_TRACING
-    TEXPIM_FATAL("trace_out= requires a build with -DTEXPIM_TRACING=ON");
-#endif
     TraceEvents::instance().enable(out, readEventCap(cfg));
 }
 
@@ -580,11 +577,6 @@ cmdSweep(int argc, char **argv)
         cfg.getUnsigned("runner.max_retries", 0, 0, kMaxUnsigned);
     ropt.retryBackoffMs =
         cfg.getUnsigned("runner.retry_backoff_ms", 100, 0, kMaxUnsigned);
-#if !TEXPIM_TRACING
-    if (!ropt.tracePath.empty())
-        TEXPIM_FATAL(
-            "trace_out= requires a build with -DTEXPIM_TRACING=ON");
-#endif
     validateConfig(cfg, "sweep");
 
     std::vector<ExperimentSpec> specs;

@@ -31,7 +31,6 @@ class OutstandingMisses
         auto it = pending_.find(line);
         if (it == pending_.end() || it->second <= now)
             return kNeverCycle;
-        ++merges_;
         return it->second;
     }
 
@@ -40,11 +39,8 @@ class OutstandingMisses
     insert(Addr line, Cycle ready)
     {
         pending_[line] = ready;
-        ++misses_;
     }
 
-    u64 merges() const { return merges_; }
-    u64 misses() const { return misses_; }
     size_t inFlight() const { return pending_.size(); }
 
     void
@@ -52,8 +48,6 @@ class OutstandingMisses
     {
         pending_.clear();
     }
-
-    void resetStats() { merges_ = misses_ = 0; }
 
   private:
     void
@@ -78,8 +72,6 @@ class OutstandingMisses
     }
 
     std::unordered_map<Addr, Cycle> pending_;
-    u64 merges_ = 0;
-    u64 misses_ = 0;
     unsigned lookups_since_prune_ = 0;
 };
 

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/prof/profiler.hh"
 
 namespace texpim {
 
@@ -38,8 +37,7 @@ dequantizeAngle(u8 code)
     return float(code) / kDegPerRad;
 }
 
-TagCache::TagCache(std::string name, const CacheParams &params)
-    : name_(std::move(name)), params_(params)
+TagCache::TagCache(const CacheParams &params) : params_(params)
 {
     TEXPIM_ASSERT(params_.ways > 0, "cache needs at least one way");
     TEXPIM_ASSERT(isPowerOfTwo(params_.lineBytes),
@@ -60,62 +58,50 @@ TagCache::findLine(unsigned set, Addr tag)
 {
     Line *base = &lines_[size_t(set) * params_.ways];
     for (unsigned w = 0; w < params_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].tag == tag)
             return &base[w];
     }
     return nullptr;
 }
 
-const TagCache::Line *
-TagCache::findLine(unsigned set, Addr tag) const
+CacheOutcome
+TagCache::hit(Line &l)
 {
-    return const_cast<TagCache *>(this)->findLine(set, tag);
+    last_hit_cross_epoch_ = l.epoch != epoch_;
+    l.epoch = epoch_;
+    return CacheOutcome::Hit;
 }
 
-TagCache::Line &
-TagCache::victim(unsigned set)
+CacheOutcome
+TagCache::fillVictim(unsigned set, Addr line, u8 angle_code)
 {
     Line *base = &lines_[size_t(set) * params_.ways];
     Line *lru = &base[0];
-    for (unsigned w = 0; w < params_.ways; ++w) {
-        if (!base[w].valid)
-            return base[w];
+    for (unsigned w = 1; w < params_.ways; ++w) {
         if (base[w].lastUse < lru->lastUse)
             lru = &base[w];
     }
-    return *lru;
+    *lru = Line{line, use_clock_, epoch_, angle_code};
+    return CacheOutcome::Miss;
 }
 
 CacheOutcome
 TagCache::access(Addr addr)
 {
-    TEXPIM_PROF_COUNT(prof::kZoneTagCache, 1);
     Addr line = lineAddr(addr);
     unsigned set = setOf(line);
     ++use_clock_;
 
     if (Line *l = findLine(set, line)) {
         l->lastUse = use_clock_;
-        last_hit_cross_epoch_ = l->epoch != epoch_;
-        l->epoch = epoch_;
-        ++hits_;
-        return CacheOutcome::Hit;
+        return hit(*l);
     }
-
-    Line &v = victim(set);
-    v.tag = line;
-    v.valid = true;
-    v.lastUse = use_clock_;
-    v.epoch = epoch_;
-    v.angleCode = 0;
-    ++misses_;
-    return CacheOutcome::Miss;
+    return fillVictim(set, line, 0);
 }
 
 CacheOutcome
 TagCache::accessAngled(Addr addr, float angle_rad, float threshold_rad)
 {
-    TEXPIM_PROF_COUNT(prof::kZoneTagCache, 1);
     Addr line = lineAddr(addr);
     unsigned set = setOf(line);
     ++use_clock_;
@@ -127,49 +113,21 @@ TagCache::accessAngled(Addr addr, float angle_rad, float threshold_rad)
         bool never_recalc = threshold_rad < 0.0f;
         float diff =
             std::fabs(dequantizeAngle(l->angleCode) - dequantizeAngle(code));
-        if (never_recalc || diff <= threshold_rad) {
-            last_hit_cross_epoch_ = l->epoch != epoch_;
-            l->epoch = epoch_;
-            ++hits_;
-            return CacheOutcome::Hit;
-        }
+        if (never_recalc || diff <= threshold_rad)
+            return hit(*l);
         // Same texel address, camera angle moved past the threshold:
         // recalculate in memory and refresh the stored angle (SV-C).
         l->angleCode = code;
         l->epoch = epoch_;
-        ++angle_misses_;
         return CacheOutcome::AngleMiss;
     }
-
-    Line &v = victim(set);
-    v.tag = line;
-    v.valid = true;
-    v.lastUse = use_clock_;
-    v.epoch = epoch_;
-    v.angleCode = code;
-    ++misses_;
-    return CacheOutcome::Miss;
-}
-
-bool
-TagCache::contains(Addr addr) const
-{
-    Addr line = lineAddr(addr);
-    unsigned set = setOf(line);
-    return findLine(set, line) != nullptr;
+    return fillVictim(set, line, code);
 }
 
 void
 TagCache::invalidateAll()
 {
-    for (auto &l : lines_)
-        l.valid = false;
-}
-
-void
-TagCache::resetStats()
-{
-    hits_ = misses_ = angle_misses_ = 0;
+    std::fill(lines_.begin(), lines_.end(), Line{});
 }
 
 } // namespace texpim

@@ -3,7 +3,8 @@
  * Set-associative tags-only cache with true-LRU replacement.
  *
  * The renderer is functional (texel values come from the texture
- * store), so caches track tags and timing only. Each line can carry a
+ * store), so caches track tags only; callers count the outcomes in
+ * their own StatGroups and profile zones. Each line can carry a
  * camera angle, quantized to 7 bits at 1 degree resolution exactly as
  * the paper's A-TFIM design stores it (SVII-E): a lookup whose angle
  * differs from the cached angle by more than a threshold is reported as
@@ -14,10 +15,8 @@
 #ifndef TEXPIM_CACHE_TAG_CACHE_HH
 #define TEXPIM_CACHE_TAG_CACHE_HH
 
-#include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace texpim {
@@ -45,7 +44,7 @@ float dequantizeAngle(u8 code);
 class TagCache
 {
   public:
-    TagCache(std::string name, const CacheParams &params);
+    explicit TagCache(const CacheParams &params);
 
     /** Plain lookup + allocate-on-miss. */
     CacheOutcome access(Addr addr);
@@ -61,9 +60,6 @@ class TagCache
      */
     CacheOutcome accessAngled(Addr addr, float angle_rad,
                               float threshold_rad);
-
-    /** Probe without allocating or touching LRU state. */
-    bool contains(Addr addr) const;
 
     /**
      * Mark a frame boundary for inter-frame reuse accounting: lines
@@ -83,38 +79,24 @@ class TagCache
     u64 lineBytes() const { return params_.lineBytes; }
     Addr lineAddr(Addr addr) const { return addr & ~(params_.lineBytes - 1); }
 
-    u64 hits() const { return hits_; }
-    u64 misses() const { return misses_; }
-    u64 angleMisses() const { return angle_misses_; }
-    u64 accesses() const { return hits_ + misses_ + angle_misses_; }
-
-    double
-    hitRate() const
-    {
-        u64 a = accesses();
-        return a ? double(hits_) / double(a) : 0.0;
-    }
-
-    void resetStats();
-
-    const std::string &name() const { return name_; }
-
   private:
     struct Line
     {
-        Addr tag = kInvalidAddr;
-        u64 lastUse = 0;
-        u64 epoch = 0; //!< advanceEpoch() value at last touch
-        bool valid = false;
+        Addr tag = kInvalidAddr; //!< kInvalidAddr marks an empty way
+        u64 lastUse = 0;         //!< 0 while empty, so LRU picks it first
+        u64 epoch = 0;           //!< advanceEpoch() value at last touch
         u8 angleCode = 0;
     };
 
     /** Find the way holding `tag` in `set`, or nullptr. */
     Line *findLine(unsigned set, Addr tag);
-    const Line *findLine(unsigned set, Addr tag) const;
 
-    /** Victim selection: invalid way first, else true LRU. */
-    Line &victim(unsigned set);
+    /** Report a tag hit on `l`: note whether it crosses an epoch. */
+    CacheOutcome hit(Line &l);
+
+    /** Miss: replace the set's LRU way (an empty way first, since its
+     *  lastUse is 0) with `line`, stamped now and with `angle_code`. */
+    CacheOutcome fillVictim(unsigned set, Addr line, u8 angle_code);
 
     /** Set index of a line address (line size and set count are
      *  powers of two, so this is a shift and a mask). */
@@ -124,7 +106,6 @@ class TagCache
         return unsigned((line >> line_shift_) & (num_sets_ - 1));
     }
 
-    std::string name_;
     CacheParams params_;
     unsigned num_sets_;
     unsigned line_shift_; //!< log2(lineBytes)
@@ -132,10 +113,6 @@ class TagCache
     u64 use_clock_ = 0;
     u64 epoch_ = 0;
     bool last_hit_cross_epoch_ = false;
-
-    u64 hits_ = 0;
-    u64 misses_ = 0;
-    u64 angle_misses_ = 0;
 };
 
 } // namespace texpim

@@ -4,14 +4,9 @@
  * (loadable in chrome://tracing and Perfetto).
  *
  * The simulator's hot paths are instrumented with the TEXPIM_TRACE_*
- * macros below. The zero-overhead-when-disabled contract has two
- * layers:
- *
- *  - compile time: building with -DTEXPIM_TRACING=0 compiles every
- *    macro to nothing (the `TEXPIM_TRACING` CMake option);
- *  - run time: with tracing compiled in but not enabled, each macro
- *    costs a single predictable branch on a thread-local flag — no
- *    virtual call, no allocation, no lock.
+ * macros below. With the tracer not enabled, each macro costs a single
+ * predictable branch on a thread-local flag — no virtual call, no
+ * allocation, no lock.
  *
  * Each TraceEvents instance is owned by a SimContext (sim_context.hh)
  * and is single-threaded within it: instance() resolves to the calling
@@ -59,10 +54,6 @@
 #include <vector>
 
 #include "common/types.hh"
-
-#ifndef TEXPIM_TRACING
-#define TEXPIM_TRACING 1
-#endif
 
 namespace texpim {
 
@@ -175,8 +166,6 @@ class TraceEvents
 
 } // namespace texpim
 
-#if TEXPIM_TRACING
-
 #define TEXPIM_TRACE_SPAN(cat, name, tid, begin, end) \
     do { \
         if (::texpim::TraceEvents::active()) \
@@ -218,16 +207,5 @@ class TraceEvents
             ::texpim::TraceEvents::instance().flowEnd((cat), (name), (tid), \
                                                       (ts), (id)); \
     } while (0)
-
-#else
-
-#define TEXPIM_TRACE_SPAN(cat, name, tid, begin, end) ((void)0)
-#define TEXPIM_TRACE_COMPLETE(cat, name, tid, ts, dur) ((void)0)
-#define TEXPIM_TRACE_INSTANT(cat, name, tid, ts) ((void)0)
-#define TEXPIM_TRACE_COUNTER(cat, name, ts, value) ((void)0)
-#define TEXPIM_TRACE_FLOW_BEGIN(cat, name, tid, ts, id) ((void)0)
-#define TEXPIM_TRACE_FLOW_END(cat, name, tid, ts, id) ((void)0)
-
-#endif // TEXPIM_TRACING
 
 #endif // TEXPIM_COMMON_TRACE_EVENTS_HH

@@ -3,13 +3,14 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/prof/profiler.hh"
 #include "common/trace_events.hh"
 
 namespace texpim {
 
 HostTexturePath::HostTexturePath(const GpuParams &params, MemorySystem &mem)
     : TexturePath("tex_host"), params_(params), mem_(mem),
-      l2_("tex_l2", params.texL2), unit_free_(params.clusters, 0),
+      l2_(params.texL2), unit_free_(params.clusters, 0),
       l1_hits_(stats_.counter("l1_hits", "texture L1 line hits")),
       l1_misses_(stats_.counter("l1_misses", "texture L1 line misses")),
       l2_hits_(stats_.counter("l2_hits", "texture L2 line hits")),
@@ -39,8 +40,7 @@ HostTexturePath::HostTexturePath(const GpuParams &params, MemorySystem &mem)
 {
     l1_.reserve(params_.clusters);
     for (unsigned c = 0; c < params_.clusters; ++c)
-        l1_.push_back(std::make_unique<TagCache>(
-            "tex_l1_" + std::to_string(c), params_.texL1));
+        l1_.push_back(std::make_unique<TagCache>(params_.texL1));
 }
 
 void
@@ -109,6 +109,7 @@ HostTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
 
     TagCache &l1 = *l1_[req.clusterId];
     Cycle data_ready = t0 + params_.texL1HitLatency;
+    u32 l1_misses = 0;
     for (u32 i = 0; i < rec.blockCount; ++i) {
         Addr line = stream.blocks[rec.blockOff + i];
         if (l1.access(line) == CacheOutcome::Hit) {
@@ -117,7 +118,7 @@ HostTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
                 ++l1_interframe_hits_;
             continue;
         }
-        ++l1_misses_;
+        ++l1_misses;
         Cycle l2_at = t0 + params_.texL1HitLatency;
         if (l2_.access(line) == CacheOutcome::Hit) {
             ++l2_hits_;
@@ -146,6 +147,9 @@ HostTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
 
     Cycle complete = data_ready + filter;
 
+    // One L1 lookup per line, one L2 lookup per L1 miss.
+    TEXPIM_PROF_COUNT(prof::kZoneTagCache, rec.blockCount + l1_misses);
+    l1_misses_ += l1_misses;
     texels_ += texels;
     lines_ += rec.blockCount;
     addr_ops_ += texels;
@@ -171,16 +175,6 @@ HostTexturePath::beginFrame()
     for (auto &c : l1_)
         c->advanceEpoch();
     l2_.advanceEpoch();
-}
-
-void
-HostTexturePath::resetStats()
-{
-    TexturePath::resetStats();
-    for (auto &c : l1_)
-        c->resetStats();
-    l2_.resetStats();
-    outstanding_.resetStats();
 }
 
 } // namespace texpim

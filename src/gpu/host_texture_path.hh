@@ -45,11 +45,6 @@ class HostTexturePath : public TexturePath
     /** Frame boundary: rewind pipeline timing, keep cache contents. */
     void beginFrame() override;
 
-    void resetStats() override;
-
-    const TagCache &l1(unsigned cluster) const { return *l1_[cluster]; }
-    const TagCache &l2() const { return l2_; }
-
   private:
     GpuParams params_;
     MemorySystem &mem_;

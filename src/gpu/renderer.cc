@@ -348,8 +348,8 @@ sortBinFrontToBack(std::vector<u32> &bin,
 Renderer::Renderer(const GpuParams &params, MemorySystem &mem,
                    TexturePath &tex)
     : params_(params), mem_(mem), tex_(tex),
-      z_cache_("rop_z", ropCacheParams()),
-      color_cache_("rop_color", ropCacheParams()), stats_("renderer"),
+      z_cache_(ropCacheParams()), color_cache_(ropCacheParams()),
+      stats_("renderer"),
       frames_(stats_.counter(
           "frames", "frames rendered through this pipeline")),
       fragments_shaded_(stats_.counter(
@@ -810,6 +810,8 @@ Renderer::replayTile(FrameCtx &ctx, const TileRecord &rec,
             CacheOutcome::Miss)
             ++w.cLineMisses;
     }
+    // One Z lookup per fragment, one color lookup per shaded one.
+    TEXPIM_PROF_COUNT(prof::kZoneTagCache, rec.frags.size() + w.shaded);
 }
 
 void

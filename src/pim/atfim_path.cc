@@ -15,7 +15,7 @@ AtfimTexturePath::AtfimTexturePath(const GpuParams &gpu,
                                    HmcMemory &hmc,
                                    const RobustnessParams &robustness)
     : TexturePath("tex_atfim"), gpu_(gpu), atfim_(atfim), pkts_(pkts),
-      hmc_(hmc), robust_(robustness, hmc), l2_("atfim_l2", gpu.texL2),
+      hmc_(hmc), robust_(robustness, hmc), l2_(gpu.texL2),
       unit_free_(gpu.clusters, 0), parent_values_(gpu.texL1.lineBytes),
       l1_hits_(stats_.counter(
           "l1_hits", "angle-valid parent texel hits in L1")),
@@ -64,8 +64,7 @@ AtfimTexturePath::AtfimTexturePath(const GpuParams &gpu,
 {
     l1_.reserve(gpu_.clusters);
     for (unsigned c = 0; c < gpu_.clusters; ++c)
-        l1_.push_back(std::make_unique<TagCache>(
-            "atfim_l1_" + std::to_string(c), gpu_.texL1));
+        l1_.push_back(std::make_unique<TagCache>(gpu_.texL1));
 }
 
 Cycle
@@ -153,6 +152,7 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
     ColorF values[8];
     unsigned miss_idx[8];
     unsigned n_miss = 0;
+    unsigned l1_out = 0;
     u64 total_children = 0;
 
     for (unsigned p = 0; p < n_parents; ++p) {
@@ -167,6 +167,7 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
                 ++l1_interframe_hits_;
             reuse = true;
         } else {
+            ++l1_out;
             if (o1 == CacheOutcome::AngleMiss)
                 ++l1_angle_recalcs_;
             else
@@ -218,6 +219,8 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
         }
     }
 
+    // One L1 lookup per parent, one L2 lookup per L1 non-hit.
+    TEXPIM_PROF_COUNT(prof::kZoneTagCache, n_parents + l1_out);
     Cycle parents_ready = host_ready;
 
     if (n_miss > 0) {
@@ -377,9 +380,6 @@ AtfimTexturePath::resetStats()
 {
     TexturePath::resetStats();
     robust_.stats().resetAll();
-    for (auto &c : l1_)
-        c->resetStats();
-    l2_.resetStats();
 }
 
 } // namespace texpim

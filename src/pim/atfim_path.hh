@@ -91,8 +91,6 @@ class AtfimTexturePath : public TexturePath
     /** Recalculations forced by the angle threshold (for reports). */
     u64 angleRecalcs() const;
 
-    const TagCache &l1(unsigned cluster) const { return *l1_[cluster]; }
-    const TagCache &l2() const { return l2_; }
     const AtfimParams &params() const { return atfim_; }
 
   private:

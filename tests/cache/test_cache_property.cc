@@ -35,41 +35,46 @@ class CacheGeometry : public testing::TestWithParam<GeomParam>
 TEST_P(CacheGeometry, WorkingSetWithinCapacityAlwaysHits)
 {
     CacheParams p = params();
-    TagCache c("c", p);
+    TagCache c(p);
     u64 lines = p.sizeBytes / p.lineBytes;
     // Touch a working set of exactly the cache capacity twice: the
     // second pass must be all hits (sequential fill never self-evicts
     // under LRU with power-of-two sets).
     for (u64 i = 0; i < lines; ++i)
-        c.access(i * 64);
-    c.resetStats();
+        EXPECT_EQ(c.access(i * 64), CacheOutcome::Miss);
+    u64 hits = 0;
     for (u64 i = 0; i < lines; ++i)
-        c.access(i * 64);
-    EXPECT_EQ(c.misses(), 0u);
-    EXPECT_EQ(c.hits(), lines);
+        hits += c.access(i * 64) == CacheOutcome::Hit;
+    EXPECT_EQ(hits, lines);
 }
 
 TEST_P(CacheGeometry, OversizedWorkingSetThrashes)
 {
     CacheParams p = params();
-    TagCache c("c", p);
+    TagCache c(p);
     u64 lines = 2 * p.sizeBytes / p.lineBytes; // 2x capacity
+    // Sequential sweep over 2x capacity under LRU misses everywhere:
+    // each line is evicted before the next pass returns to it.
     for (int pass = 0; pass < 2; ++pass)
         for (u64 i = 0; i < lines; ++i)
-            c.access(i * 64);
-    // Sequential sweep over 2x capacity under LRU misses everywhere.
-    EXPECT_GT(c.misses(), c.hits());
+            EXPECT_EQ(c.access(i * 64), CacheOutcome::Miss)
+                << "pass " << pass << " line " << i;
 }
 
 TEST_P(CacheGeometry, RandomAccessesNeverCrash)
 {
     CacheParams p = params();
-    TagCache c("c", p);
+    TagCache c(p);
     Rng rng(u64(p.sizeBytes) + p.ways);
-    for (int i = 0; i < 20000; ++i)
-        c.accessAngled(rng.below(1u << 22) * 4, float(rng.uniform(0, 1.5)),
-                       0.03f);
-    EXPECT_EQ(c.accesses(), 20000u);
+    for (int i = 0; i < 20000; ++i) {
+        Addr a = rng.below(1u << 22) * 4;
+        float angle = float(rng.uniform(0, 1.5));
+        c.accessAngled(a, angle, 0.03f);
+        // Whatever the outcome, the line is now resident, most
+        // recently used and stamped with this angle.
+        ASSERT_EQ(c.accessAngled(a, angle, 0.03f), CacheOutcome::Hit)
+            << "access " << i;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -98,11 +103,12 @@ TEST_P(ThresholdMonotonicity, LooserThresholdNeverRecalculatesMore)
         CacheParams p;
         p.sizeBytes = 16 * 1024;
         p.ways = 16;
-        TagCache c("c", p);
+        TagCache c(p);
+        u64 recalcs = 0;
         for (auto [a, ang] : stream)
-            c.accessAngled(a, ang, thr);
-        EXPECT_LE(c.angleMisses(), prev) << "threshold " << thr;
-        prev = c.angleMisses();
+            recalcs += c.accessAngled(a, ang, thr) == CacheOutcome::AngleMiss;
+        EXPECT_LE(recalcs, prev) << "threshold " << thr;
+        prev = recalcs;
     }
 }
 

@@ -11,8 +11,7 @@ TEST(OutstandingMisses, MergeInheritsCompletion)
     EXPECT_EQ(o.lookup(0x100, 10), kNeverCycle);
     o.insert(0x100, 50);
     EXPECT_EQ(o.lookup(0x100, 20), 50u);
-    EXPECT_EQ(o.merges(), 1u);
-    EXPECT_EQ(o.misses(), 1u);
+    EXPECT_EQ(o.inFlight(), 1u);
 }
 
 TEST(OutstandingMisses, CompletedEntryNoLongerMerges)
@@ -32,8 +31,8 @@ TEST(OutstandingMisses, ExpiryBoundaryIsExclusive)
     o.insert(0x100, 50);
     EXPECT_EQ(o.lookup(0x100, 49), 50u);
     EXPECT_EQ(o.lookup(0x100, 50), kNeverCycle);
-    // The expired probe must not count as a merge.
-    EXPECT_EQ(o.merges(), 1u);
+    // Expiry is by time alone: an earlier probe still merges.
+    EXPECT_EQ(o.lookup(0x100, 0), 50u);
 }
 
 TEST(OutstandingMisses, ReinsertAfterExpiryStartsAFreshMiss)
@@ -43,8 +42,8 @@ TEST(OutstandingMisses, ReinsertAfterExpiryStartsAFreshMiss)
     EXPECT_EQ(o.lookup(0x100, 60), kNeverCycle); // expired
     o.insert(0x100, 90);                         // line fetched again
     EXPECT_EQ(o.lookup(0x100, 60), 90u);
-    EXPECT_EQ(o.misses(), 2u);
-    EXPECT_EQ(o.merges(), 1u);
+    EXPECT_EQ(o.lookup(0x100, 90), kNeverCycle);
+    EXPECT_EQ(o.inFlight(), 1u);
 }
 
 TEST(OutstandingMisses, InsertOverwritesCompletionCycle)
@@ -62,24 +61,12 @@ TEST(OutstandingMisses, EveryMergeInheritsTheSameCompletion)
 {
     // N requests to one outstanding line = 1 miss + N-1 merges, all
     // completing together (the MSHR contract the texture paths use).
+    // A merge leaves the entry as it was.
     OutstandingMisses o;
     o.insert(0x100, 200);
     for (Cycle now = 0; now < 100; now += 10)
         EXPECT_EQ(o.lookup(0x100, now), 200u);
-    EXPECT_EQ(o.misses(), 1u);
-    EXPECT_EQ(o.merges(), 10u);
-}
-
-TEST(OutstandingMisses, ResetStatsKeepsEntriesInFlight)
-{
-    OutstandingMisses o;
-    o.insert(0x100, 50);
-    (void)o.lookup(0x100, 0);
-    o.resetStats();
-    EXPECT_EQ(o.merges(), 0u);
-    EXPECT_EQ(o.misses(), 0u);
-    // The tracker still knows the line is outstanding.
-    EXPECT_EQ(o.lookup(0x100, 0), 50u);
+    EXPECT_EQ(o.inFlight(), 1u);
 }
 
 TEST(OutstandingMisses, DistinctLinesIndependent)

@@ -25,6 +25,7 @@
 #include <cmath>
 #include <string>
 
+#include "common/prof/profiler.hh"
 #include "common/sim_context.hh"
 #include "common/stat_registry.hh"
 #include "scene/game_profiles.hh"
@@ -227,6 +228,53 @@ TEST_P(AnisoAccounting, EveryPathCountsAnisoSamples)
 INSTANTIATE_TEST_SUITE_P(AllDesigns, AnisoAccounting,
                          ::testing::Values(Design::Baseline, Design::BPim,
                                            Design::STfim, Design::ATfim),
+                         designParamName);
+
+/**
+ * The profiler's mem/tagcache count is charged once per texture
+ * request and once per tile, not inside the caches, so it must equal
+ * the lookups the stats count one by one: the texture path's L1 and
+ * L2 outcomes, one ROP Z lookup per covered fragment and one color
+ * lookup per shaded fragment. S-TFIM's texture path has no caches.
+ */
+class TagCacheProfile : public ::testing::TestWithParam<Design>
+{
+};
+
+TEST_P(TagCacheProfile, CountEqualsCountedLookups)
+{
+    Workload wl{Game::Doom3, 160, 120};
+    Scene scene = buildGameScene(wl, 3, 0x7e01d);
+
+    SimContext ctx;
+    SimContext::Scope scope(ctx);
+    SimConfig cfg;
+    cfg.design = GetParam();
+    RenderingSimulator sim(cfg);
+    Profiler::instance().enable();
+    SimResult r = sim.renderScene(scene);
+    Profiler::instance().disable();
+    Snapshot snap = ctx.stats().snapshot();
+    const std::string tex = sim.texturePath().stats().name();
+
+    double lookups = double(r.frame.fragmentsCovered) +
+                     double(r.frame.fragmentsShaded);
+    if (tex != "tex_stfim") {
+        for (const char *level : {".l1_", ".l2_"})
+            for (const char *outcome : {"hits", "misses"})
+                lookups += at(snap, tex + level + outcome);
+    }
+    if (tex == "tex_atfim")
+        lookups += at(snap, "tex_atfim.l1_angle_recalcs") +
+                   at(snap, "tex_atfim.l2_angle_recalcs");
+    EXPECT_GT(r.frame.fragmentsShaded, 0u);
+    EXPECT_EQ(double(Profiler::instance().row(prof::kZoneTagCache).count),
+              lookups);
+}
+
+INSTANTIATE_TEST_SUITE_P(CacheDesigns, TagCacheProfile,
+                         ::testing::Values(Design::Baseline, Design::STfim,
+                                           Design::ATfim),
                          designParamName);
 
 class PhysicalBounds : public ::testing::TestWithParam<Design>

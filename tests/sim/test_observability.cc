@@ -45,8 +45,6 @@ class ObservabilityTest : public ::testing::Test
     }
 };
 
-#if TEXPIM_TRACING // trace-content tests need the instrumentation live
-
 TEST_F(ObservabilityTest, TraceIsWellFormedBalancedAndMultiCategory)
 {
     renderTraced(Design::ATfim, "");
@@ -106,8 +104,6 @@ TEST_F(ObservabilityTest, TracingDoesNotChangeSimulatedTiming)
     EXPECT_EQ(untraced.textureFilterCycles, traced.textureFilterCycles);
     EXPECT_EQ(untraced.offChipTotalBytes, traced.offChipTotalBytes);
 }
-
-#endif // TEXPIM_TRACING
 
 TEST_F(ObservabilityTest, RegistryExportCoversTheWholePipeline)
 {

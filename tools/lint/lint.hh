@@ -68,8 +68,7 @@
  *        noexcept frame is std::terminate.
  *
  * Suppression: `// texpim-lint: allow(D2) <reason>` on the offending
- * line or the line above it. A checked-in baseline file grandfathers
- * old findings; the tool exits non-zero only on new ones.
+ * line or the line above it. Every other finding fails the run.
  */
 
 #ifndef TEXPIM_TOOLS_LINT_LINT_HH
@@ -87,9 +86,8 @@ struct Finding
     std::string rule;    //!< "D1" ... "C1", "A0"
     std::string path;    //!< repo-relative, '/'-separated
     int line = 0;        //!< 1-based
-    std::string key;     //!< stable token for baseline matching
+    std::string key;     //!< stable tie-break token for ordering
     std::string message; //!< human-readable diagnostic
-    bool baselined = false;
 };
 
 /** One scanned file with comment/string-stripped views and the
@@ -139,8 +137,6 @@ struct Options
     std::vector<std::string> roots; //!< scan roots relative to repoRoot
     std::vector<std::string> excludes;
     std::set<std::string> rules;    //!< empty = all rules
-    std::string baselinePath;
-    std::string writeBaselinePath;
     std::string keyTablePath;       //!< default src/gpu/params.cc
     std::string zoneTablePath;      //!< default src/common/prof/zones.hh
     std::vector<std::string> docPaths; //!< default README.md DESIGN.md
@@ -148,9 +144,7 @@ struct Options
      *  "<lambda path:line>") declared on the command line; unioned
      *  with the in-tree `texpim-lint: phase-root` annotations. */
     std::vector<std::string> phaseRoots;
-    bool checkBaseline = false;     //!< fail on stale baseline entries
     bool callgraphDump = false;     //!< print the call graph and exit
-    bool verbose = false;
 };
 
 bool ruleEnabled(const Options &opt, const std::string &rule);
@@ -182,14 +176,6 @@ void runZoneRule(const std::vector<SourceFile> &files, const Options &opt,
  *  opt.callgraphDump is set, prints the graph to stdout instead. */
 void runPhaseRules(const std::vector<SourceFile> &files, const Options &opt,
                    std::vector<Finding> &out);
-
-// ---- baseline ----
-
-/** Baseline entries as "rule|path|key" strings. */
-std::set<std::string> loadBaseline(const std::string &path, bool &ok);
-void writeBaselineFile(const std::string &path,
-                       const std::vector<Finding> &findings);
-std::string baselineKey(const Finding &f);
 
 } // namespace texpim_lint
 

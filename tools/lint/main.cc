@@ -1,12 +1,9 @@
 /**
  * @file
- * texpim-lint driver: walk the tree, run the rules, reconcile with the
- * baseline, report.
+ * texpim-lint driver: walk the tree, run the rules, report.
  *
  *   texpim-lint [options] [scan-root ...]
  *     --repo-root DIR       repository root (default: .)
- *     --baseline FILE       grandfathered findings; new ones fail
- *     --write-baseline FILE write every current finding and exit 0
  *     --rules LIST          comma-separated rule ids (default: all)
  *     --exclude SUBSTR      skip paths containing SUBSTR (repeatable)
  *     --key-table FILE      known-key table (default src/gpu/params.cc)
@@ -17,14 +14,12 @@
  *     --phase-root SPEC     extra functional-phase root for P1/P2/T1
  *                           ("Class::method" or "function"; repeatable;
  *                           unioned with in-tree phase-root markers)
- *     --check-baseline      also fail when a baseline entry matches no
- *                           current finding (stale suppression)
  *     --callgraph-dump      print the call-graph index and exit 0
- *     --verbose             also print baselined findings
  *
  * Scan roots default to src bench tests examples (relative to the repo
- * root). Exit status: 0 clean, 1 new findings, 2 usage/configuration
- * error.
+ * root). Exit status: 0 clean, 1 findings, 2 usage/configuration
+ * error. A finding is fixed or justified in place with an allow()
+ * annotation; nothing is grandfathered.
  */
 
 #include "lint.hh"
@@ -86,10 +81,6 @@ main(int argc, char **argv)
         };
         if (a == "--repo-root") {
             opt.repoRoot = value("--repo-root");
-        } else if (a == "--baseline") {
-            opt.baselinePath = value("--baseline");
-        } else if (a == "--write-baseline") {
-            opt.writeBaselinePath = value("--write-baseline");
         } else if (a == "--key-table") {
             opt.keyTablePath = value("--key-table");
         } else if (a == "--zone-table") {
@@ -104,8 +95,6 @@ main(int argc, char **argv)
             opt.excludes.push_back(value("--exclude"));
         } else if (a == "--phase-root") {
             opt.phaseRoots.push_back(value("--phase-root"));
-        } else if (a == "--check-baseline") {
-            opt.checkBaseline = true;
         } else if (a == "--callgraph-dump") {
             opt.callgraphDump = true;
         } else if (a == "--rules") {
@@ -122,8 +111,6 @@ main(int argc, char **argv)
                     break;
                 start = comma + 1;
             }
-        } else if (a == "--verbose") {
-            opt.verbose = true;
         } else if (a.rfind("--", 0) == 0) {
             return usage();
         } else {
@@ -201,66 +188,11 @@ main(int argc, char **argv)
                   return a.key < b.key;
               });
 
-    // ---- baseline ----
-    size_t stale = 0;
-    if (!opt.baselinePath.empty()) {
-        bool ok = false;
-        std::set<std::string> baseline =
-            loadBaseline(opt.baselinePath, ok);
-        if (!ok) {
-            std::fprintf(stderr,
-                         "texpim-lint: cannot read baseline '%s'\n",
-                         opt.baselinePath.c_str());
-            return 2;
-        }
-        std::set<std::string> matched;
-        for (Finding &f : findings) {
-            std::string key = baselineKey(f);
-            f.baselined = baseline.count(key) != 0;
-            if (f.baselined)
-                matched.insert(key);
-        }
-        if (opt.checkBaseline) {
-            for (const std::string &entry : baseline) {
-                if (matched.count(entry))
-                    continue;
-                ++stale;
-                std::printf("%s: [stale-baseline] entry matches no "
-                            "current finding\n",
-                            entry.c_str());
-            }
-        }
-    } else if (opt.checkBaseline) {
-        std::fprintf(stderr,
-                     "texpim-lint: --check-baseline needs --baseline\n");
-        return 2;
-    }
-
-    if (!opt.writeBaselinePath.empty()) {
-        writeBaselineFile(opt.writeBaselinePath, findings);
-        std::printf("texpim-lint: wrote %zu finding(s) to %s\n",
-                    findings.size(), opt.writeBaselinePath.c_str());
-        return 0;
-    }
-
     // ---- report ----
-    size_t fresh = 0, old = 0;
-    for (const Finding &f : findings) {
-        if (f.baselined) {
-            ++old;
-            if (opt.verbose)
-                std::printf("%s:%d: [%s] (baselined) %s\n",
-                            f.path.c_str(), f.line, f.rule.c_str(),
-                            f.message.c_str());
-            continue;
-        }
-        ++fresh;
+    for (const Finding &f : findings)
         std::printf("%s:%d: [%s] %s\n", f.path.c_str(), f.line,
                     f.rule.c_str(), f.message.c_str());
-    }
-    std::printf("texpim-lint: %zu new finding(s), %zu baselined, "
-                "%zu stale baseline entr%s, %zu file(s) scanned\n",
-                fresh, old, stale, stale == 1 ? "y" : "ies",
-                files.size());
-    return fresh == 0 && stale == 0 ? 0 : 1;
+    std::printf("texpim-lint: %zu finding(s), %zu file(s) scanned\n",
+                findings.size(), files.size());
+    return findings.empty() ? 0 : 1;
 }

@@ -15,9 +15,8 @@
  *     replay-root` marker.
  *
  * Findings anchor at the offending line in the offending file and
- * carry the root→offender call path in the message; the baseline key
- * is `<what>@<function>` so it survives line churn like every other
- * rule.
+ * carry the root→offender call path in the message; the key is
+ * `<what>@<function>`.
  */
 
 #include "callgraph.hh"
