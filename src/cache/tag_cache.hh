@@ -41,6 +41,8 @@ u8 quantizeAngle(float radians);
 /** Back from the 7-bit code to radians (bucket center). */
 float dequantizeAngle(u8 code);
 
+// texpim-lint: caller-owned one writer at a time: a texture L1 its
+// cluster's current tile recorder, any other cache the serial replay
 class TagCache
 {
   public:
@@ -76,7 +78,6 @@ class TagCache
 
     void invalidateAll();
 
-    u64 lineBytes() const { return params_.lineBytes; }
     Addr lineAddr(Addr addr) const { return addr & ~(params_.lineBytes - 1); }
 
   private:

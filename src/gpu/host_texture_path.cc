@@ -79,8 +79,39 @@ HostTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
     // texel the filter fetches (the differential suite pins it against
     // the reference sampler's fetch trace).
     recordConventionalQuad(base, coords, count,
-                           ~Addr(l1_[base.clusterId]->lineBytes() - 1),
-                           stream, scratch);
+                           ~Addr(params_.texL1.lineBytes - 1), stream,
+                           scratch);
+}
+
+void
+HostTexturePath::recordL1(unsigned cluster, float /*angle*/,
+                          ReplayStream &stream, u32 idx)
+{
+    TEXPIM_ASSERT(cluster < params_.clusters, "bad cluster id");
+    TexSampleRec &rec = stream.samples[idx];
+    // A lane may fetch kQuadMaxFetches (256) texels, but its distinct
+    // lines stay far below that, so the hit counts fit their u8.
+    TEXPIM_ASSERT(rec.blockCount <= 255, "sample touches ", rec.blockCount,
+                  " lines, more than its u8 L1 hit count holds");
+    TagCache &l1 = *l1_[cluster];
+    Addr *lines = stream.blocks.data() + rec.blockOff;
+    u32 misses = 0;
+    u32 hits = 0;
+    u32 cross = 0;
+    for (u32 i = 0; i < rec.blockCount; ++i) {
+        if (l1.access(lines[i]) == CacheOutcome::Hit) {
+            ++hits;
+            if (l1.lastHitCrossEpoch())
+                ++cross;
+            continue;
+        }
+        // Misses move to the front in fetch order, the order replay()
+        // walks the L2 in; the slice stays a permutation of the lines.
+        std::swap(lines[misses++], lines[i]);
+    }
+    rec.blockCount = misses;
+    rec.l1Hits = u8(hits);
+    rec.l1Cross = u8(cross);
 }
 
 TexResponse
@@ -107,18 +138,12 @@ HostTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
 
     Cycle t0 = start + addr_gen;
 
-    TagCache &l1 = *l1_[req.clusterId];
+    // recordL1 left the sample's L1 misses at the front of its slice.
     Cycle data_ready = t0 + params_.texL1HitLatency;
-    u32 l1_misses = 0;
-    for (u32 i = 0; i < rec.blockCount; ++i) {
+    const u32 l1_misses = rec.blockCount;
+    const u32 lines = l1_misses + rec.l1Hits;
+    for (u32 i = 0; i < l1_misses; ++i) {
         Addr line = stream.blocks[rec.blockOff + i];
-        if (l1.access(line) == CacheOutcome::Hit) {
-            ++l1_hits_;
-            if (l1.lastHitCrossEpoch())
-                ++l1_interframe_hits_;
-            continue;
-        }
-        ++l1_misses;
         Cycle l2_at = t0 + params_.texL1HitLatency;
         if (l2_.access(line) == CacheOutcome::Hit) {
             ++l2_hits_;
@@ -133,8 +158,8 @@ HostTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
         Cycle mem_at = l2_at + params_.texL2HitLatency;
         Cycle done = outstanding_.lookup(line, mem_at);
         if (done == kNeverCycle) {
-            done = mem_.read(line, l1.lineBytes(), TrafficClass::Texture,
-                             mem_at);
+            done = mem_.read(line, params_.texL1.lineBytes,
+                             TrafficClass::Texture, mem_at);
             outstanding_.insert(line, done);
             TEXPIM_TRACE_COMPLETE("texture", "line_fill",
                                   100 + req.clusterId, mem_at,
@@ -148,10 +173,12 @@ HostTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
     Cycle complete = data_ready + filter;
 
     // One L1 lookup per line, one L2 lookup per L1 miss.
-    TEXPIM_PROF_COUNT(prof::kZoneTagCache, rec.blockCount + l1_misses);
+    TEXPIM_PROF_COUNT(prof::kZoneTagCache, lines + l1_misses);
+    l1_hits_ += rec.l1Hits;
+    l1_interframe_hits_ += rec.l1Cross;
     l1_misses_ += l1_misses;
     texels_ += texels;
-    lines_ += rec.blockCount;
+    lines_ += lines;
     addr_ops_ += texels;
     filter_ops_ += rec.filterOps;
     aniso_samples_ += rec.anisoRatio;

@@ -39,6 +39,8 @@ class HostTexturePath : public TexturePath
     void sampleQuad(const TexRequest &base, const SampleCoords *coords,
                     unsigned count, ReplayStream &stream,
                     SamplerScratch &scratch) const override;
+    void recordL1(unsigned cluster, float angle, ReplayStream &stream,
+                  u32 idx) override;
     TexResponse replay(const TexRequest &req, const ReplayStream &stream,
                        u32 idx) override;
 

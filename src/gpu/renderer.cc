@@ -140,6 +140,9 @@ struct Renderer::TileWork
  * or waits on its flag; done() empties the slot and opens the
  * cluster's next tile in it. Which tile replays next never depends on
  * readiness, so the replay is bit-identical at any thread count.
+ * The same flags hand each cluster's texture L1 on: tile k's recorder
+ * runs the tile through it before its kReady release, and done()'s
+ * kOpen release reaches tile k + 1's recorder only after that.
  *
  * The destructor stops the pool, wakes every waiting thread and joins
  * them, so a replay that unwinds (SimTimeout, SimPanic) leaks no
@@ -671,6 +674,19 @@ Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileRecord &rec,
         // are interchangeable and unique() drops them.
         std::sort(blk.begin(), blk.end());
         blk.erase(std::unique(blk.begin(), blk.end()), blk.end());
+    }
+
+    // The cluster's private texture L1, in the order replayTile looks
+    // samples up. This recorder owns the L1 until it publishes the
+    // tile: the window opens the cluster's next tile only after this
+    // one has replayed.
+    for (const FragRecord &fr : rec.frags) {
+        if (!(fr.flags & FragRecord::kShaded))
+            continue;
+        // texpim-lint: allow(T1) cluster-private L1, handed on by the window
+        tex_.recordL1(cluster, fr.angle, rec.stream, fr.sample);
+        if (fr.flags & FragRecord::kHasDetail)
+            tex_.recordL1(cluster, fr.angle, rec.stream, fr.detail);
     }
 
     ctx.tileBytes[ti] = rec.sizeBytes();

@@ -196,10 +196,12 @@ class Renderer
     void accountRecords(const FrameCtx &ctx, FrameStats &fs) const;
 
     /** Phase 1, one tile: rasterize, tile-local early Z, functional
-     *  texture sampling into `rec` (empty on entry), plus the tile's
-     *  census blocks, byte count and hash in `ctx`. Thread-safe across
-     *  distinct tiles (touches only tile-disjoint state plus the
-     *  caller-owned record and worker scratch). */
+     *  texture sampling into `rec` (empty on entry) and the lookups in
+     *  the tile's cluster's texture L1, plus the tile's census blocks,
+     *  byte count and hash in `ctx`. Thread-safe across tiles of
+     *  distinct clusters (touches only tile-disjoint state, the
+     *  caller-owned record and worker scratch, and the cluster's L1);
+     *  a cluster's tiles must record one at a time, in list order. */
     void rasterizeTile(FrameCtx &ctx, u32 ti, TileRecord &rec,
                        TileWorker &worker);
 

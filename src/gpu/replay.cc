@@ -60,7 +60,9 @@ TileRecord::hash() const
         f.pair(r.texels, r.filterOps);
         f.pair(r.anisoRatio, r.parentOff);
         f.pair(r.parentCount, r.hostFilterOps);
-        f.pair(u32(r.numLevels), std::bit_cast<u32>(r.levelWeight));
+        f.pair(u32(r.numLevels) | u32(r.l1Hits) << 8 |
+                   u32(r.l1Cross) << 16 | u32(r.l1Angle) << 24,
+               std::bit_cast<u32>(r.levelWeight));
         f.pair(r.fx[0], r.fx[1]);
         f.pair(r.fy[0], r.fy[1]);
     }

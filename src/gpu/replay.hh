@@ -3,32 +3,35 @@
  * Record/replay types for the two-phase renderer.
  *
  * Phase 1 (functional, parallel) rasterizes every tile independently:
- * coverage, tile-local early Z, shading terms, and the *functional*
- * half of texture filtering run on a worker pool, and everything the
- * timing model will need is captured in per-tile records — per-
- * fragment shading terms plus, per texture request, its fetch slice of
+ * coverage, tile-local early Z, shading terms, the *functional* half
+ * of texture filtering and the lookups in the tile's cluster's private
+ * texture L1 run on a worker pool, and everything the timing model
+ * will need is captured in per-tile records — per-fragment shading
+ * terms plus, per texture request, its fetch slice of
  * ReplayStream::blocks (the deduplicated cache lines / DRAM bursts of a
- * conventional path, or the child bursts of an A-TFIM sample's
- * parents) and either the functional filter color or the A-TFIM
- * parent decomposition.
+ * conventional path, L1 misses first, or the child bursts of an A-TFIM
+ * sample's parents), its L1 outcome, and either the functional filter
+ * color or the A-TFIM parent decomposition.
  *
  * Phase 2 (timing, serial) replays the records through the cluster
- * clocks, in-flight windows, caches, memory system and PIM paths in
- * one fixed order — tiles in gpu.schedule order, fragments in raster
- * order within a tile — so cycle counts, every statistic, and
- * A-TFIM's state-dependent angle-reuse image are bit-identical at any
- * worker count.
+ * clocks, in-flight windows, shared caches, memory system and PIM
+ * paths in one fixed order — tiles in gpu.schedule order, fragments
+ * in raster order within a tile — so cycle counts, every statistic,
+ * and A-TFIM's state-dependent angle-reuse image are bit-identical at
+ * any worker count.
  *
  * The two phases of one frame stream: a tile is recorded into its
  * cluster's window slot shortly before the replay reaches it and the
  * slot is reused once the replay is done with it (see
  * Renderer::TileWindow), so a frame never holds more than one record
- * per cluster. The flattened layout (per-tile arrays indexed by
- * offset/count pairs instead of per-fragment vectors) keeps phase 1
- * free of per-fragment heap allocation, and a reused slot's arrays
- * keep their capacity. The quad kernels append their samples to the
- * tile's stream directly, so a sample is written once, where replay
- * reads it; fragments point at their samples by index.
+ * per cluster; the same window hands each cluster's L1 from the
+ * recorder of one of its tiles to the next. The flattened layout
+ * (per-tile arrays indexed by offset/count pairs instead of
+ * per-fragment vectors) keeps phase 1 free of per-fragment heap
+ * allocation, and a reused slot's arrays keep their capacity. The
+ * quad kernels append their samples to the tile's stream directly, so
+ * a sample is written once, where replay reads it; fragments point at
+ * their samples by index.
  */
 
 #ifndef TEXPIM_GPU_REPLAY_HH
@@ -65,7 +68,8 @@ struct TexSampleRec
     u32 blockOff = 0;  //!< first entry in ReplayStream::blocks: lines /
                        //!< bursts (conventional paths) or the
                        //!< parent-major child bursts (A-TFIM)
-    u32 blockCount = 0; //!< A-TFIM: parentCount · anisoRatio
+    u32 blockCount = 0; //!< host: L1-missing lines once recordL1 ran;
+                        //!< A-TFIM: parentCount · anisoRatio
     u32 texels = 0;    //!< texel fetches before line/block coalescing
     u32 filterOps = 0;
     u32 anisoRatio = 1; //!< N of computeLod; a fragment's base sample's
@@ -76,6 +80,16 @@ struct TexSampleRec
     u32 parentCount = 0;
     u32 hostFilterOps = 0;
     u8 numLevels = 1;
+
+    // Record-side texture L1 outcome (TexturePath::recordL1), in the
+    // bytes after numLevels. Host paths: l1Hits lines hit, l1Cross of
+    // them warm from an earlier frame, and the blocks slice holds the
+    // missing lines first (blockCount of them). A-TFIM: bit p of each
+    // mask is parent p's L1 hit, hit on a line warm from an earlier
+    // frame, or angle miss.
+    u8 l1Hits = 0;  //!< host: hit count; A-TFIM: hit mask
+    u8 l1Cross = 0; //!< host: cross-epoch hit count; A-TFIM: its mask
+    u8 l1Angle = 0; //!< A-TFIM: angle-miss mask
     float fx[2] = {0.0f, 0.0f};
     float fy[2] = {0.0f, 0.0f};
     float levelWeight = 0.0f;

@@ -51,6 +51,10 @@ struct TexResponse
     Cycle complete = 0;
 };
 
+// An A-TFIM sample's record-side L1 outcomes are u8 masks with one
+// bit per parent (TexSampleRec::l1Hits and its siblings).
+static_assert(kQuadMaxParents <= 8);
+
 // texpim-lint: pool-shared one path object serves every phase-1 worker
 class TexturePath
 {
@@ -83,9 +87,10 @@ class TexturePath
      * Pure: touches no caches, pipelines, statistics or
      * memory-system state, so concurrent calls from
      * phase-1 worker threads are safe (each worker owns its stream
-     * and scratch), and so is a call concurrent with replay() on the
-     * coordinating thread, which the renderer's tile streaming window
-     * makes every frame: it reads nothing replay() writes.
+     * and scratch), and so is a call concurrent with replay() or with
+     * another cluster's recordL1(), which the renderer's tile
+     * streaming window makes every frame: it reads nothing either
+     * writes.
      */
     // texpim-lint: phase-root functional phase-1 entry; every override
     // runs concurrently on the render pool
@@ -95,9 +100,28 @@ class TexturePath
                             SamplerScratch &scratch) const = 0;
 
     /**
+     * Phase 1 — the cluster's private texture L1. Run record `idx` of
+     * `stream` (appended by sampleQuad() for `cluster`) through
+     * cluster `cluster`'s L1 at camera angle `angle`, and store the
+     * outcomes in the record (TexSampleRec::l1Hits and its siblings)
+     * for replay() to account. Writes only that L1 and the record, so
+     * calls for distinct clusters may run concurrently; calls for one
+     * cluster must come in the order replay() would have looked the
+     * samples up: its tiles in list order, fragments in raster order,
+     * base sample before detail. The renderer's tile streaming window
+     * serialises them so. Paths without a texture L1 record nothing.
+     */
+    virtual void
+    recordL1(unsigned /*cluster*/, float /*angle*/,
+             ReplayStream & /*stream*/, u32 /*idx*/)
+    {
+    }
+
+    /**
      * Phase 2 — timing half. Replay record `idx` of `stream` through
-     * the caches, pipelines and memory system, updating every
-     * statistic. Serial only. `req` supplies the timing context
+     * the L2, pipelines and memory system, updating every statistic
+     * (the L1 outcomes come from recordL1(), which must have run on
+     * the record). Serial only. `req` supplies the timing context
      * (clusterId / issue / wanted) and the camera angle; `req.tex` may
      * be null — the functional work already happened in sampleQuad().
      */

@@ -1,6 +1,7 @@
 #include "pim/atfim_path.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -93,7 +94,7 @@ AtfimTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
                              SamplerScratch &scratch) const
 {
     TEXPIM_ASSERT(base.tex != nullptr, "texture request without texture");
-    TEXPIM_ASSERT(base.clusterId < l1_.size(), "bad cluster id");
+    TEXPIM_ASSERT(base.clusterId < gpu_.clusters, "bad cluster id");
 
     const Addr mask = ~Addr(atfim_.childFetchGranularityBytes - 1);
     QuadDecompOut &out = scratch.quadDecomp;
@@ -126,11 +127,37 @@ AtfimTexturePath::sampleQuad(const TexRequest &base, const SampleCoords *coords,
     }
 }
 
+void
+AtfimTexturePath::recordL1(unsigned cluster, float angle,
+                           ReplayStream &stream, u32 idx)
+{
+    TEXPIM_ASSERT(cluster < gpu_.clusters, "bad cluster id");
+    TexSampleRec &rec = stream.samples[idx];
+    TagCache &l1 = *l1_[cluster];
+    u8 hit = 0, cross = 0, angle_miss = 0;
+    for (unsigned p = 0; p < rec.parentCount; ++p) {
+        const u8 bit = u8(1u << p);
+        const Addr addr = stream.parents[rec.parentOff + p].addr;
+        CacheOutcome o =
+            l1.accessAngled(addr, angle, atfim_.angleThresholdRad);
+        if (o == CacheOutcome::Hit) {
+            hit |= bit;
+            if (l1.lastHitCrossEpoch())
+                cross |= bit;
+        } else if (o == CacheOutcome::AngleMiss) {
+            angle_miss |= bit;
+        }
+    }
+    rec.l1Hits = hit;
+    rec.l1Cross = cross;
+    rec.l1Angle = angle_miss;
+}
+
 TexResponse
 AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
                          u32 idx)
 {
-    TEXPIM_ASSERT(req.clusterId < l1_.size(), "bad cluster id");
+    TEXPIM_ASSERT(req.clusterId < gpu_.clusters, "bad cluster id");
     const TexSampleRec &rec = stream.samples[idx];
     aniso_samples_ += rec.anisoRatio;
 
@@ -145,33 +172,26 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
     Cycle start = std::max(req.issue, unit_free_[req.clusterId]);
     Cycle t0 = start + addr_gen;
 
-    // Angle-checked cache lookups per parent texel.
-    TagCache &l1 = *l1_[req.clusterId];
+    // Angle-checked cache lookups per parent texel: recordL1 took the
+    // L1 outcomes, and the L1 non-hits look the L2 up here.
     Cycle host_ready = t0 + gpu_.texL1HitLatency;
+    const unsigned l1_hit = unsigned(std::popcount(rec.l1Hits));
+    const unsigned l1_angle = unsigned(std::popcount(rec.l1Angle));
+    const unsigned l1_out = n_parents - l1_hit;
+    l1_hits_ += l1_hit;
+    l1_interframe_hits_ += unsigned(std::popcount(rec.l1Cross));
+    l1_angle_recalcs_ += l1_angle;
+    l1_misses_ += l1_out - l1_angle;
 
-    ColorF values[8];
-    unsigned miss_idx[8];
+    ColorF values[kQuadMaxParents];
+    unsigned miss_idx[kQuadMaxParents];
     unsigned n_miss = 0;
-    unsigned l1_out = 0;
     u64 total_children = 0;
 
     for (unsigned p = 0; p < n_parents; ++p) {
         const ParentRec &parent = stream.parents[rec.parentOff + p];
-        bool reuse = false;
-
-        CacheOutcome o1 =
-            l1.accessAngled(parent.addr, angle, atfim_.angleThresholdRad);
-        if (o1 == CacheOutcome::Hit) {
-            ++l1_hits_;
-            if (l1.lastHitCrossEpoch())
-                ++l1_interframe_hits_;
-            reuse = true;
-        } else {
-            ++l1_out;
-            if (o1 == CacheOutcome::AngleMiss)
-                ++l1_angle_recalcs_;
-            else
-                ++l1_misses_;
+        bool reuse = (rec.l1Hits >> p) & 1u;
+        if (!reuse) {
             // The L2 copy may still be angle-valid (e.g. refreshed by
             // another cluster); reuse it if so.
             CacheOutcome o2 = l2_.accessAngled(parent.addr, angle,

@@ -178,6 +178,7 @@ TEST(Atfim, ChildBlocksAreTheSampleBlockSlice)
     GpuParams gp;
     gp.texL1.lineBytes = gp.texL2.lineBytes = kBytesPerTexel;
     AtfimTexturePath cold(gp, AtfimParams{}, PimPacketParams{}, f.hmc);
+    cold.recordL1(r.clusterId, r.coords.cameraAngle, stream, 0);
     cold.replay(r, stream, 0);
     const StatGroup &st = cold.stats();
     ASSERT_EQ(st.findCounter("parents_offloaded").value(), rec.parentCount);

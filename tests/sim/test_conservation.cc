@@ -277,6 +277,100 @@ INSTANTIATE_TEST_SUITE_P(CacheDesigns, TagCacheProfile,
                                            Design::ATfim),
                          designParamName);
 
+/**
+ * Texture L1 outcomes pinned to exact counts. Each cluster's L1 is
+ * private, so its outcomes depend only on the cluster's own access
+ * sequence: its tiles in list order, fragments in raster order, base
+ * sample before detail. Neither gpu.schedule nor gpu.render_threads
+ * may move them, and B-PIM sees Baseline's lines. The pins were read
+ * from a renderer that ran the L1 lookups inside the serial replay,
+ * so they also hold the record-side L1 to that serial reference.
+ */
+class L1Accounting : public ::testing::TestWithParam<Design>
+{
+  protected:
+    /** Host paths pin lines = hits + misses; A-TFIM pins its angle
+     *  recalculations instead. */
+    struct Pin
+    {
+        double hits, misses, third;
+    };
+
+    bool atfim() const { return GetParam() == Design::ATfim; }
+
+    SimConfig
+    config(unsigned threads, GpuParams::Schedule sched) const
+    {
+        SimConfig cfg;
+        cfg.design = GetParam();
+        cfg.gpu.renderThreads = threads;
+        cfg.gpu.schedule = sched;
+        return cfg;
+    }
+};
+
+TEST_P(L1Accounting, FrameCountsHoldAtAnyScheduleAndThreadCount)
+{
+    struct GamePin
+    {
+        Game game;
+        Pin host, atfim;
+    };
+    const GamePin pins[] = {
+        {Game::Doom3, {118877, 17971, 136848}, {261328, 16570, 5118}},
+        {Game::HalfLife2, {152751, 18429, 171180}, {333358, 16879, 8371}},
+    };
+    for (const GamePin &gp : pins) {
+        Scene scene = buildGameScene({gp.game, 160, 120}, 3, 0x7e01d);
+        const Pin &pin = atfim() ? gp.atfim : gp.host;
+        for (unsigned threads : {1u, 4u}) {
+            for (GpuParams::Schedule sched :
+                 {GpuParams::Schedule::Horizon,
+                  GpuParams::Schedule::RoundRobin}) {
+                SCOPED_TRACE(std::string(gameName(gp.game)) +
+                             " threads=" + std::to_string(threads) +
+                             (sched == GpuParams::Schedule::Horizon
+                                  ? " horizon"
+                                  : " rr"));
+                SimContext ctx;
+                SimContext::Scope scope(ctx);
+                RenderingSimulator sim(config(threads, sched));
+                (void)sim.renderScene(scene);
+                Snapshot snap = ctx.stats().snapshot();
+                const std::string tex = sim.texturePath().stats().name();
+                EXPECT_EQ(at(snap, tex + ".l1_hits"), pin.hits);
+                EXPECT_EQ(at(snap, tex + ".l1_misses"), pin.misses);
+                EXPECT_EQ(at(snap, tex + (atfim() ? ".l1_angle_recalcs"
+                                                  : ".lines")),
+                          pin.third);
+            }
+        }
+    }
+}
+
+TEST_P(L1Accounting, InterFrameHitsOnTwoFramePath)
+{
+    // The two-frame Riddick path the sequence census pins render:
+    // frame 1's L1 hits on lines warm from frame 0.
+    const double want = atfim() ? 21 : 195;
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        SimContext ctx;
+        SimContext::Scope scope(ctx);
+        RenderingSimulator sim(
+            config(threads, GpuParams::Schedule::Horizon));
+        (void)sim.renderSequence({Game::Riddick, 160, 120}, 2);
+        Snapshot snap = ctx.stats().snapshot();
+        const std::string tex = sim.texturePath().stats().name();
+        EXPECT_EQ(at(snap, tex + ".l1_interframe_hits"), want);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(CacheDesigns, L1Accounting,
+                         ::testing::Values(Design::Baseline, Design::BPim,
+                                           Design::ATfim),
+                         designParamName);
+
 class PhysicalBounds : public ::testing::TestWithParam<Design>
 {
 };
