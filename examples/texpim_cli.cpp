@@ -29,7 +29,7 @@
  * Sweeps are resilient (see README "Resilient sweeps"): a spec that
  * throws, panics or exceeds sim.job_timeout_ms= becomes a
  * status=failed/timeout row instead of killing the grid;
- * runner.max_retries= re-runs transient failures with seeded backoff;
+ * runner.max_retries= re-runs panicked specs with a remixed fault seed;
  * sweep_journal=<file.jsonl> checkpoints each finished spec and
  * resume=<file.jsonl> continues an interrupted sweep with
  * byte-identical final outputs. sim.inject_failure=
@@ -187,7 +187,6 @@ commandOnlyKeys()
         {"metrics_out", sweep},
         {"resume", sweep},
         {"runner.max_retries", sweep},
-        {"runner.retry_backoff_ms", sweep},
         {"sim.inject_failure", sweep},
         {"sim.job_timeout_ms", sweep},
         {"sweep_journal", sweep},
@@ -575,8 +574,6 @@ cmdSweep(int argc, char **argv)
         cfg.getUnsigned("sim.job_timeout_ms", 0, 0, kMaxUnsigned);
     ropt.maxRetries =
         cfg.getUnsigned("runner.max_retries", 0, 0, kMaxUnsigned);
-    ropt.retryBackoffMs =
-        cfg.getUnsigned("runner.retry_backoff_ms", 100, 0, kMaxUnsigned);
     validateConfig(cfg, "sweep");
 
     std::vector<ExperimentSpec> specs;

@@ -1,25 +1,9 @@
 #include "common/prof/profiler.hh"
 
-#include <chrono>
-
 #include "common/sim_context.hh"
 #include "common/stat_export.hh"
 
 namespace texpim {
-
-namespace {
-
-double
-wallSeconds()
-{
-    // texpim-lint: allow(D1) host wall-clock for profiler wall fields,
-    // excluded from deterministic exports (see profiler.hh contract).
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
 
 Profiler &
 Profiler::instance()
@@ -86,23 +70,5 @@ Profiler::writeJson(JsonWriter &w, bool include_wall) const
     }
     w.endArray();
 }
-
-namespace prof {
-
-ScopedZone::ScopedZone(ZoneId z) : zone_(z)
-{
-    if (Profiler::active())
-        start_ = wallSeconds();
-}
-
-ScopedZone::~ScopedZone()
-{
-    // Charge only when the profiler was on for the whole scope; a zone
-    // entered before enable() (or after disable()) stays uncharged.
-    if (start_ != 0.0 && Profiler::active())
-        Profiler::instance().addWall(zone_, wallSeconds() - start_);
-}
-
-} // namespace prof
 
 } // namespace texpim

@@ -16,12 +16,11 @@
  * attribution"): counts and simulated cycles are charged only from
  * serial code — the geometry phase, the phase-2 replay and post-phase
  * summaries on the coordinating thread — never from phase-1 worker
- * threads. Host wall-clock is recorded only at coarse
- * phase granularity by ScopedZone on the coordinating thread and is
- * excluded from the deterministic export (writeJson) unless explicitly
- * requested, exactly like FrameStats' wall fields. The deterministic
- * sections are therefore byte-identical across gpu.render_threads and
- * jobs settings.
+ * threads. The profiler reads no clock: its host wall-clock column is
+ * FrameStats' wall fields, added once per frame by Renderer::finishTail,
+ * and is excluded from the deterministic export (writeJson) unless
+ * explicitly requested. The deterministic sections are therefore
+ * byte-identical across gpu.render_threads and jobs settings.
  */
 
 #ifndef TEXPIM_COMMON_PROF_PROFILER_HH
@@ -80,7 +79,8 @@ class Profiler
     /** Charge `n` events (no cycle cost) to `z`. */
     void addCount(prof::ZoneId z, u64 n) { rows_[z].count += n; }
 
-    /** Charge host wall-clock seconds to `z` (ScopedZone's dtor). */
+    /** Charge host wall-clock seconds to `z` (FrameStats' wall fields,
+     *  from Renderer::finishTail). */
     void addWall(prof::ZoneId z, double sec) { rows_[z].wallSec += sec; }
 
     // ---- inspection / export ----
@@ -120,29 +120,6 @@ class Profiler
     static constexpr u64 kDefaultEpochCycles = 65536;
 };
 
-namespace prof {
-
-/**
- * RAII wall-clock zone for coarse serial phases. Records host seconds
- * only (simulated cycles are charged explicitly where they are known);
- * construct it on the coordinating thread only.
- */
-class ScopedZone
-{
-  public:
-    explicit ScopedZone(ZoneId z);
-    ~ScopedZone();
-
-    ScopedZone(const ScopedZone &) = delete;
-    ScopedZone &operator=(const ScopedZone &) = delete;
-
-  private:
-    ZoneId zone_;
-    double start_ = 0.0; //!< 0 when the profiler was off at entry
-};
-
-} // namespace prof
-
 } // namespace texpim
 
 /** Charge `cycles` simulated cycles (and one event) to a zone. */
@@ -158,9 +135,5 @@ class ScopedZone
         if (::texpim::Profiler::active())                                     \
             ::texpim::Profiler::instance().addCount((zone), (n));             \
     } while (0)
-
-/** Wall-clock RAII scope for a coarse serial phase. */
-#define TEXPIM_PROF_SCOPE(zone)                                               \
-    ::texpim::prof::ScopedZone texpim_prof_scope_ { (zone) }
 
 #endif // TEXPIM_COMMON_PROF_PROFILER_HH

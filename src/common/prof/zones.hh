@@ -35,16 +35,16 @@ namespace prof {
     Z(kZoneGeometry, "frame/geometry", kZoneFrame,                            \
       "geometry phase: vertex fetch, shading, clip and raster setup")         \
     Z(kZoneSample, "frame/sample", kZoneFrame,                                \
-      "texture requests sampled (count); wall: the functional setup "         \
-      "(geometry, tile binning) - tiles themselves record inside "            \
-      "frame/replay")                                                         \
+      "texture requests sampled (count); wall: FrameStats' phase-1 set-up "   \
+      "(geometry, tile binning) on whichever thread ran it - tiles record "   \
+      "inside frame/replay")                                                  \
     Z(kZoneReplay, "frame/replay", kZoneFrame,                                \
       "phase-2 timing replay, tiles streaming in from the record")            \
     Z(kZoneSchedule, "frame/replay/tiles", kZoneReplay,                       \
       "per-tile work scheduled by the phase-2 cluster scheduler")             \
     Z(kZoneWait, "frame/replay/wait", kZoneReplay,                            \
       "host wall-clock the replay spent waiting for, or itself recording, "   \
-      "the tile it chose next (wall-only, coordinating thread)")              \
+      "the tile it chose next (wall-only: FrameStats' replay wait)")          \
     Z(kZoneTagCache, "mem/tagcache", kZoneNone,                               \
       "tag-cache lookups (texture L1/L2 and ROP Z/color caches)")             \
     Z(kZoneHmcLink, "mem/hmc/link", kZoneNone,                                \
@@ -52,7 +52,8 @@ namespace prof {
     Z(kZoneHmcVault, "mem/hmc/vault", kZoneNone,                              \
       "HMC vault accesses: switch, TSV and DRAM bank time")                   \
     Z(kZonePimPackage, "pim/package", kZoneNone,                              \
-      "PIM offload/response package execution on the logic layer")
+      "PIM package execution on the logic layer, once per offload "           \
+      "(link transfers are mem/hmc/link)")
 // texpim-lint: zone-table end
 
 /** Zone identifiers, one per table row, plus the kZoneNone root. */

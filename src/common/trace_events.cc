@@ -69,32 +69,20 @@ TraceEvents::flush() const
 }
 
 bool
-TraceEvents::reserve(u64 n)
+TraceEvents::reserve()
 {
-    if (events_.size() + n > cap_) {
-        dropped_ += n;
+    if (events_.size() >= cap_) {
+        ++dropped_;
         return false;
     }
     return true;
 }
 
 void
-TraceEvents::span(const char *cat, const char *name, u32 tid, Cycle begin,
-                  Cycle end)
-{
-    // Emitted as an atomic pair so B/E events always balance, even
-    // when the cap truncates the trace.
-    if (!reserve(2))
-        return;
-    events_.push_back(Event{'B', tid, cat, name, begin, 0, 0.0, 0});
-    events_.push_back(Event{'E', tid, cat, name, end, 0, 0.0, 0});
-}
-
-void
 TraceEvents::complete(const char *cat, const char *name, u32 tid, Cycle ts,
                       Cycle dur)
 {
-    if (!reserve(1))
+    if (!reserve())
         return;
     events_.push_back(Event{'X', tid, cat, name, ts, dur, 0.0, 0});
 }
@@ -102,7 +90,7 @@ TraceEvents::complete(const char *cat, const char *name, u32 tid, Cycle ts,
 void
 TraceEvents::instant(const char *cat, const char *name, u32 tid, Cycle ts)
 {
-    if (!reserve(1))
+    if (!reserve())
         return;
     events_.push_back(Event{'i', tid, cat, name, ts, 0, 0.0, 0});
 }
@@ -111,7 +99,7 @@ void
 TraceEvents::counter(const char *cat, const char *name, Cycle ts,
                      double value)
 {
-    if (!reserve(1))
+    if (!reserve())
         return;
     events_.push_back(Event{'C', 0, cat, name, ts, 0, value, 0});
 }
@@ -130,7 +118,7 @@ void
 TraceEvents::counterNamed(const char *cat, const std::string &name, Cycle ts,
                           double value)
 {
-    if (!reserve(1))
+    if (!reserve())
         return;
     events_.push_back(Event{'C', 0, cat, intern(name), ts, 0, value, 0});
 }
@@ -139,7 +127,7 @@ void
 TraceEvents::flowBegin(const char *cat, const char *name, u32 tid, Cycle ts,
                        u64 id)
 {
-    if (!reserve(1))
+    if (!reserve())
         return;
     events_.push_back(Event{'s', tid, cat, name, ts, 0, 0.0, id});
 }
@@ -148,7 +136,7 @@ void
 TraceEvents::flowEnd(const char *cat, const char *name, u32 tid, Cycle ts,
                      u64 id)
 {
-    if (!reserve(1))
+    if (!reserve())
         return;
     events_.push_back(Event{'f', tid, cat, name, ts, 0, 0.0, id});
 }

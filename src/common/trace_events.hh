@@ -19,13 +19,10 @@
  * Timestamps are GPU core cycles emitted as-is in the "ts" field
  * (1 cycle displays as 1 us in the viewers). Event kinds used:
  *
- *  - span():     a B/E duration pair, emitted atomically once the end
- *                cycle is known, so traces always have balanced B/E
- *                events. Use only for spans that do not overlap other
- *                spans on the same (pid, tid) track.
- *  - complete(): a single "X" event with a duration — safe for
- *                overlapping work (texture requests in flight, DRAM
- *                accesses).
+ *  - complete(): a single "X" event with a duration, the one kind
+ *                for anything that takes time (tiles, frames,
+ *                texture requests in flight, DRAM accesses). One
+ *                event per duration, so the cap never splits one.
  *  - instant():  a point event ("i").
  *  - counter():  a "C" counter track sample. counterNamed() takes a
  *                runtime-built track name (e.g. per-vault utilization
@@ -88,8 +85,8 @@ class TraceEvents
 
     /**
      * Start recording into an in-memory buffer destined for `path`.
-     * At most `max_events` JSON events are kept (a span counts as
-     * two); the rest are dropped and counted.
+     * At most `max_events` JSON events are kept; the rest are dropped
+     * and counted.
      */
     void enable(const std::string &path,
                 u64 max_events = kDefaultEventCap);
@@ -111,8 +108,6 @@ class TraceEvents
     u64 dropped() const { return dropped_; }
     const std::string &path() const { return path_; }
 
-    void span(const char *cat, const char *name, u32 tid, Cycle begin,
-              Cycle end);
     void complete(const char *cat, const char *name, u32 tid, Cycle ts,
                   Cycle dur);
     void instant(const char *cat, const char *name, u32 tid, Cycle ts);
@@ -133,7 +128,7 @@ class TraceEvents
   private:
     struct Event
     {
-        char ph;         //!< 'B', 'E', 'X', 'i', 'C', 's' or 'f'
+        char ph;         //!< 'X', 'i', 'C', 's' or 'f'
         u32 tid;
         const char *cat; //!< literal; not owned
         const char *name; //!< literal or interned in names_
@@ -143,7 +138,8 @@ class TraceEvents
         u64 id;          //!< 's'/'f' flow-binding id
     };
 
-    bool reserve(u64 n);
+    /** Room for one more event? Counts the drop when there is not. */
+    bool reserve();
 
     /** Intern a runtime-built name (stable storage for Event::name). */
     const char *intern(const std::string &name);
@@ -165,13 +161,6 @@ class TraceEvents
 };
 
 } // namespace texpim
-
-#define TEXPIM_TRACE_SPAN(cat, name, tid, begin, end) \
-    do { \
-        if (::texpim::TraceEvents::active()) \
-            ::texpim::TraceEvents::instance().span((cat), (name), (tid), \
-                                                   (begin), (end)); \
-    } while (0)
 
 #define TEXPIM_TRACE_COMPLETE(cat, name, tid, ts, dur) \
     do { \

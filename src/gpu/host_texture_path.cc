@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/prof/profiler.hh"
 #include "common/trace_events.hh"
 
 namespace texpim {
@@ -172,8 +171,6 @@ HostTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
 
     Cycle complete = data_ready + filter;
 
-    // One L1 lookup per line, one L2 lookup per L1 miss.
-    TEXPIM_PROF_COUNT(prof::kZoneTagCache, lines + l1_misses);
     l1_hits_ += rec.l1Hits;
     l1_interframe_hits_ += rec.l1Cross;
     l1_misses_ += l1_misses;

@@ -17,6 +17,8 @@ const std::pair<const char *, const char *> kRetiredKeys[] = {
     {"gpu.deterministic_schedule", "use gpu.schedule=rr instead"},
     {"gpu.sampler",
      "the quad sampler is the only phase-1 sampler; drop the key"},
+    {"runner.retry_backoff_ms",
+     "a retry re-runs a deterministic simulation at once; drop the key"},
     {"strict_config", "unknown config keys are always fatal; drop the key"},
 };
 
@@ -62,9 +64,9 @@ knownConfigKeys()
         "compress", "design", "disable_aniso", "frame", "height",
         "jobs", "max_aniso", "metrics_out", "out", "prof",
         "prof.epoch_cycles", "prof.wall", "prof_out", "report_out",
-        "resume", "runner.max_retries", "runner.retry_backoff_ms",
-        "seed", "sim.inject_failure", "sim.job_timeout_ms", "stats_out",
-        "sweep_journal", "trace_cap", "trace_out", "width",
+        "resume", "runner.max_retries", "seed", "sim.inject_failure",
+        "sim.job_timeout_ms", "stats_out", "sweep_journal", "trace_cap",
+        "trace_out", "width",
 
         // A-TFIM approximation.
         "atfim.angle_threshold_rad",

@@ -61,8 +61,8 @@ const Vec3 kLightDir = Vec3{-0.35f, 0.85f, 0.4f}.normalized();
 double
 wallSeconds()
 {
-    // texpim-lint: allow(D1) host wall-clock for bench-only phase fields,
-    // never folded into simulated cycles or exported results (PR 4).
+    // texpim-lint: allow(D1) host wall-clock for FrameStats' phase
+    // fields and the profiler's wall column, never simulated cycles.
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
@@ -288,9 +288,7 @@ Renderer::TileWindow::take(unsigned c, size_t k, FrameStats &fs)
     Slot &s = slots_[c];
     u32 st = s.state.load(std::memory_order_acquire);
     if (st != kReady) {
-        // Wall-only zone on the coordinating thread (rule D2): the
-        // replay stalls here until the chosen tile is recorded.
-        TEXPIM_PROF_SCOPE(prof::kZoneWait);
+        // The replay stalls here until the chosen tile is recorded.
         double t0 = wallSeconds();
         if (st == kOpen &&
             s.state.compare_exchange_strong(st, kClaimed,
@@ -549,8 +547,8 @@ Renderer::replayPhase(FrameCtx &ctx, FrameStats &fs)
         TEXPIM_PROF_CYCLES(prof::kZoneSchedule,
                            ctx.clusterTime[cluster] - tile_start);
         tile_cycles_.sample(double(ctx.clusterTime[cluster] - tile_start));
-        TEXPIM_TRACE_SPAN("raster", "tile", cluster, tile_start,
-                          ctx.clusterTime[cluster]);
+        TEXPIM_TRACE_COMPLETE("raster", "tile", cluster, tile_start,
+                              ctx.clusterTime[cluster] - tile_start);
         TEXPIM_TRACE_COUNTER("raster", "fragments_shaded",
                              ctx.clusterTime[cluster],
                              double(fs.fragmentsShaded));
@@ -826,8 +824,6 @@ Renderer::replayTile(FrameCtx &ctx, const TileRecord &rec,
             CacheOutcome::Miss)
             ++w.cLineMisses;
     }
-    // One Z lookup per fragment, one color lookup per shaded one.
-    TEXPIM_PROF_COUNT(prof::kZoneTagCache, rec.frags.size() + w.shaded);
 }
 
 void
@@ -900,16 +896,9 @@ Renderer::recordFrame(const Scene &scene, FrameBuffer &fb)
     FrameStats &fs = job->fs_;
 
     double t0 = wallSeconds();
-    {
-        // Wall-only zone; inert when a pipelined sequence sets frames
-        // up on its set-up thread (no profiler context there, rule D2).
-        // texpim-lint: allow(P1) wall-only zone:
-        // charges no cycle-domain profile; inert on the set-up thread (D2)
-        TEXPIM_PROF_SCOPE(prof::kZoneSample);
-        fb.clear();
-        ctx.geomComputeCycles = geometryFunctional(scene, ctx.tris, fs);
-        setupFrameCtx(ctx);
-    }
+    fb.clear();
+    ctx.geomComputeCycles = geometryFunctional(scene, ctx.tris, fs);
+    setupFrameCtx(ctx);
 
     ctx.collectBlocks = collect_frame_blocks_;
     if (ctx.collectBlocks)
@@ -937,15 +926,12 @@ Renderer::finishFrame(FrameJob &job)
     tex_.beginFrame();
     mem_.beginFrame();
 
-    {
-        TEXPIM_PROF_SCOPE(prof::kZoneGeometry);
-        ctx.geomEnd =
-            std::max(geometryTraffic(ctx.scene), ctx.geomComputeCycles);
-    }
+    ctx.geomEnd =
+        std::max(geometryTraffic(ctx.scene), ctx.geomComputeCycles);
     fs.geometryCycles = ctx.geomEnd;
     // Track (tid) layout: 0..clusters-1 raster tiles, 100+ texture
     // path, 200+ DRAM, 300+ PIM logic, 1000/1001 frame and geometry.
-    TEXPIM_TRACE_SPAN("raster", "geometry_phase", 1001, 0, ctx.geomEnd);
+    TEXPIM_TRACE_COMPLETE("raster", "geometry_phase", 1001, 0, ctx.geomEnd);
 
     ctx.clusterTime.assign(params_.clusters, ctx.geomEnd);
     ctx.windows.assign(params_.clusters,
@@ -961,10 +947,7 @@ Renderer::finishFrame(FrameJob &job)
             if (!ctx.bins[ti].empty())
                 TEXPIM_TRACE_FLOW_BEGIN("replay", "tile_stream", 1001,
                                         ctx.geomEnd, ti);
-    {
-        TEXPIM_PROF_SCOPE(prof::kZoneReplay);
-        replayPhase(ctx, fs);
-    }
+    replayPhase(ctx, fs);
     fs.wallPhase2Sec = wallSeconds() - t1;
 
     accountRecords(ctx, fs);
@@ -1047,8 +1030,6 @@ Renderer::FrameJob::uniqueBlocks() const
 FrameStats
 Renderer::renderFrame(const Scene &scene, FrameBuffer &fb)
 {
-    TEXPIM_PROF_SCOPE(prof::kZoneFrame); // wall-clock only (D1)
-
     // Frame-granularity cancellation point (renderSequence frames past
     // the first; tile-granularity checks in replayPhase cover the
     // inside of a frame).
@@ -1103,8 +1084,17 @@ Renderer::finishTail(FrameCtx &ctx, FrameStats &fs)
     TEXPIM_PROF_CYCLES(prof::kZoneGeometry, ctx.geomEnd);
     TEXPIM_PROF_CYCLES(prof::kZoneReplay, frame_end - ctx.geomEnd);
     TEXPIM_PROF_COUNT(prof::kZoneSample, fs.texRequests);
+    // The wall column is FrameStats' clock, whichever thread set the
+    // frame up (rule D1: host time never enters the cycle columns).
+    if (Profiler::active()) {
+        Profiler &p = Profiler::instance();
+        p.addWall(prof::kZoneFrame, fs.wallPhase1Sec + fs.wallPhase2Sec);
+        p.addWall(prof::kZoneSample, fs.wallPhase1Sec);
+        p.addWall(prof::kZoneReplay, fs.wallPhase2Sec);
+        p.addWall(prof::kZoneWait, fs.wallReplayWaitSec);
+    }
 
-    TEXPIM_TRACE_SPAN("frame", "render_frame", 1000, 0, frame_end);
+    TEXPIM_TRACE_COMPLETE("frame", "render_frame", 1000, 0, frame_end);
     TEXPIM_TRACE_COUNTER("frame", "frame_cycles", frame_end,
                          double(frame_end));
 }

@@ -138,8 +138,11 @@ HmcMemory::sendPacket(Cube &cube, Link &link, double now, u64 bytes,
     double done = reserveBandwidth(link.res, now, bytes, bytes_per_cyc);
     ++cube.linkPackets;
     if (!link.inj.enabled()) {
-        // Faults off: the whole fault path is the check above.
-        TEXPIM_PROF_CYCLES(prof::kZoneHmcLink, u64(done - now));
+        // Faults off: the whole fault path is the check above. The
+        // zone gets the link time the requester is charged: callers
+        // round the serialisation end up to a whole cycle.
+        TEXPIM_PROF_CYCLES(prof::kZoneHmcLink,
+                           Cycle(std::ceil(done)) - Cycle(now));
         return done;
     }
     unsigned attempt = 0;
@@ -173,7 +176,8 @@ HmcMemory::sendPacket(Cube &cube, Link &link, double now, u64 bytes,
         link.retrySlots[link.head] = done;
         link.head = (link.head + 1) % link.retrySlots.size();
     }
-    TEXPIM_PROF_CYCLES(prof::kZoneHmcLink, u64(done - now));
+    TEXPIM_PROF_CYCLES(prof::kZoneHmcLink,
+                       Cycle(std::ceil(done)) - Cycle(now));
     return done;
 }
 
@@ -351,7 +355,6 @@ HmcMemory::hostToDevice(u64 bytes, TrafficClass cls, Cycle now,
     ++packages_to_device_;
     Cycle arrive = Cycle(std::ceil(done)) + params_.linkLatency;
     notePackageDeadline(deadline, arrive);
-    TEXPIM_PROF_CYCLES(prof::kZonePimPackage, arrive - now);
     TEXPIM_TRACE_COMPLETE("pim", "pkg_to_device", 300, now, arrive - now);
     return arrive;
 }
@@ -371,7 +374,6 @@ HmcMemory::deviceToHost(u64 bytes, TrafficClass cls, Cycle now,
     ++packages_to_host_;
     Cycle arrive = Cycle(std::ceil(done)) + params_.linkLatency;
     notePackageDeadline(deadline, arrive);
-    TEXPIM_PROF_CYCLES(prof::kZonePimPackage, arrive - now);
     TEXPIM_TRACE_COMPLETE("pim", "pkg_to_host", 301, now, arrive - now);
     return arrive;
 }

@@ -239,8 +239,6 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
         }
     }
 
-    // One L1 lookup per parent, one L2 lookup per L1 non-hit.
-    TEXPIM_PROF_COUNT(prof::kZoneTagCache, n_parents + l1_out);
     Cycle parents_ready = host_ready;
 
     if (n_miss > 0) {
@@ -332,7 +330,7 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
                                       route, deadline);
 
                 TEXPIM_PROF_CYCLES(prof::kZonePimPackage,
-                                   back - offload_at);
+                                   done - Cycle(pipe_start));
                 TEXPIM_TRACE_COMPLETE("pim", "atfim_offload",
                                       320 + req.clusterId, offload_at,
                                       back - offload_at);

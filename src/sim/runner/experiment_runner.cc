@@ -33,13 +33,6 @@ ExperimentRunner::effectiveJobs(size_t num_specs) const
     return unsigned(std::min<size_t>(jobs, std::max<size_t>(1, num_specs)));
 }
 
-bool
-ExperimentRunner::retryable(JobErrorCategory category) const
-{
-    return std::find(opt_.retryOn.begin(), opt_.retryOn.end(), category) !=
-           opt_.retryOn.end();
-}
-
 namespace {
 
 /** Trip the spec's injected failure (tests/CI; see InjectedFailure). */
@@ -155,22 +148,6 @@ ExperimentRunner::runAttempt(const ExperimentSpec &spec, size_t index,
     return out;
 }
 
-void
-ExperimentRunner::backoff(const ExperimentSpec &spec, unsigned attempt) const
-{
-    if (opt_.retryBackoffMs == 0)
-        return;
-    // base * 2^(attempt-1), plus up to 50% jitter drawn from the same
-    // seeded stream family as the fault sites: the delay depends only
-    // on (spec seed, spec label, attempt), never on wall time.
-    u64 base = opt_.retryBackoffMs << std::min(attempt - 1, 20u);
-    std::string label = spec.name.empty() ? spec.defaultLabel() : spec.name;
-    Rng rng(faultSiteSeed(spec.seed,
-                          label + "#backoff" + std::to_string(attempt)));
-    u64 delay_ms = base + u64(double(base) * 0.5 * rng.uniform());
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-}
-
 std::vector<ExperimentResult>
 ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
 {
@@ -208,8 +185,6 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
             unsigned max_attempts = 1 + opt_.maxRetries;
             ExperimentResult res;
             for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-                if (attempt > 0)
-                    backoff(specs[i], attempt);
                 // Fresh context per attempt: a failed attempt leaves
                 // no stats, faults or trace events behind.
                 SimContext ctx;
@@ -224,7 +199,7 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
                     ctx.trace().disable(); // writes the file
                     res.traceFile = trace_file;
                 }
-                if (res.ok() || !retryable(res.error.category))
+                if (res.ok() || res.error.category != JobErrorCategory::Panic)
                     break;
             }
             results[i] = res;

@@ -25,12 +25,12 @@
  *  - Watchdog: RunnerOptions::jobTimeoutMs arms the job context's
  *    Deadline before each attempt; the render loop polls it at frame
  *    and tile granularity and cancels cooperatively via SimTimeout.
- *  - Retry: categories listed in RunnerOptions::retryOn re-run up to
- *    maxRetries times. Each retry gets a fresh SimContext, a
- *    deterministic exponential backoff with jitter drawn from the
- *    seeded common/rng.hh stream, and — when fault injection is on —
- *    a fault seed remixed per attempt through faultSiteSeed(), so a
- *    fault-pattern-triggered panic is not deterministically replayed.
+ *  - Retry: a panicking spec re-runs up to maxRetries times, at once.
+ *    Each retry gets a fresh SimContext and — when fault injection is
+ *    on — a fault seed remixed per attempt through faultSiteSeed(), so
+ *    a fault-pattern-triggered panic is not deterministically replayed
+ *    (the simulation is deterministic, so nothing else could change
+ *    the outcome). Exceptions and timeouts are never retried.
  *  - Checkpoint/resume: with RunnerOptions::journal set, each
  *    completed spec is appended to a JSONL sweep journal the moment
  *    it finishes; RunnerOptions::resumed feeds journal rows back so
@@ -157,21 +157,12 @@ struct RunnerOptions
      *  single predictable branch). sim.job_timeout_ms= */
     u64 jobTimeoutMs = 0;
 
-    /** Re-run a failed spec up to this many extra times when its
-     *  error category is listed in retryOn. runner.max_retries= */
+    /** Re-run a panicked spec up to this many extra times. Panics are
+     *  the category injected faults abort through; plain exceptions
+     *  (deterministic config/scene errors would just fail again) and
+     *  timeouts (they already cost a full deadline) are not retried.
+     *  runner.max_retries= */
     unsigned maxRetries = 0;
-
-    /** Base backoff before retry k (k >= 1): backoff = base * 2^(k-1)
-     *  plus up to 50% deterministic jitter from the seeded fault
-     *  stream. 0 retries immediately. runner.retry_backoff_ms= */
-    u64 retryBackoffMs = 0;
-
-    /** Error categories considered transient. The default retries
-     *  only panics — the category injected faults abort through —
-     *  never plain exceptions (deterministic config/scene errors
-     *  would just fail again) and never timeouts (they already cost a
-     *  full deadline). */
-    std::vector<JobErrorCategory> retryOn = {JobErrorCategory::Panic};
 
     /** Sweep journal to append each completed spec to (checkpoint);
      *  not owned. null disables journaling. */
@@ -200,9 +191,6 @@ class ExperimentRunner
     /** The resolved worker count run() will use. */
     unsigned effectiveJobs(size_t num_specs) const;
 
-    /** Is `category` retryable under these options? */
-    bool retryable(JobErrorCategory category) const;
-
     /**
      * Execute one spec in the *current* SimContext (run() wraps this
      * in a fresh context per attempt; tests may call it directly).
@@ -220,9 +208,6 @@ class ExperimentRunner
                                 unsigned attempt) const;
 
   private:
-    /** Deterministic exponential backoff before retry `attempt`. */
-    void backoff(const ExperimentSpec &spec, unsigned attempt) const;
-
     RunnerOptions opt_;
 };
 

@@ -419,6 +419,10 @@ RenderingSimulator::finalizeResult(SimResult &r)
                     counterOr0(ts, "l2_angle_recalcs");
     in.ropCacheAccesses =
         r.frame.fragmentsCovered + r.frame.fragmentsShaded;
+    // The frame's tag-cache lookups, charged once from the totals the
+    // energy model reads.
+    TEXPIM_PROF_COUNT(prof::kZoneTagCache,
+                      in.l1Accesses + in.l2Accesses + in.ropCacheAccesses);
     in.offChipBytes = r.offChipTotalBytes;
     in.usesHmc = cfg_.design != Design::Baseline;
     if (cfg_.design == Design::STfim)

@@ -29,8 +29,9 @@ TEST_F(TraceEventsTest, InactiveByDefaultAndMacrosAreNoOps)
 {
     EXPECT_FALSE(TraceEvents::active());
     // With the tracer inactive these must not record anything.
-    TEXPIM_TRACE_SPAN("cat", "s", 0, 0, 10);
     TEXPIM_TRACE_COMPLETE("cat", "x", 0, 0, 5);
+    TEXPIM_TRACE_INSTANT("cat", "i", 0, 1);
+    TEXPIM_TRACE_COUNTER("cat", "c", 2, 1.0);
     TraceEvents::instance().enable("", 100);
     EXPECT_EQ(TraceEvents::instance().recorded(), 0u);
 }
@@ -50,64 +51,32 @@ TEST_F(TraceEventsTest, RecordsEveryEventKind)
     t.enable("", 100);
     EXPECT_TRUE(TraceEvents::active());
 
-    t.span("raster", "tile", 3, 100, 250);
-    t.complete("texture", "req", 7, 120, 40);
+    t.complete("raster", "tile", 3, 100, 150);
     t.instant("dram", "miss", 2, 130);
     t.counter("frame", "frags", 140, 9.5);
-    EXPECT_EQ(t.recorded(), 5u); // span counts as B + E
+    EXPECT_EQ(t.recorded(), 3u);
 
     json::Value doc = json::parse(t.toJson());
     const json::Value &evs = doc.at("traceEvents");
-    ASSERT_EQ(evs.array.size(), 5u);
+    ASSERT_EQ(evs.array.size(), 3u);
 
-    const json::Value &b = evs.array[0];
-    EXPECT_EQ(b.at("ph").string, "B");
-    EXPECT_EQ(b.at("cat").string, "raster");
-    EXPECT_EQ(b.at("name").string, "tile");
-    EXPECT_DOUBLE_EQ(b.at("tid").number, 3.0);
-    EXPECT_DOUBLE_EQ(b.at("ts").number, 100.0);
-
-    const json::Value &e = evs.array[1];
-    EXPECT_EQ(e.at("ph").string, "E");
-    EXPECT_DOUBLE_EQ(e.at("ts").number, 250.0);
-
-    const json::Value &x = evs.array[2];
+    const json::Value &x = evs.array[0];
     EXPECT_EQ(x.at("ph").string, "X");
-    EXPECT_DOUBLE_EQ(x.at("dur").number, 40.0);
+    EXPECT_EQ(x.at("cat").string, "raster");
+    EXPECT_EQ(x.at("name").string, "tile");
+    EXPECT_DOUBLE_EQ(x.at("tid").number, 3.0);
+    EXPECT_DOUBLE_EQ(x.at("ts").number, 100.0);
+    EXPECT_DOUBLE_EQ(x.at("dur").number, 150.0);
 
-    const json::Value &i = evs.array[3];
+    const json::Value &i = evs.array[1];
     EXPECT_EQ(i.at("ph").string, "i");
     EXPECT_EQ(i.at("s").string, "t");
 
-    const json::Value &c = evs.array[4];
+    const json::Value &c = evs.array[2];
     EXPECT_EQ(c.at("ph").string, "C");
     EXPECT_DOUBLE_EQ(c.at("args").at("value").number, 9.5);
 
     EXPECT_EQ(doc.at("otherData").at("clock").string, "gpu-core-cycles");
-}
-
-TEST_F(TraceEventsTest, CapDropsWholeSpansKeepingBalance)
-{
-    TraceEvents &t = TraceEvents::instance();
-    t.enable("", 3); // room for one span (2 events) + one single
-    t.span("c", "s1", 0, 0, 1);
-    t.span("c", "s2", 0, 2, 3); // needs 2, only 1 slot left: dropped
-    t.instant("c", "i", 0, 4);  // single event still fits
-    t.instant("c", "i2", 0, 5); // now full: dropped
-    EXPECT_EQ(t.recorded(), 3u);
-    EXPECT_EQ(t.dropped(), 3u); // 2 (span) + 1 (instant)
-
-    unsigned begins = 0, ends = 0;
-    json::Value doc = json::parse(t.toJson());
-    for (const json::Value &e : doc.at("traceEvents").array) {
-        if (e.at("ph").string == "B")
-            ++begins;
-        if (e.at("ph").string == "E")
-            ++ends;
-    }
-    EXPECT_EQ(begins, 1u);
-    EXPECT_EQ(begins, ends);
-    EXPECT_DOUBLE_EQ(doc.at("otherData").at("dropped_events").number, 3.0);
 }
 
 TEST_F(TraceEventsTest, DisableWritesTheFileAndStopsRecording)

@@ -24,7 +24,7 @@ struct PathImpl
     {
         (void)stats_.size(); // const read: quiet
         leak();              // P1 via the call graph
-        TEXPIM_PROF_SCOPE(kZoneFixture); // P1: zone charge in phase
+        TEXPIM_PROF_COUNT(kZoneFixture, 1); // P1: zone charge in phase
     }
 
     // not reachable from any root: mutating stats here is fine

@@ -291,7 +291,7 @@ TEST(TexpimLint, P1CatchesInjectedStatWriteInSample)
     // A zone charge in the phase is P1 too.
     EXPECT_NE(r.out.find("src/bad_p1.cc:27: [P1]"), std::string::npos)
         << r.out;
-    EXPECT_NE(r.out.find("TEXPIM_PROF_SCOPE"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("TEXPIM_PROF_COUNT"), std::string::npos) << r.out;
     EXPECT_EQ(countOf(r.out, "[P1]"), 2) << r.out;
     // The const stats_.size() read and the unreachable replay()'s stat
     // write are both fine.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "common/prof/profiler.hh"
+#include "common/sim_context.hh"
 #include "mem/hmc.hh"
 
 namespace texpim {
@@ -71,6 +73,25 @@ TEST(Hmc, PackageTransportChargesLink)
     Cycle back = mem.deviceToHost(64, TrafficClass::PimPackage, arrive);
     EXPECT_GT(back, arrive);
     EXPECT_EQ(mem.offChipTraffic().bytes(TrafficClass::PimPackage), 320u);
+}
+
+TEST(Hmc, PackageTransferChargesLinkZoneInWholeCycles)
+{
+    // A 16 B package serialises in a fraction of a cycle; the link
+    // zone gets the whole cycle the requester waits for, and a bare
+    // transfer is no logic-layer execution (pim/package stays 0).
+    SimContext ctx;
+    SimContext::Scope scope(ctx);
+    HmcMemory mem(params());
+    Profiler::instance().enable();
+    mem.hostToDevice(16, TrafficClass::PimPackage, 0);
+    Profiler::instance().disable();
+
+    const Profiler &p = Profiler::instance();
+    EXPECT_EQ(p.row(prof::kZoneHmcLink).count, 1u);
+    EXPECT_EQ(p.row(prof::kZoneHmcLink).cycles, 1u);
+    EXPECT_EQ(p.row(prof::kZonePimPackage).count, 0u);
+    EXPECT_EQ(p.row(prof::kZonePimPackage).cycles, 0u);
 }
 
 TEST(Hmc, InternalBandwidthExceedsExternal)

@@ -24,6 +24,7 @@
 #include <cctype>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "common/prof/profiler.hh"
 #include "common/sim_context.hh"
@@ -231,11 +232,12 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, AnisoAccounting,
                          designParamName);
 
 /**
- * The profiler's mem/tagcache count is charged once per texture
- * request and once per tile, not inside the caches, so it must equal
- * the lookups the stats count one by one: the texture path's L1 and
- * L2 outcomes, one ROP Z lookup per covered fragment and one color
- * lookup per shaded fragment. S-TFIM's texture path has no caches.
+ * The profiler's mem/tagcache count is charged once per frame from the
+ * cache totals the energy model reads, not inside the caches, so it
+ * must equal the lookups the stats count one by one: the texture
+ * path's L1 and L2 outcomes, one ROP Z lookup per covered fragment and
+ * one color lookup per shaded fragment. S-TFIM's texture path has no
+ * caches.
  */
 class TagCacheProfile : public ::testing::TestWithParam<Design>
 {
@@ -276,6 +278,76 @@ INSTANTIATE_TEST_SUITE_P(CacheDesigns, TagCacheProfile,
                          ::testing::Values(Design::Baseline, Design::STfim,
                                            Design::ATfim),
                          designParamName);
+
+/**
+ * Each profile fact is charged at one site. pim/package is logic-layer
+ * execution, once per offload: A-TFIM's compacted package, S-TFIM's
+ * request (a request and a response package each). The HMC transfers
+ * charge only mem/hmc/link.
+ */
+TEST(ProfileZones, PimPackageChargedOncePerOffload)
+{
+    Workload wl{Game::Doom3, 160, 120};
+    Scene scene = buildGameScene(wl, 3, 0x7e01d);
+    for (Design d : {Design::STfim, Design::ATfim}) {
+        SCOPED_TRACE(designName(d));
+        SimContext ctx;
+        SimContext::Scope scope(ctx);
+        SimConfig cfg;
+        cfg.design = d;
+        RenderingSimulator sim(cfg);
+        Profiler::instance().enable();
+        (void)sim.renderScene(scene);
+        Profiler::instance().disable();
+        Snapshot snap = ctx.stats().snapshot();
+
+        double offloads = d == Design::ATfim
+                              ? at(snap, "tex_atfim.offload_packages")
+                              : at(snap, "tex_stfim.packages") / 2;
+        const Profiler::ZoneRow &pkg =
+            Profiler::instance().row(prof::kZonePimPackage);
+        EXPECT_GT(offloads, 0.0);
+        EXPECT_EQ(double(pkg.count), offloads);
+    }
+}
+
+/**
+ * The wall column is FrameStats' clock: each wall row is the sum of
+ * its FrameStats field(s) over the frames, added in frame order, so
+ * the doubles compare exactly. At depth 2 the set-up of frames 1 and
+ * 2 runs on another thread and still counts.
+ */
+TEST(ProfileZones, WallColumnIsTheFrameStatsClock)
+{
+    for (unsigned depth : {1u, 2u}) {
+        SCOPED_TRACE("pipeline_depth=" + std::to_string(depth));
+        SimContext ctx;
+        SimContext::Scope scope(ctx);
+        SimConfig cfg;
+        cfg.gpu.pipelineDepth = depth;
+        RenderingSimulator sim(cfg);
+        Profiler::instance().enable();
+        std::vector<SimResult> frames =
+            sim.renderSequence({Game::Doom3, 160, 120}, 3);
+        Profiler::instance().disable();
+        ASSERT_EQ(frames.size(), 3u);
+
+        double frame = 0, sample = 0, replay = 0, wait = 0;
+        for (const SimResult &r : frames) {
+            frame += r.frame.wallPhase1Sec + r.frame.wallPhase2Sec;
+            sample += r.frame.wallPhase1Sec;
+            replay += r.frame.wallPhase2Sec;
+            wait += r.frame.wallReplayWaitSec;
+        }
+        const Profiler &p = Profiler::instance();
+        EXPECT_GT(frame, 0.0);
+        EXPECT_EQ(p.row(prof::kZoneFrame).wallSec, frame);
+        EXPECT_EQ(p.row(prof::kZoneSample).wallSec, sample);
+        EXPECT_EQ(p.row(prof::kZoneReplay).wallSec, replay);
+        EXPECT_EQ(p.row(prof::kZoneWait).wallSec, wait);
+        EXPECT_EQ(p.row(prof::kZoneGeometry).wallSec, 0.0);
+    }
+}
 
 /**
  * Texture L1 outcomes pinned to exact counts. Each cluster's L1 is

@@ -50,23 +50,27 @@ TEST_F(ObservabilityTest, TraceIsWellFormedBalancedAndMultiCategory)
     renderTraced(Design::ATfim, "");
     json::Value doc = json::parse(TraceEvents::instance().toJson());
 
-    std::set<std::string> cats;
-    u64 begins = 0, ends = 0;
+    std::set<std::string> cats, durations;
+    u64 begin_end = 0;
     const json::Value &evs = doc.at("traceEvents");
     ASSERT_FALSE(evs.array.empty());
     for (const json::Value &e : evs.array) {
         cats.insert(e.at("cat").string);
         const std::string &ph = e.at("ph").string;
-        if (ph == "B")
-            ++begins;
-        else if (ph == "E")
-            ++ends;
+        if (ph == "X") {
+            durations.insert(e.at("name").string);
+            EXPECT_EQ(e.at("dur").kind, json::Value::Kind::Number);
+        } else if (ph == "B" || ph == "E") {
+            ++begin_end;
+        }
         // Every event carries a timestamp and a track.
         EXPECT_EQ(e.at("ts").kind, json::Value::Kind::Number);
         EXPECT_EQ(e.at("tid").kind, json::Value::Kind::Number);
     }
-    EXPECT_EQ(begins, ends);
-    EXPECT_GT(begins, 0u);
+    // Every duration is one X event, so nothing can come unbalanced.
+    EXPECT_EQ(begin_end, 0u);
+    for (const char *name : {"tile", "geometry_phase", "render_frame"})
+        EXPECT_TRUE(durations.count(name)) << name;
     // The A-TFIM design exercises rasterization, per-frame spans, the
     // HMC vaults and the in-memory filtering logic.
     EXPECT_GE(cats.size(), 4u) << "categories seen: " << cats.size();

@@ -186,7 +186,6 @@ TEST(RunnerResilience, RetryThenSucceedIsBitIdenticalToACleanRun)
 
     RunnerOptions opt;
     opt.maxRetries = 2;
-    opt.retryBackoffMs = 0; // keep the test fast
     std::vector<ExperimentResult> retried =
         ExperimentRunner(opt).run(flaky);
     ASSERT_EQ(retried.size(), 1u);
@@ -223,7 +222,6 @@ TEST(RunnerResilience, RetriesAreBoundedByMaxRetries)
     specs[0].inject = InjectedFailure::Panic; // fails every attempt
     RunnerOptions opt;
     opt.maxRetries = 2;
-    opt.retryBackoffMs = 0;
     std::vector<ExperimentResult> results =
         ExperimentRunner(opt).run(specs);
     EXPECT_EQ(results[0].status, JobStatus::Failed);

@@ -25,7 +25,7 @@
  *   [S1] every Stat* registered in a StatGroup must pass a non-empty
  *        description somewhere (the PR-1 registry contract keeps
  *        `texpim stats` and the JSON export self-documenting).
- *   [S2] every TEXPIM_PROF_CYCLES/COUNT/SCOPE zone argument must be a
+ *   [S2] every TEXPIM_PROF_CYCLES/COUNT zone argument must be a
  *        constant registered in the zone table in
  *        src/common/prof/zones.hh (between the `texpim-lint:
  *        zone-table begin/end` markers), and every table row must

@@ -526,7 +526,7 @@ ruleS2Uses(const SourceFile &f, const std::set<std::string> &zones,
     if (f.path == opt.zoneTablePath)
         return; // the table itself
     static const std::regex useRe(
-        R"(\bTEXPIM_PROF_(CYCLES|COUNT|SCOPE)\s*\()");
+        R"(\bTEXPIM_PROF_(CYCLES|COUNT)\s*\()");
     JoinedText j(f.codeStr);
     const std::string &t = j.text;
     for (auto it = std::sregex_iterator(t.begin(), t.end(), useRe);
