@@ -24,12 +24,11 @@
  * Per-spec metrics and merged stats are byte-identical whatever
  * jobs= is; with trace_out=, job k writes "<trace_out>.job<k>".
  * metrics_out=<file.json> exports the per-spec sweep results
- * ("texpim-sweep-v2", with per-spec status/attempts/error fields).
+ * ("texpim-sweep-v3", with per-spec status/error fields).
  *
- * Sweeps are resilient (see README "Resilient sweeps"): a spec that
- * throws, panics or exceeds sim.job_timeout_ms= becomes a
- * status=failed/timeout row instead of killing the grid;
- * runner.max_retries= re-runs panicked specs with a remixed fault seed;
+ * Sweeps are resilient (see README "Resilient sweeps"): each spec runs
+ * once, and one that throws, panics or exceeds sim.job_timeout_ms=
+ * becomes a status=failed/timeout row instead of killing the grid;
  * sweep_journal=<file.jsonl> checkpoints each finished spec and
  * resume=<file.jsonl> continues an interrupted sweep with
  * byte-identical final outputs. sim.inject_failure=
@@ -47,7 +46,7 @@
  * Unknown keys are fatal, with a "did you mean" suggestion, and so is
  * a known key the command does not read: the sweep-only keys (jobs=,
  * metrics_out=, sweep_journal=, resume=, sim.inject_failure=,
- * sim.job_timeout_ms=, runner.*) outside sweep, report_out= outside
+ * sim.job_timeout_ms=) outside sweep, report_out= outside
  * report, compress= outside render, compare and report, max_aniso= on
  * frames (which builds every frame's scene at the workload's own
  * settings) and stats, out= outside render and frames, stats_out= on
@@ -161,6 +160,7 @@ commandOnlyKeys()
     // stats only instantiates the designs; it renders no scene.
     static const std::vector<std::string> scene = {
         "render", "compare", "frames", "sweep", "report"};
+    // texpim-lint: command-key-table begin
     static const std::map<std::string, std::vector<std::string>> keys = {
         // frames builds every frame's scene itself, at the workload's
         // own anisotropy and texel format; sweep specs carry no format.
@@ -186,11 +186,11 @@ commandOnlyKeys()
         {"jobs", sweep},
         {"metrics_out", sweep},
         {"resume", sweep},
-        {"runner.max_retries", sweep},
         {"sim.inject_failure", sweep},
         {"sim.job_timeout_ms", sweep},
         {"sweep_journal", sweep},
     };
+    // texpim-lint: command-key-table end
     return keys;
 }
 
@@ -495,8 +495,8 @@ parseFailureKind(const std::string &kind)
 /**
  * Apply sim.inject_failure= to the sweep grid: a comma-separated list
  * of `<kind>` (all specs) or `<design>:<kind>` (that design's specs),
- * kind in throw|panic|hang. Exists so the containment, watchdog and
- * retry machinery can be exercised end to end from the CLI — e.g. the
+ * kind in throw|panic|hang. Exists so the containment and watchdog
+ * machinery can be exercised end to end from the CLI — e.g. the
  * CI fault-containment smoke runs
  * sim.inject_failure=bpim:panic,stfim:throw,atfim:hang.
  */
@@ -539,7 +539,7 @@ applyInjectedFailures(std::vector<ExperimentSpec> &specs,
  * comparable across machines (the thread-count invariance test pins
  * this down). Failures are contained per spec: a throwing, panicking
  * or timed-out spec becomes a status=failed/timeout row in the
- * "texpim-sweep-v2" metrics and the sweep still exits 0 (the grid
+ * "texpim-sweep-v3" metrics and the sweep still exits 0 (the grid
  * completed; the rows say what happened). With sweep_journal= every
  * finished spec is checkpointed; resume=<journal> skips the completed
  * ones and reproduces byte-identical merged outputs.
@@ -572,8 +572,6 @@ cmdSweep(int argc, char **argv)
     ropt.traceCap = readEventCap(cfg);
     ropt.jobTimeoutMs =
         cfg.getUnsigned("sim.job_timeout_ms", 0, 0, kMaxUnsigned);
-    ropt.maxRetries =
-        cfg.getUnsigned("runner.max_retries", 0, 0, kMaxUnsigned);
     validateConfig(cfg, "sweep");
 
     std::vector<ExperimentSpec> specs;
@@ -628,17 +626,11 @@ cmdSweep(int argc, char **argv)
             printResult(r.name.c_str(), r.result);
         } else {
             ++failed;
-            std::printf("%-10s %s (%s%s%s)%s: %s\n", r.name.c_str(),
+            std::printf("%-10s %s (%s%s%s): %s\n", r.name.c_str(),
                         jobStatusName(r.status),
                         jobErrorCategoryName(r.error.category),
                         r.error.site.empty() ? "" : " at ",
-                        r.error.site.c_str(),
-                        r.attempts > 1
-                            ? (" after " + std::to_string(r.attempts) +
-                               " attempts")
-                                  .c_str()
-                            : "",
-                        r.error.message.c_str());
+                        r.error.site.c_str(), r.error.message.c_str());
         }
         if (!r.traceFile.empty())
             std::printf("%-10s wrote %s\n", "", r.traceFile.c_str());
@@ -649,12 +641,11 @@ cmdSweep(int argc, char **argv)
                     failed, results.size());
 
     if (!metrics_out.empty()) {
-        // v1 -> v2: every spec row gains "status"/"attempts"/"error";
-        // failed rows keep the numeric fields (zeros) so consumers can
+        // Failed rows keep the numeric fields (zeros) so consumers can
         // stay column-oriented. See README "Sweep metrics schema".
         JsonWriter w;
         w.beginObject();
-        w.keyValue("schema", "texpim-sweep-v2");
+        w.keyValue("schema", "texpim-sweep-v3");
         w.key("specs").beginArray();
         for (const ExperimentResult &r : results) {
             char hash[32];
@@ -663,7 +654,6 @@ cmdSweep(int argc, char **argv)
             w.beginObject();
             w.keyValue("name", r.name);
             w.keyValue("status", jobStatusName(r.status));
-            w.keyValue("attempts", u64(r.attempts));
             if (r.ok()) {
                 w.keyNull("error");
             } else {
@@ -683,7 +673,7 @@ cmdSweep(int argc, char **argv)
                        u64(r.result.offChipTotalBytes));
             w.keyValue("energy_mj", r.result.energy.total() * 1e3);
             w.keyValue("image_fnv1a", std::string(hash));
-            w.keyValue("total_faults", u64(r.totalFaults));
+            w.keyValue("total_faults", injectedFaults(r.stats));
             w.endObject();
         }
         w.endArray();

@@ -15,22 +15,18 @@
  *    patterns, timings and statistics.
  *
  * Zero-overhead-when-disabled contract: a disabled injector's fire()
- * is a single flag check that performs no RNG draw and touches no
- * counters, so a faults-off simulation is bit-identical to a build
- * without the fault path.
+ * is a single flag check that performs no RNG draw, so a faults-off
+ * simulation is bit-identical to a build without the fault path.
  *
- * Every named enabled injector registers itself with the FaultRegistry
- * of the SimContext current at its construction (sim_context.hh),
- * making all live fault sites of a simulation enumerable (the `texpim`
- * CLI reports them after a faulty run) while keeping concurrent
- * simulations' fault accounting fully isolated.
+ * An injector keeps no count of its own: the component that calls
+ * fire() counts each fault in its stat group (the HMC's
+ * `hmc.crc_errors` and `hmc.vault_retries`).
  */
 
 #ifndef TEXPIM_COMMON_FAULT_HH
 #define TEXPIM_COMMON_FAULT_HH
 
 #include <string>
-#include <vector>
 
 #include "common/config.hh"
 #include "common/rng.hh"
@@ -58,24 +54,15 @@ u64 faultSiteSeed(u64 seed, const std::string &site);
 class FaultInjector
 {
   public:
-    /** Disabled, anonymous, unregistered (the default for components
-     *  built without fault configuration). */
+    /** Disabled (the default for components built without fault
+     *  configuration). */
     FaultInjector() = default;
 
-    /** A named site firing with `probability` per trial; faults extend
-     *  into bursts of `burstLen` consecutive trials. Registers with
-     *  the FaultRegistry when `probability > 0`. */
-    FaultInjector(std::string site, double probability, unsigned burstLen,
-                  u64 seed);
-
-    ~FaultInjector();
-
-    // Movable (sites live inside resizable component vectors); the
-    // registry entry follows the object across moves.
-    FaultInjector(FaultInjector &&other) noexcept;
-    FaultInjector &operator=(FaultInjector &&other) noexcept;
-    FaultInjector(const FaultInjector &) = delete;
-    FaultInjector &operator=(const FaultInjector &) = delete;
+    /** The site named `site` firing with `probability` per trial;
+     *  faults extend into bursts of `burstLen` consecutive trials. The
+     *  name only seeds the site's stream (faultSiteSeed()). */
+    FaultInjector(const std::string &site, double probability,
+                  unsigned burstLen, u64 seed);
 
     /**
      * One trial: does a fault occur here, now?
@@ -86,76 +73,23 @@ class FaultInjector
     {
         if (probability_ <= 0.0)
             return false;
-        ++trials_;
         if (burst_left_ > 0) {
             --burst_left_;
-            ++faults_;
             return true;
         }
         if (!rng_.chance(probability_))
             return false;
-        ++faults_;
         burst_left_ = burst_len_ - 1;
         return true;
     }
 
     bool enabled() const { return probability_ > 0.0; }
-    const std::string &site() const { return site_; }
-    double probability() const { return probability_; }
-    u64 trials() const { return trials_; }
-    u64 faults() const { return faults_; }
-
-    void
-    resetStats()
-    {
-        trials_ = 0;
-        faults_ = 0;
-    }
 
   private:
-    std::string site_;
     double probability_ = 0.0;
     unsigned burst_len_ = 1;
     unsigned burst_left_ = 0;
     Rng rng_{};
-    u64 trials_ = 0;
-    u64 faults_ = 0;
-    /** Registry enrolled with (captured at construction), or null. */
-    class FaultRegistry *registry_ = nullptr;
-};
-
-/**
- * Per-SimContext registry of every live enabled fault site, kept
- * current by FaultInjector's constructor/destructor/moves (mirrors
- * StatRegistry).
- */
-class FaultRegistry
-{
-  public:
-    FaultRegistry() = default;
-
-    /** The calling thread's current context's registry (compatibility
-     *  shim for SimContext::current().faults()). */
-    static FaultRegistry &instance();
-
-    FaultRegistry(const FaultRegistry &) = delete;
-    FaultRegistry &operator=(const FaultRegistry &) = delete;
-
-    size_t size() const { return entries_.size(); }
-
-    /** Every live enabled site, sorted by site name. */
-    std::vector<const FaultInjector *> sites() const;
-
-    /** Sum of faults() over all live sites. */
-    u64 totalFaults() const;
-
-  private:
-    friend class FaultInjector;
-
-    void add(FaultInjector *f);
-    void remove(FaultInjector *f);
-
-    std::vector<FaultInjector *> entries_;
 };
 
 } // namespace texpim

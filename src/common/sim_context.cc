@@ -12,10 +12,10 @@ thread_local SimContext *tls_current = nullptr;
 SimContext &
 SimContext::processDefault()
 {
-    // Function-local static: constructed before the first StatGroup /
-    // FaultInjector that registers through current() (their
-    // constructors call this), therefore destroyed after the last one
-    // — no static-destruction-order hazard.
+    // Function-local static: constructed before the first StatGroup
+    // that registers through current() (its constructor calls this),
+    // therefore destroyed after the last one — no static-destruction-
+    // order hazard.
     // texpim-lint: allow(D4) registry-owned process-default context; worker
     // threads install their own SimContext via Scope, so no cross-thread
     // mutation of this instance during parallel rendering.

@@ -4,12 +4,12 @@
  *
  * A SimContext owns one instance of each formerly process-global
  * registry — the StatRegistry components register their StatGroups
- * with, the TraceEvents buffer the TEXPIM_TRACE_* macros record into,
- * and the FaultRegistry enabled FaultInjectors enroll in. Giving every
- * concurrent simulation its own context is what makes the parallel
- * ExperimentRunner sound: two RenderingSimulators running on different
- * worker threads never touch the same registry, so their statistics,
- * traces and fault accounting stay bit-identical to a serial run.
+ * with and the TraceEvents buffer the TEXPIM_TRACE_* macros record
+ * into. Giving every concurrent simulation its own context is what
+ * makes the parallel ExperimentRunner sound: two RenderingSimulators
+ * running on different worker threads never touch the same registry,
+ * so their statistics (fault counts included) and traces stay
+ * bit-identical to a serial run.
  *
  * Routing: components do not pass a context around explicitly. They
  * reach their registries through SimContext::current(), a thread-local
@@ -17,15 +17,15 @@
  * active, current() falls back to the process-wide default context —
  * that fallback IS the compatibility shim that keeps the single-run
  * CLI path, the tests and every existing call through
- * StatRegistry::instance() / TraceEvents::instance() /
- * FaultRegistry::instance() working unchanged.
+ * StatRegistry::instance() / TraceEvents::instance() working
+ * unchanged.
  *
  * Ownership rules (enforced by assertions in the owners):
  *
- *  - a StatGroup / enabled FaultInjector captures the registry of the
- *    context current at its *construction* and unregisters from that
- *    same registry at destruction, so objects may outlive a scope
- *    switch without corrupting a foreign registry;
+ *  - a StatGroup captures the registry of the context current at its
+ *    *construction* and unregisters from that same registry at
+ *    destruction, so objects may outlive a scope switch without
+ *    corrupting a foreign registry;
  *  - a RenderingSimulator must render under the same context it was
  *    built under (its components registered there);
  *  - a Scope must be destroyed on the thread that created it, in LIFO
@@ -36,7 +36,6 @@
 #define TEXPIM_COMMON_SIM_CONTEXT_HH
 
 #include "common/deadline.hh"
-#include "common/fault.hh"
 #include "common/prof/profiler.hh"
 #include "common/stat_registry.hh"
 #include "common/trace_events.hh"
@@ -63,13 +62,11 @@ class SimContext
 
     StatRegistry &stats() { return stats_; }
     TraceEvents &trace() { return trace_; }
-    FaultRegistry &faults() { return faults_; }
     Profiler &prof() { return prof_; }
     Deadline &deadline() { return deadline_; }
 
     const StatRegistry &stats() const { return stats_; }
     const TraceEvents &trace() const { return trace_; }
-    const FaultRegistry &faults() const { return faults_; }
     const Profiler &prof() const { return prof_; }
     const Deadline &deadline() const { return deadline_; }
 
@@ -94,7 +91,6 @@ class SimContext
   private:
     StatRegistry stats_;
     TraceEvents trace_;
-    FaultRegistry faults_;
     Profiler prof_;
     Deadline deadline_;
 };

@@ -17,8 +17,10 @@ const std::pair<const char *, const char *> kRetiredKeys[] = {
     {"gpu.deterministic_schedule", "use gpu.schedule=rr instead"},
     {"gpu.sampler",
      "the quad sampler is the only phase-1 sampler; drop the key"},
-    {"runner.retry_backoff_ms",
-     "a retry re-runs a deterministic simulation at once; drop the key"},
+    {"runner.max_retries",
+     "a sweep runs each spec once (a rerun fails the same way); drop the "
+     "key"},
+    {"runner.retry_backoff_ms", "a sweep runs each spec once; drop the key"},
     {"strict_config", "unknown config keys are always fatal; drop the key"},
 };
 
@@ -64,9 +66,8 @@ knownConfigKeys()
         "compress", "design", "disable_aniso", "frame", "height",
         "jobs", "max_aniso", "metrics_out", "out", "prof",
         "prof.epoch_cycles", "prof.wall", "prof_out", "report_out",
-        "resume", "runner.max_retries", "seed", "sim.inject_failure",
-        "sim.job_timeout_ms", "stats_out", "sweep_journal", "trace_cap",
-        "trace_out", "width",
+        "resume", "seed", "sim.inject_failure", "sim.job_timeout_ms",
+        "stats_out", "sweep_journal", "trace_cap", "trace_out", "width",
 
         // A-TFIM approximation.
         "atfim.angle_threshold_rad",

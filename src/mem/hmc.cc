@@ -150,7 +150,7 @@ HmcMemory::sendPacket(Cube &cube, Link &link, double now, u64 bytes,
         ++attempt;
         ++crc_errors_;
         TEXPIM_TRACE_INSTANT("fault", "crc_error", 310, Cycle(done));
-        if (attempt > params_.maxRetries) {
+        if (attempt > params_.maxReplays) {
             // The link layer gives up replaying and forces the packet
             // through; the data path is functional fiction, so a
             // poisoned delivery only matters for the statistics.

@@ -56,14 +56,14 @@ struct HmcParams
      * cycles of detection + turnaround, with exponential backoff on
      * repeated failures; the retry buffer holds `retryBufferPackets`
      * unacknowledged packets and stalls the link (token flow control)
-     * when full. After `maxRetries` failed replays of one packet the
+     * when full. After `maxReplays` failed replays of one packet the
      * link gives up retrying and forces the packet through (counted as
      * `retry_aborts` — the simulator's data path is functional, so
      * "poisoned" delivery only matters for the statistics).
      */
     unsigned retryBufferPackets = 8;
     Cycle retryLatency = 16;
-    unsigned maxRetries = 16;
+    unsigned maxReplays = 16;
 
     FaultParams fault{};
 };

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/deadline.hh"
-#include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/stat_export.hh"
 #include "quality/image_metrics.hh"
@@ -44,11 +43,9 @@ fireInjectedFailure(const ExperimentSpec &spec, const std::string &label)
         return;
       case InjectedFailure::Throw:
         throw std::runtime_error("injected failure: throw (spec '" + label +
-                                 "', attempt " +
-                                 std::to_string(spec.attempt) + ")");
+                                 "')");
       case InjectedFailure::Panic:
-        TEXPIM_PANIC("injected failure: panic (spec '", label, "', attempt ",
-                     spec.attempt, ")");
+        TEXPIM_PANIC("injected failure: panic (spec '", label, "')");
       case InjectedFailure::Hang:
         // Cooperative hang: spin on the watchdog poll the render loop
         // uses, so the Timeout path is exercised end to end. Refuses
@@ -72,9 +69,7 @@ ExperimentRunner::runOne(const ExperimentSpec &spec)
     ExperimentResult out;
     out.name = spec.name.empty() ? spec.defaultLabel() : spec.name;
 
-    if (spec.inject != InjectedFailure::None &&
-        spec.attempt < spec.injectUntilAttempt)
-        fireInjectedFailure(spec, out.name);
+    fireInjectedFailure(spec, out.name);
 
     Scene scene = buildGameScene(spec.workload, spec.frame, spec.seed);
     scene.settings.maxAniso = spec.maxAniso != 0
@@ -84,40 +79,26 @@ ExperimentRunner::runOne(const ExperimentSpec &spec)
     RenderingSimulator sim(spec.config);
     out.result = sim.renderScene(scene);
     out.imageFnv1a = imageHash(*out.result.image);
-
-    SimContext &ctx = SimContext::current();
-    out.stats = ctx.stats().snapshot();
-    out.totalFaults = ctx.faults().totalFaults();
+    out.stats = SimContext::current().stats().snapshot();
     return out;
 }
 
 ExperimentResult
-ExperimentRunner::runAttempt(const ExperimentSpec &spec, size_t index,
-                             unsigned attempt) const
+ExperimentRunner::runContained(const ExperimentSpec &spec,
+                               size_t index) const
 {
-    ExperimentSpec att = spec;
-    att.attempt = attempt;
-    if (attempt > 0 && att.config.hmc.fault.enabled()) {
-        // Give the retry an independent (but deterministic) fault
-        // stream: replaying the exact pattern that just aborted the
-        // attempt would make "transient" faults permanent.
-        att.config.hmc.fault.seed = faultSiteSeed(
-            spec.config.hmc.fault.seed, "retry#" + std::to_string(attempt));
-    }
-
     Deadline &deadline = SimContext::current().deadline();
     if (opt_.jobTimeoutMs > 0)
         deadline.arm(opt_.jobTimeoutMs);
 
     JobError err;
     try {
-        // The handler must live inside this attempt's SimContext scope
-        // (the caller's), so a panic unwinds the RenderingSimulator —
-        // unregistering its stat groups and fault sites — before the
-        // context is torn down.
+        // The handler must live inside the spec's SimContext scope (the
+        // caller's), so a panic unwinds the RenderingSimulator —
+        // unregistering its stat groups — before the context is torn
+        // down.
         ScopedPanicHandler contain;
-        ExperimentResult out = runOne(att);
-        out.attempts = attempt + 1;
+        ExperimentResult out = runOne(spec);
         deadline.disarm();
         return out;
     } catch (const SimTimeout &e) {
@@ -144,7 +125,6 @@ ExperimentRunner::runAttempt(const ExperimentSpec &spec, size_t index,
                      ? JobStatus::Timeout
                      : JobStatus::Failed;
     out.error = std::move(err);
-    out.attempts = attempt + 1;
     return out;
 }
 
@@ -157,7 +137,7 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
 
     // Self-scheduling queue: workers claim the next unstarted spec.
     // Which worker runs which spec varies; nothing about a result
-    // does, because every attempt lives in its own SimContext and
+    // does, because every spec runs in its own SimContext and
     // writes only results[i].
     std::atomic<size_t> next{0};
     auto work = [&]() {
@@ -182,11 +162,9 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
                 }
             }
 
-            unsigned max_attempts = 1 + opt_.maxRetries;
-            ExperimentResult res;
-            for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-                // Fresh context per attempt: a failed attempt leaves
-                // no stats, faults or trace events behind.
+            {
+                // Fresh context per spec: a failed spec leaves no
+                // stats or trace events behind.
                 SimContext ctx;
                 SimContext::Scope scope(ctx);
                 std::string trace_file;
@@ -194,15 +172,12 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
                     trace_file = opt_.tracePath + ".job" + std::to_string(i);
                     ctx.trace().enable(trace_file, opt_.traceCap);
                 }
-                res = runAttempt(specs[i], i, attempt);
+                results[i] = runContained(specs[i], i);
                 if (!trace_file.empty()) {
                     ctx.trace().disable(); // writes the file
-                    res.traceFile = trace_file;
+                    results[i].traceFile = trace_file;
                 }
-                if (res.ok() || res.error.category != JobErrorCategory::Panic)
-                    break;
             }
-            results[i] = res;
 
             if (opt_.journal != nullptr)
                 opt_.journal->append(results[i], i);
@@ -234,6 +209,18 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
     for (std::thread &t : workers)
         t.join();
     return results;
+}
+
+u64
+injectedFaults(const StatRegistry::Snapshot &stats)
+{
+    u64 n = 0;
+    for (const char *key : {"hmc.crc_errors", "hmc.vault_retries"}) {
+        auto it = stats.find(key);
+        if (it != stats.end())
+            n += u64(it->second);
+    }
+    return n;
 }
 
 StatRegistry::Snapshot

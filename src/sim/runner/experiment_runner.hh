@@ -8,29 +8,26 @@
  * so experiment-level parallelism is safe where intra-frame
  * parallelism would not be (A-TFIM's angle cache is timing-fed).
  * Each job executes inside its own SimContext (sim_context.hh), so
- * statistics, trace events and fault accounting are isolated per
+ * statistics (fault counts included) and trace events are isolated per
  * simulation and the per-spec results are bit-identical whatever
  * `jobs` is — including jobs=1, which runs the specs inline on the
  * calling thread through the very same per-job-context path.
  *
  * Resilience layer (see DESIGN.md "Harness robustness"):
  *
- *  - Fault containment: every attempt runs under a ScopedPanicHandler
- *    and a catch-all boundary, so a thrown exception, a TEXPIM_PANIC
- *    or a watchdog expiry inside one spec becomes a structured
- *    JobError in that spec's ExperimentResult instead of taking down
- *    the whole grid. The boundary sits inside the job's
- *    SimContext::Scope, so the RenderingSimulator unwinds and
- *    unregisters its stats/fault sites before the context dies.
+ *  - Fault containment: every spec runs once, under a
+ *    ScopedPanicHandler and a catch-all boundary, so a thrown
+ *    exception, a TEXPIM_PANIC or a watchdog expiry inside one spec
+ *    becomes a structured JobError in that spec's ExperimentResult
+ *    instead of taking down the whole grid. The boundary sits inside
+ *    the job's SimContext::Scope, so the RenderingSimulator unwinds
+ *    and unregisters its stat groups before the context dies. The
+ *    simulation is deterministic and injected HMC faults are counted
+ *    (`hmc.crc_errors`, `hmc.vault_retries`), never aborted, so
+ *    running a failed spec again could only fail the same way.
  *  - Watchdog: RunnerOptions::jobTimeoutMs arms the job context's
- *    Deadline before each attempt; the render loop polls it at frame
+ *    Deadline before the spec runs; the render loop polls it at frame
  *    and tile granularity and cancels cooperatively via SimTimeout.
- *  - Retry: a panicking spec re-runs up to maxRetries times, at once.
- *    Each retry gets a fresh SimContext and — when fault injection is
- *    on — a fault seed remixed per attempt through faultSiteSeed(), so
- *    a fault-pattern-triggered panic is not deterministically replayed
- *    (the simulation is deterministic, so nothing else could change
- *    the outcome). Exceptions and timeouts are never retried.
  *  - Checkpoint/resume: with RunnerOptions::journal set, each
  *    completed spec is appended to a JSONL sweep journal the moment
  *    it finishes; RunnerOptions::resumed feeds journal rows back so
@@ -39,8 +36,8 @@
  *
  * Determinism contract (enforced by tests/sim/test_runner_determinism
  * and test_runner_resilience): for a fixed spec vector, cycles,
- * images, stat snapshots, fault totals, statuses and error categories
- * per spec do not depend on the worker count or on scheduling.
+ * images, stat snapshots, statuses and error categories per spec do
+ * not depend on the worker count or on scheduling.
  * Consumers that reduce across specs (metrics JSON, merged stats) do
  * so in submission order, so their outputs are byte-identical too —
  * including across an interrupt/resume boundary.
@@ -67,7 +64,7 @@ class SweepJournal;
 
 /**
  * Test/CI failure injection: make a spec fail in a controlled way so
- * the containment, watchdog and retry paths can be exercised from the
+ * the containment and watchdog paths can be exercised from the
  * CLI (sim.inject_failure=) and from tests without a genuinely broken
  * simulator build.
  */
@@ -99,15 +96,6 @@ struct ExperimentSpec
     /** Injected failure mode (tests/CI only; see InjectedFailure). */
     InjectedFailure inject = InjectedFailure::None;
 
-    /** Inject only while attempt < injectUntilAttempt: the default
-     *  (~0u) fails every attempt; 1 fails the first attempt and then
-     *  succeeds — the retry-then-succeed shape tests pin down. */
-    unsigned injectUntilAttempt = ~0u;
-
-    /** Zero-based attempt number, set by the runner on each retry
-     *  (callers leave it 0). */
-    unsigned attempt = 0;
-
     /** "<design>/<workload label>/f<frame>". */
     std::string defaultLabel() const;
 };
@@ -117,15 +105,12 @@ struct ExperimentResult
 {
     std::string name;     //!< spec label (resolved)
 
-    /** Final outcome after retries; Failed/Timeout results carry a
-     *  default-constructed SimResult (no image) and empty stats. */
+    /** Outcome; Failed/Timeout results carry a default-constructed
+     *  SimResult (no image) and empty stats. */
     JobStatus status = JobStatus::Ok;
 
-    /** The last attempt's failure (category None when status is Ok). */
+    /** The failure (category None when status is Ok). */
     JobError error{};
-
-    /** Attempts consumed (1 = succeeded or failed without retrying). */
-    unsigned attempts = 1;
 
     SimResult result{};
 
@@ -133,7 +118,6 @@ struct ExperimentResult
     StatRegistry::Snapshot stats;
 
     u64 imageFnv1a = 0;   //!< imageHash() of the rendered frame
-    u64 totalFaults = 0;  //!< FaultRegistry::totalFaults() of the job
     std::string traceFile; //!< "" when tracing was off
 
     bool ok() const { return status == JobStatus::Ok; }
@@ -152,17 +136,10 @@ struct RunnerOptions
     /** inform() one line as each job finishes. */
     bool verbose = false;
 
-    /** Watchdog deadline per attempt, in milliseconds; 0 disables the
+    /** Watchdog deadline per spec, in milliseconds; 0 disables the
      *  watchdog entirely (zero-overhead: the render loop's poll is a
      *  single predictable branch). sim.job_timeout_ms= */
     u64 jobTimeoutMs = 0;
-
-    /** Re-run a panicked spec up to this many extra times. Panics are
-     *  the category injected faults abort through; plain exceptions
-     *  (deterministic config/scene errors would just fail again) and
-     *  timeouts (they already cost a full deadline) are not retried.
-     *  runner.max_retries= */
-    unsigned maxRetries = 0;
 
     /** Sweep journal to append each completed spec to (checkpoint);
      *  not owned. null disables journaling. */
@@ -193,23 +170,27 @@ class ExperimentRunner
 
     /**
      * Execute one spec in the *current* SimContext (run() wraps this
-     * in a fresh context per attempt; tests may call it directly).
+     * in a fresh context per spec; tests may call it directly).
      * NOT contained: whatever the simulation throws propagates.
      */
     static ExperimentResult runOne(const ExperimentSpec &spec);
 
-    /**
-     * One contained attempt of `spec` in the current SimContext: arms
-     * the watchdog, installs the panic handler, converts any escape
-     * into a Failed/Timeout result carrying a JobError. Remixes the
-     * fault seed on attempts > 0.
-     */
-    ExperimentResult runAttempt(const ExperimentSpec &spec, size_t index,
-                                unsigned attempt) const;
-
   private:
+    /**
+     * Run `spec` once, contained, in the current SimContext: arms the
+     * watchdog, installs the panic handler, converts any escape into a
+     * Failed/Timeout result carrying a JobError.
+     */
+    ExperimentResult runContained(const ExperimentSpec &spec,
+                                  size_t index) const;
+
     RunnerOptions opt_;
 };
+
+/** Faults injected into a spec's HMC: every fault site firing is one
+ *  `hmc.crc_errors` or one `hmc.vault_retries`. 0 when the snapshot
+ *  has neither (Baseline has no HMC; failed specs have no stats). */
+u64 injectedFaults(const StatRegistry::Snapshot &stats);
 
 /** Sum the per-job stat snapshots in submission order (deterministic;
  *  see mergeSnapshots()). Failed specs contribute their (empty)

@@ -8,7 +8,7 @@
  * converted into a JobError carried in the spec's ExperimentResult, so
  * one bad spec never takes down the grid. Consumers (the texpim sweep
  * CLI, the sweep journal, tests) report the category/site/message as
- * structured fields ("texpim-sweep-v2" rows).
+ * structured fields ("texpim-sweep-v3" rows).
  */
 
 #ifndef TEXPIM_SIM_RUNNER_JOB_ERROR_HH
@@ -38,9 +38,9 @@ JobErrorCategory jobErrorCategoryFromName(const std::string &name);
 /** The final outcome of one spec, summarizing the error category. */
 enum class JobStatus
 {
-    Ok,      //!< completed (possibly after retries)
-    Failed,  //!< exhausted retries on Exception/Panic/Unknown
-    Timeout, //!< exhausted retries on watchdog expiry
+    Ok,      //!< completed
+    Failed,  //!< Exception/Panic/Unknown
+    Timeout, //!< watchdog expiry
 };
 
 /** Stable lowercase name used in journals and sweep metrics. */

@@ -75,10 +75,6 @@ parseRow(const std::string &line, ExperimentResult &out)
     out = ExperimentResult{};
     out.name = stringField(row, "name");
     out.status = jobStatusFromName(stringField(row, "status"));
-    const json::Value &att = row.at("attempts");
-    if (att.kind != json::Value::Kind::Number || att.number < 1)
-        TEXPIM_PANIC("journal row has a bad 'attempts'");
-    out.attempts = unsigned(att.number);
 
     const json::Value &err = row.at("error");
     if (!err.isNull()) {
@@ -90,7 +86,6 @@ parseRow(const std::string &line, ExperimentResult &out)
     }
 
     out.imageFnv1a = hexField(row, "image_fnv1a");
-    out.totalFaults = hexField(row, "total_faults");
     out.result.frame.frameCycles = hexField(row, "frame_cycles");
     out.result.textureFilterCycles = hexField(row, "texture_filter_cycles");
     out.result.textureTrafficBytes = hexField(row, "texture_traffic_bytes");
@@ -149,7 +144,6 @@ SweepJournal::append(const ExperimentResult &r, size_t index)
     w.keyValue("index", u64(index));
     w.keyValue("name", r.name);
     w.keyValue("status", jobStatusName(r.status));
-    w.keyValue("attempts", u64(r.attempts));
     if (r.error.category == JobErrorCategory::None) {
         w.keyNull("error");
     } else {
@@ -160,7 +154,6 @@ SweepJournal::append(const ExperimentResult &r, size_t index)
         w.endObject();
     }
     w.keyValue("image_fnv1a", hexU64(r.imageFnv1a));
-    w.keyValue("total_faults", hexU64(r.totalFaults));
     w.keyValue("frame_cycles", hexU64(r.result.frame.frameCycles));
     w.keyValue("texture_filter_cycles",
                hexU64(r.result.textureFilterCycles));

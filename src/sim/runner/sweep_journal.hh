@@ -14,10 +14,14 @@
  *
  *   {"schema":"texpim-sweep-journal-v1","specs":20}
  *   {"index":3,"name":"B-PIM/doom3 640x480/f3","status":"ok",
- *    "attempts":1,"error":null,"image_fnv1a":"<16 hex>",
- *    "total_faults":"<16 hex>","frame_cycles":"<16 hex>", ...,
+ *    "error":null,"image_fnv1a":"<16 hex>",
+ *    "frame_cycles":"<16 hex>", ...,
  *    "energy_bits":{"shader":"<16 hex>", ...},
  *    "stats_bits":{"<stat key>":"<16 hex>", ...},"trace_file":""}
+ *
+ * Rows written by older builds also carry "attempts" and
+ * "total_faults"; load() ignores both (the fault counts are in
+ * stats_bits as `hmc.crc_errors` and `hmc.vault_retries`).
  *
  * Encoding: every u64 is its 16-digit zero-padded hex value; every
  * double is the 16-digit hex of its IEEE-754 bit pattern. The generic

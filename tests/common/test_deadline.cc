@@ -71,7 +71,7 @@ TEST(Deadline, RearmRestartsTheBudget)
     Deadline d;
     d.arm(1);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    d.arm(60000); // the runner re-arms per retry attempt
+    d.arm(60000); // a second arm() replaces the first budget
     d.check("fresh-budget");
     EXPECT_TRUE(d.armed());
     EXPECT_EQ(d.timeoutMs(), 60000u);

@@ -81,8 +81,6 @@ TEST(Fault, DisabledNeverFiresAndNeverCounts)
     for (int i = 0; i < 1000; ++i)
         EXPECT_FALSE(f.fire());
     EXPECT_FALSE(f.enabled());
-    EXPECT_EQ(f.trials(), 0u);
-    EXPECT_EQ(f.faults(), 0u);
 }
 
 TEST(Fault, AlwaysFiresAtProbabilityOne)
@@ -90,8 +88,6 @@ TEST(Fault, AlwaysFiresAtProbabilityOne)
     FaultInjector f("test.p1", 1.0, 1, 42);
     for (int i = 0; i < 100; ++i)
         EXPECT_TRUE(f.fire());
-    EXPECT_EQ(f.trials(), 100u);
-    EXPECT_EQ(f.faults(), 100u);
 }
 
 TEST(Fault, SameSeedSameSiteIsDeterministic)
@@ -127,9 +123,11 @@ TEST(Fault, DifferentSitesGetIndependentStreams)
 TEST(Fault, ObservedRateTracksProbability)
 {
     FaultInjector f("test.rate", 0.1, 1, 99);
-    for (int i = 0; i < 100000; ++i)
-        f.fire();
-    double rate = double(f.faults()) / double(f.trials());
+    const int trials = 100000;
+    int faults = 0;
+    for (int i = 0; i < trials; ++i)
+        faults += f.fire();
+    double rate = double(faults) / double(trials);
     EXPECT_NEAR(rate, 0.1, 0.01);
 }
 
@@ -140,10 +138,13 @@ TEST(Fault, BurstExtendsFaults)
     // burst trials skip the RNG), and the overall fault rate must be
     // roughly 4x the trigger probability.
     FaultInjector f("test.burst", 0.02, 4, 5);
+    const int trials = 100000;
+    int faults = 0;
     std::vector<unsigned> runs;
     unsigned run = 0;
-    for (int i = 0; i < 100000; ++i) {
+    for (int i = 0; i < trials; ++i) {
         if (f.fire()) {
+            ++faults;
             ++run;
         } else if (run > 0) {
             runs.push_back(run);
@@ -153,39 +154,8 @@ TEST(Fault, BurstExtendsFaults)
     ASSERT_FALSE(runs.empty());
     for (unsigned r : runs)
         EXPECT_EQ(r % 4, 0u);
-    double rate = double(f.faults()) / double(f.trials());
+    double rate = double(faults) / double(trials);
     EXPECT_NEAR(rate, 0.08, 0.02);
-}
-
-TEST(Fault, RegistryTracksEnabledSites)
-{
-    size_t before = FaultRegistry::instance().size();
-    {
-        FaultInjector on("reg.on", 0.5, 1, 1);
-        FaultInjector off; // disabled: must not register
-        EXPECT_EQ(FaultRegistry::instance().size(), before + 1);
-
-        // The registry entry follows the object across moves.
-        FaultInjector moved(std::move(on));
-        EXPECT_EQ(FaultRegistry::instance().size(), before + 1);
-        auto sites = FaultRegistry::instance().sites();
-        bool found = false;
-        for (const FaultInjector *s : sites)
-            found |= s == &moved;
-        EXPECT_TRUE(found);
-    }
-    EXPECT_EQ(FaultRegistry::instance().size(), before);
-}
-
-TEST(Fault, RegistryTotalsFaults)
-{
-    size_t base = FaultRegistry::instance().totalFaults();
-    FaultInjector f("reg.total", 1.0, 1, 1);
-    f.fire();
-    f.fire();
-    EXPECT_EQ(FaultRegistry::instance().totalFaults(), base + 2);
-    f.resetStats();
-    EXPECT_EQ(FaultRegistry::instance().totalFaults(), base);
 }
 
 } // namespace

@@ -108,10 +108,10 @@ TEST(FaultInjection, VaultErrorsForceReissue)
 TEST(FaultInjection, MaxRetriesBoundsTheWorstCase)
 {
     // Even a link that corrupts every packet must terminate: after
-    // maxRetries replays the packet is forced through and counted.
+    // maxReplays replays the packet is forced through and counted.
     HmcParams p;
     p.fault.linkBer = 1.0;
-    p.maxRetries = 3;
+    p.maxReplays = 3;
     HmcMemory mem(p);
     Cycle done = mem.read(0x0, 64, TrafficClass::Texture, 0);
     EXPECT_GT(done, 0u);

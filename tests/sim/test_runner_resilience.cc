@@ -2,8 +2,8 @@
  * @file
  * The runner's resilience layer: job-level fault containment (a
  * throwing/panicking spec is isolated from its siblings), watchdog
- * timeouts, bounded retry with deterministic results, and
- * checkpoint/resume through the sweep journal with byte-identical
+ * timeouts, injected HMC faults counted by the HMC's own stat group,
+ * and checkpoint/resume through the sweep journal with byte-identical
  * merged outputs at any worker count.
  */
 
@@ -48,7 +48,6 @@ expectSameOutcome(const ExperimentResult &a, const ExperimentResult &b)
 {
     EXPECT_EQ(a.name, b.name);
     EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.attempts, b.attempts);
     EXPECT_EQ(a.error.category, b.error.category);
     EXPECT_EQ(a.result.frame.frameCycles, b.result.frame.frameCycles);
     EXPECT_EQ(a.result.textureFilterCycles, b.result.textureFilterCycles);
@@ -57,7 +56,6 @@ expectSameOutcome(const ExperimentResult &a, const ExperimentResult &b)
     EXPECT_EQ(a.result.angleRecalcs, b.result.angleRecalcs);
     EXPECT_EQ(a.result.energy.total(), b.result.energy.total());
     EXPECT_EQ(a.imageFnv1a, b.imageFnv1a);
-    EXPECT_EQ(a.totalFaults, b.totalFaults);
     EXPECT_EQ(a.stats, b.stats);
 }
 
@@ -149,7 +147,6 @@ TEST(RunnerResilience, WatchdogCancelsARealRenderAtAPollSite)
                 results[0].error.site == "renderer.tile")
         << "timeout observed at '" << results[0].error.site
         << "', not a render-loop poll site";
-    EXPECT_EQ(results[0].attempts, 1u) << "timeouts are not retryable";
 }
 
 TEST(RunnerResilience, HangInjectionTimesOutCooperatively)
@@ -176,56 +173,38 @@ TEST(RunnerResilience, HangWithoutWatchdogPanicsInsteadOfWedging)
     EXPECT_EQ(results[0].error.category, JobErrorCategory::Panic);
 }
 
-// --- retry ----------------------------------------------------------
+// --- fault accounting -----------------------------------------------
 
-TEST(RunnerResilience, RetryThenSucceedIsBitIdenticalToACleanRun)
+TEST(RunnerResilience, InjectedFaultsAreTheHmcStatGroupsCount)
 {
-    std::vector<ExperimentSpec> flaky = {smallSpec(Design::ATfim)};
-    flaky[0].inject = InjectedFailure::Panic;
-    flaky[0].injectUntilAttempt = 1; // fail attempt 0, succeed attempt 1
-
-    RunnerOptions opt;
-    opt.maxRetries = 2;
-    std::vector<ExperimentResult> retried =
-        ExperimentRunner(opt).run(flaky);
-    ASSERT_EQ(retried.size(), 1u);
-    EXPECT_TRUE(retried[0].ok());
-    EXPECT_EQ(retried[0].attempts, 2u);
-
-    std::vector<ExperimentResult> clean =
-        ExperimentRunner(RunnerOptions{}).run({smallSpec(Design::ATfim)});
-    ASSERT_TRUE(clean[0].ok());
-    EXPECT_EQ(retried[0].imageFnv1a, clean[0].imageFnv1a);
-    EXPECT_EQ(retried[0].result.frame.frameCycles,
-              clean[0].result.frame.frameCycles);
-    EXPECT_EQ(retried[0].stats, clean[0].stats)
-        << "a spec that succeeded on retry must match a first-try run";
-}
-
-TEST(RunnerResilience, ExceptionsAreNotRetriedByDefault)
-{
-    std::vector<ExperimentSpec> specs = {smallSpec(Design::Baseline)};
-    specs[0].inject = InjectedFailure::Throw;
-    specs[0].injectUntilAttempt = 1; // would succeed on retry...
-    RunnerOptions opt;
-    opt.maxRetries = 3;
+    // Link and vault faults, with bursts, on every design.
+    std::vector<ExperimentSpec> specs;
+    for (Design d : {Design::Baseline, Design::BPim, Design::STfim,
+                     Design::ATfim}) {
+        ExperimentSpec spec = smallSpec(d);
+        spec.config.hmc.fault.linkBer = 0.05;
+        spec.config.hmc.fault.vaultBer = 0.01;
+        spec.config.hmc.fault.burstLen = 3;
+        specs.push_back(spec);
+    }
     std::vector<ExperimentResult> results =
-        ExperimentRunner(opt).run(specs);
-    // ...but exceptions are deterministic failures: one attempt only.
-    EXPECT_EQ(results[0].status, JobStatus::Failed);
-    EXPECT_EQ(results[0].attempts, 1u);
-}
-
-TEST(RunnerResilience, RetriesAreBoundedByMaxRetries)
-{
-    std::vector<ExperimentSpec> specs = {smallSpec(Design::Baseline)};
-    specs[0].inject = InjectedFailure::Panic; // fails every attempt
-    RunnerOptions opt;
-    opt.maxRetries = 2;
-    std::vector<ExperimentResult> results =
-        ExperimentRunner(opt).run(specs);
-    EXPECT_EQ(results[0].status, JobStatus::Failed);
-    EXPECT_EQ(results[0].attempts, 3u) << "1 try + maxRetries retries";
+        ExperimentRunner(RunnerOptions{}).run(specs);
+    ASSERT_EQ(results.size(), specs.size());
+    // Every fire() that returns true is one hmc.crc_errors or one
+    // hmc.vault_retries; Baseline has no HMC and no fault site. The
+    // pinned totals count every fire() at the three sites of each
+    // cube, so a fault the stat group drops or counts twice moves them.
+    const u64 expected[] = {0, 963, 3279, 1497};
+    for (size_t i = 0; i < results.size(); ++i) {
+        SCOPED_TRACE(results[i].name);
+        ASSERT_TRUE(results[i].ok());
+        const StatRegistry::Snapshot &s = results[i].stats;
+        double crc = s.count("hmc.crc_errors") ? s.at("hmc.crc_errors") : 0;
+        double vault =
+            s.count("hmc.vault_retries") ? s.at("hmc.vault_retries") : 0;
+        EXPECT_EQ(injectedFaults(s), u64(crc + vault));
+        EXPECT_EQ(injectedFaults(s), expected[i]);
+    }
 }
 
 // --- journal / resume -----------------------------------------------
@@ -243,17 +222,45 @@ TEST(SweepJournal, RoundTripRestoresResultsBitExactly)
     std::vector<ExperimentResult> results =
         ExperimentRunner(opt).run(specs);
 
-    std::map<size_t, ExperimentResult> restored =
-        SweepJournal::load(path, labelsOf(specs));
-    ASSERT_EQ(restored.size(), 2u);
-    for (size_t i = 0; i < results.size(); ++i) {
-        SCOPED_TRACE(results[i].name);
-        ASSERT_TRUE(restored.count(i));
-        expectSameOutcome(results[i], restored.at(i));
-        EXPECT_EQ(restored.at(i).error.message, results[i].error.message);
-        EXPECT_EQ(restored.at(i).error.site, results[i].error.site);
+    // The same rows as older builds wrote them, with "attempts" and
+    // "total_faults": the loader ignores both fields.
+    std::string legacy = testing::TempDir() + "texpim_journal_legacy.jsonl";
+    {
+        std::ifstream in(path);
+        std::ofstream out(legacy);
+        std::string line;
+        std::getline(in, line);
+        out << line << "\n"; // header
+        while (std::getline(in, line)) {
+            auto insert = [&](const std::string &before,
+                              const std::string &field) {
+                size_t at = line.find(before);
+                ASSERT_NE(at, std::string::npos) << line;
+                line.insert(at + 1, field);
+            };
+            insert(",\"error\":", "\"attempts\":1,");
+            insert(",\"frame_cycles\":",
+                   "\"total_faults\":\"0000000000000bee\",");
+            out << line << "\n";
+        }
+    }
+
+    for (const std::string &file : {path, legacy}) {
+        SCOPED_TRACE(file);
+        std::map<size_t, ExperimentResult> restored =
+            SweepJournal::load(file, labelsOf(specs));
+        ASSERT_EQ(restored.size(), 2u);
+        for (size_t i = 0; i < results.size(); ++i) {
+            SCOPED_TRACE(results[i].name);
+            ASSERT_TRUE(restored.count(i));
+            expectSameOutcome(results[i], restored.at(i));
+            EXPECT_EQ(restored.at(i).error.message,
+                      results[i].error.message);
+            EXPECT_EQ(restored.at(i).error.site, results[i].error.site);
+        }
     }
     std::remove(path.c_str());
+    std::remove(legacy.c_str());
 }
 
 TEST(SweepJournal, ResumeReproducesAnUninterruptedRunAtAnyJobs)
@@ -362,7 +369,28 @@ TEST(SweepJournalDeath, ResumingADifferentGridIsFatal)
     // Right count, wrong names.
     EXPECT_EXIT(SweepJournal::load(path, {"wrong/a", "wrong/b"}),
                 testing::ExitedWithCode(1), "resume must use the same grid");
+
+    // A malformed row before the final one is corruption, not a torn
+    // append.
+    std::string bad = testing::TempDir() + "texpim_journal_bad.jsonl";
+    {
+        std::ifstream in(path);
+        std::ofstream out(bad);
+        bool corrupted = false;
+        for (std::string l; std::getline(in, l);) {
+            size_t at = l.find("\"image_fnv1a\":\"");
+            if (at != std::string::npos && !corrupted) {
+                l.insert(at + 15, "zz");
+                corrupted = true;
+            }
+            out << l << "\n";
+        }
+        ASSERT_TRUE(corrupted);
+    }
+    EXPECT_EXIT(SweepJournal::load(bad, labelsOf(specs)),
+                testing::ExitedWithCode(1), "only the final line may be torn");
     std::remove(path.c_str());
+    std::remove(bad.c_str());
 }
 
 } // namespace

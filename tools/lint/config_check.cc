@@ -12,7 +12,11 @@
  *    doc files);
  *  - every row of the README configuration-reference table (between
  *    `texpim-lint: config-key-docs begin/end` markers) must name a
- *    known key.
+ *    known key;
+ *  - every key a command-key table (a `{"key", readers}` map between
+ *    `texpim-lint: command-key-table begin/end` markers in a scanned
+ *    file, such as the CLI's commandOnlyKeys()) names must be a known
+ *    key, so a retired key cannot linger there.
  */
 
 #include "lint.hh"
@@ -130,6 +134,38 @@ runConfigRule(const std::vector<SourceFile> &files, const Options &opt,
         }
     }
 
+    // --- command-key tables ---
+    // An entry's first literal is its key; the reader list that follows
+    // is a `{...}` or a named vector, never another literal.
+    static const std::regex cmdKeyRe(
+        R"re(\{\s*"([^"]+)"\s*,\s*[{A-Za-z_])re");
+    std::map<std::string, Located> commandKeys;
+    for (const SourceFile &f : files) {
+        bool inCmd = false;
+        for (size_t i = 0; i < f.raw.size(); ++i) {
+            if (f.raw[i].find("texpim-lint: command-key-table begin") !=
+                std::string::npos) {
+                inCmd = true;
+                continue;
+            }
+            if (f.raw[i].find("texpim-lint: command-key-table end") !=
+                std::string::npos) {
+                inCmd = false;
+                continue;
+            }
+            if (!inCmd)
+                continue;
+            const std::string &l = f.codeStr[i];
+            for (auto it = std::sregex_iterator(l.begin(), l.end(),
+                                                cmdKeyRe);
+                 it != std::sregex_iterator(); ++it) {
+                std::string key = (*it)[1].str();
+                if (!commandKeys.count(key))
+                    commandKeys[key] = {f.path, int(i) + 1};
+            }
+        }
+    }
+
     // --- documentation ---
     // Namespaces the table establishes (`gpu` for `gpu.width`): a
     // backticked dotted mention in prose whose first segment is one of
@@ -223,6 +259,13 @@ runConfigRule(const std::vector<SourceFile> &files, const Options &opt,
                 "config key '" + kv.first +
                     "' is in the known-key table but not documented "
                     "(no `" + kv.first + "` in the doc files)");
+    }
+    for (const auto &kv : commandKeys) {
+        if (!table.count(kv.first))
+            add(out, kv.second.path, kv.second.line, kv.first,
+                "command-key table names config key '" + kv.first +
+                    "', which is not in the known-key table in " +
+                    opt.keyTablePath + " (retired or misspelled key?)");
     }
     for (const auto &kv : docTable) {
         if (!table.count(kv.first))

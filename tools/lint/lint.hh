@@ -35,7 +35,9 @@
  *   [C1] every config key referenced in source must appear in the
  *        known-key table in src/gpu/params.cc and in the README
  *        configuration-reference table, and vice versa (catches dead
- *        knobs and undocumented ones).
+ *        knobs and undocumented ones); every key a marked
+ *        command-key table (the CLI's commandOnlyKeys()) names must be
+ *        in the known-key table.
  *   [A0] every `texpim-lint: allow(...)` annotation must carry a
  *        written justification.
  *
