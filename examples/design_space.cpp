@@ -1,9 +1,11 @@
 /**
  * @file
  * Design-space exploration beyond the paper's configurations: sweep
- * HMC external bandwidth, texture-cache capacity, and anisotropy
- * level, and report how each design point's A-TFIM advantage moves —
- * the kind of sensitivity study a follow-on paper would run.
+ * HMC external bandwidth, texture-cache capacity, HMC cube count and
+ * anisotropy level, and report how each design point's A-TFIM
+ * advantage moves — the kind of sensitivity study a follow-on paper
+ * would run. It drives the library API directly because these are
+ * SimConfig fields, not texpim config keys.
  *
  * Usage: design_space [game] [WxH]
  */
@@ -11,13 +13,27 @@
 #include <cstdio>
 #include <string>
 
+#include "common/config.hh"
 #include "common/logging.hh"
-#include "example_args.hh"
+#include "scene/game_profiles.hh"
 #include "sim/simulator.hh"
 
 using namespace texpim;
 
 namespace {
+
+/** `WxH` into `wl`; each side in [1, 65536] (FragRecord stores u16
+ *  pixel coordinates), range-checked like the texpim CLI's width= and
+ *  height= keys, so a bad value is a clean fatal, never a panic. */
+void
+parseResolution(const std::string &arg, Workload &wl)
+{
+    size_t x = arg.find('x');
+    if (x == std::string::npos || x != arg.rfind('x'))
+        TEXPIM_FATAL("bad resolution '", arg, "' (expected WxH)");
+    wl.width = Config::parseUnsigned("width", arg.substr(0, x), 1, 65536);
+    wl.height = Config::parseUnsigned("height", arg.substr(x + 1), 1, 65536);
+}
 
 double
 renderSpeedup(const Scene &scene, const SimConfig &base_cfg,

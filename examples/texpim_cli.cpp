@@ -416,12 +416,13 @@ cmdCompare(int argc, char **argv)
         printResult(designName(d), r);
         if (d != Design::Baseline) {
             std::printf("%-10s render %.2fx, tex-filter %.2fx, PSNR "
-                        "%.1f\n",
+                        "%.1f, SSIM %.4f\n",
                         "", double(base.frame.frameCycles) /
                                 double(r.frame.frameCycles),
                         double(base.textureFilterCycles) /
                             double(r.textureFilterCycles),
-                        psnr(*base.image, *r.image));
+                        psnr(*base.image, *r.image),
+                        ssim(*base.image, *r.image));
         }
         // Per-design stats file while this design's groups are live.
         if (!stats_out.empty())

@@ -106,7 +106,6 @@ struct Renderer::FrameCtx
     // written by the thread that records the tile and read after the
     // window's pool has joined.
     std::vector<u64> tileBytes; //!< TileRecord::sizeBytes()
-    std::vector<u64> tileHash;  //!< TileRecord::hash()
     std::vector<u32> replayOrder; //!< tile indices in replay order
 
     // Per-tile sorted-unique texel block footprints (sequence reuse
@@ -688,7 +687,6 @@ Renderer::rasterizeTile(FrameCtx &ctx, u32 ti, TileRecord &rec,
     }
 
     ctx.tileBytes[ti] = rec.sizeBytes();
-    ctx.tileHash[ti] = rec.hash();
 }
 
 void
@@ -870,7 +868,6 @@ Renderer::setupFrameCtx(FrameCtx &ctx)
             ctx.clusterTiles[ti % params_.clusters].push_back(ti);
     }
     ctx.tileBytes.assign(ctx.bins.size(), 0);
-    ctx.tileHash.assign(ctx.bins.size(), 0);
 
     // Per-fragment cluster occupancy: the fixed-function fragment
     // pipeline (interpolation, shader issue, ROP slot) plus the shader
@@ -915,9 +912,9 @@ Renderer::finishFrame(FrameJob &job)
     FrameCtx &ctx = *job.ctx_;
     FrameStats fs = job.fs_;
 
-    // Frame-granularity cancellation point (sequence frames past the
-    // first; tile-granularity checks in replayPhase cover the inside
-    // of a frame).
+    // Frame-granularity cancellation point for renderFrame and every
+    // sequence frame; tile-granularity checks in replayPhase cover the
+    // inside of a frame.
     SimContext::current().deadline().check("renderer.frame");
 
     double t1 = wallSeconds();
@@ -962,16 +959,8 @@ Renderer::finishFrame(FrameJob &job)
 void
 Renderer::accountRecords(const FrameCtx &ctx, FrameStats &fs) const
 {
-    // FNV-1a over the per-tile hashes in tile-index order: a cheap
-    // fingerprint of the whole record stream, invariant across
-    // gpu.render_threads (the stream-equivalence test compares it
-    // between thread counts).
-    u64 h = 14695981039346656037ull;
-    for (size_t ti = 0; ti < ctx.tileHash.size(); ++ti) {
-        h = (h ^ ctx.tileHash[ti]) * 1099511628211ull;
-        fs.recordBytes += ctx.tileBytes[ti];
-    }
-    fs.recordStreamHash = h;
+    for (u64 bytes : ctx.tileBytes)
+        fs.recordBytes += bytes;
     fs.recordBytesDecoded = fs.recordBytes;
 
     // The window's peak, stepped through the replay order: before
@@ -1030,11 +1019,6 @@ Renderer::FrameJob::uniqueBlocks() const
 FrameStats
 Renderer::renderFrame(const Scene &scene, FrameBuffer &fb)
 {
-    // Frame-granularity cancellation point (renderSequence frames past
-    // the first; tile-granularity checks in replayPhase cover the
-    // inside of a frame).
-    SimContext::current().deadline().check("renderer.frame");
-
     std::unique_ptr<FrameJob> job = recordFrame(scene, fb);
     return finishFrame(*job);
 }

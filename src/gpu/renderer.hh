@@ -67,9 +67,6 @@ struct FrameStats
     // bench-only like the wall fields above.
     u64 recordBytes = 0;        //!< raw record bytes of all tiles
     u64 recordBytesDecoded = 0; //!< the same total (no encoded form)
-    /** FNV-1a of the per-tile TileRecord::hash() values, folded in
-     *  tile-index order. */
-    u64 recordStreamHash = 0;
     /** Peak live record bytes of the streaming window: the largest,
      *  over the replay's steps, sum of the record bytes of every
      *  cluster's next unreplayed tile. The window holds those tiles
@@ -191,14 +188,14 @@ class Renderer
      *  traffic, stats counters, deterministic profile charges. */
     void finishTail(FrameCtx &ctx, FrameStats &fs);
 
-    /** Record accounting from the per-tile byte counts and hashes and
-     *  the replay order: recordBytes*, recordStreamHash. */
+    /** Record accounting from the per-tile byte counts and the replay
+     *  order: recordBytes*. */
     void accountRecords(const FrameCtx &ctx, FrameStats &fs) const;
 
     /** Phase 1, one tile: rasterize, tile-local early Z, functional
      *  texture sampling into `rec` (empty on entry) and the lookups in
-     *  the tile's cluster's texture L1, plus the tile's census blocks,
-     *  byte count and hash in `ctx`. Thread-safe across tiles of
+     *  the tile's cluster's texture L1, plus the tile's census blocks
+     *  and byte count in `ctx`. Thread-safe across tiles of
      *  distinct clusters (touches only tile-disjoint state, the
      *  caller-owned record and worker scratch, and the cluster's L1);
      *  a cluster's tiles must record one at a time, in list order. */

@@ -167,11 +167,6 @@ struct TileRecord
     /** In-memory bytes of the record arrays (size-based — the
      *  bandwidth the replay of this tile touches). */
     u64 sizeBytes() const;
-
-    /** FNV-1a over the record's fields in a fixed order, one 64-bit
-     *  word (one or two fields packed) per step. Padding bytes never
-     *  enter it, so it is a pure function of the recorded values. */
-    u64 hash() const;
 };
 
 } // namespace texpim

@@ -59,7 +59,9 @@ HmcMemory::HmcMemory(const HmcParams &params)
           "retry_buffer_stalls",
           "retransmissions stalled on a full retry buffer")),
       retry_aborts_(stats_.counter(
-          "retry_aborts", "packets forced through after max_retries replays")),
+          "retry_aborts",
+          "packets forced through after HmcParams::maxReplays failed "
+          "replays")),
       vault_retries_(stats_.counter(
           "vault_retries", "vault accesses re-issued after a transient error")),
       package_deadline_misses_(stats_.counter(

@@ -180,25 +180,22 @@ runSpec(const ExperimentSpec &spec)
     return ExperimentRunner::runOne(spec);
 }
 
-TEST(StreamEquivalence, EncodedStreamInvariantAcrossRenderThreads)
+TEST(StreamEquivalence, RecordAccountingInvariantAcrossRenderThreads)
 {
-    // The record hash and byte counts are pure functions of the
-    // (stable-ordered) record arrays and the replay order, so they
-    // must not move with the recorder count — the property that makes
-    // record_bytes a meaningful metric at any thread setting.
+    // The record byte counts are pure functions of the (stable-ordered)
+    // record arrays and the replay order, so they must not move with
+    // the recorder count — the property that makes record_bytes a
+    // meaningful metric at any thread setting.
     // threads=4 races the window's pool against the replay of the
     // same frame (the TSan configuration of this suite).
     for (Design d : {Design::Baseline, Design::BPim, Design::STfim,
                      Design::ATfim}) {
         ExperimentResult ref = runSpec(equivalenceSpec(d, 1));
         EXPECT_GT(ref.result.frame.recordBytes, 0u);
-        EXPECT_GT(ref.result.frame.recordStreamHash, 0u);
         for (unsigned threads : {2u, 4u}) {
             SCOPED_TRACE(std::string(designName(d)) + " threads=" +
                          std::to_string(threads));
             ExperimentResult r = runSpec(equivalenceSpec(d, threads));
-            EXPECT_EQ(r.result.frame.recordStreamHash,
-                      ref.result.frame.recordStreamHash);
             EXPECT_EQ(r.result.frame.recordBytes,
                       ref.result.frame.recordBytes);
             EXPECT_EQ(r.result.frame.recordBytesDecoded,

@@ -83,7 +83,7 @@ TEST(FbmNoise, SeedChangesField)
 // and the bit patterns of a few fbmNoise points, computed by calling
 // fbmNoise at every texel. generateTexture's row walker must stay
 // bit-identical to that: the texture content feeds every rendered
-// golden image and stream hash.
+// golden image and sequence hash chain.
 
 u64
 textureHash(const TextureImage &img)
