@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <mutex>
 #include <thread>
+#include <utility>
 
 #include "common/deadline.hh"
 #include "common/logging.hh"
@@ -63,15 +66,125 @@ fireInjectedFailure(const ExperimentSpec &spec, const std::string &label)
 
 } // namespace
 
+/**
+ * The texture stores of one run() call, keyed by (game, seed): the
+ * only inputs of a level's textures. The constructor counts each
+ * key's users in the spec list (resumed specs run nothing and are not
+ * counted) and keeps only keys with two or more, so a key with one
+ * user builds exactly as runOne() does.
+ *
+ * The first user to claim a kept key builds its own scene and
+ * publishes the scene's store through the key's latch, a shared
+ * future; every later user waits on the latch and adopts the store
+ * through buildGameScene's checked adopting path. A failed build
+ * publishes its exception instead, so each user of the key rethrows
+ * it inside its own containment boundary. A User marks one spec's
+ * use of its key; the last one to leave drops the store.
+ */
+class ExperimentRunner::StoreCache
+{
+    using Key = std::pair<Game, u64>;
+    using Store = std::shared_ptr<TextureStore>;
+
+  public:
+    StoreCache(const std::vector<ExperimentSpec> &specs,
+               const std::map<size_t, ExperimentResult> *resumed)
+    {
+        for (size_t i = 0; i < specs.size(); ++i)
+            if (resumed == nullptr || resumed->count(i) == 0)
+                ++entries_[keyOf(specs[i])].users;
+        std::erase_if(entries_,
+                      [](const auto &kv) { return kv.second.users < 2; });
+    }
+
+    /** `spec`'s scene, its textures shared with the key's other users. */
+    Scene
+    build(const ExperimentSpec &spec)
+    {
+        std::promise<Store> claim;
+        std::shared_future<Store> latch;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            auto it = entries_.find(keyOf(spec));
+            if (it != entries_.end()) {
+                latch = it->second.store;
+                if (!latch.valid())
+                    it->second.store = claim.get_future().share();
+            }
+        }
+        if (latch.valid())
+            return buildGameScene(spec.workload, spec.frame, spec.seed,
+                                  latch.get());
+        // The claimant, or the only user of its key (no one waits on
+        // that claim).
+        try {
+            Scene scene = buildGameScene(spec.workload, spec.frame, spec.seed);
+            claim.set_value(scene.textures);
+            return scene;
+        } catch (...) {
+            claim.set_exception(std::current_exception());
+            throw;
+        }
+    }
+
+    /** One spec's use of its key, for that spec's whole run. */
+    class User
+    {
+      public:
+        User(StoreCache &cache, const ExperimentSpec &spec)
+            : cache_(cache), key_(keyOf(spec))
+        {}
+
+        ~User()
+        {
+            std::lock_guard<std::mutex> lock(cache_.mutex_);
+            auto it = cache_.entries_.find(key_);
+            if (it != cache_.entries_.end() && --it->second.users == 0)
+                cache_.entries_.erase(it);
+        }
+
+        User(const User &) = delete;
+        User &operator=(const User &) = delete;
+
+      private:
+        StoreCache &cache_;
+        Key key_;
+    };
+
+  private:
+    struct Entry
+    {
+        size_t users = 0; //!< specs of this key that have not left
+        std::shared_future<Store> store; //!< invalid until claimed
+    };
+
+    static Key
+    keyOf(const ExperimentSpec &spec)
+    {
+        return {spec.workload.game, spec.seed};
+    }
+
+    std::mutex mutex_;
+    std::map<Key, Entry> entries_;
+};
+
 ExperimentResult
 ExperimentRunner::runOne(const ExperimentSpec &spec)
+{
+    return runOne(spec, nullptr);
+}
+
+ExperimentResult
+ExperimentRunner::runOne(const ExperimentSpec &spec, StoreCache *cache)
 {
     ExperimentResult out;
     out.name = spec.name.empty() ? spec.defaultLabel() : spec.name;
 
     fireInjectedFailure(spec, out.name);
 
-    Scene scene = buildGameScene(spec.workload, spec.frame, spec.seed);
+    Scene scene = cache != nullptr
+                      ? cache->build(spec)
+                      : buildGameScene(spec.workload, spec.frame, spec.seed);
     scene.settings.maxAniso = spec.maxAniso != 0
                                   ? spec.maxAniso
                                   : defaultMaxAniso(spec.workload.width);
@@ -84,8 +197,8 @@ ExperimentRunner::runOne(const ExperimentSpec &spec)
 }
 
 ExperimentResult
-ExperimentRunner::runContained(const ExperimentSpec &spec,
-                               size_t index) const
+ExperimentRunner::runContained(const ExperimentSpec &spec, size_t index,
+                               StoreCache &cache) const
 {
     Deadline &deadline = SimContext::current().deadline();
     if (opt_.jobTimeoutMs > 0)
@@ -98,7 +211,7 @@ ExperimentRunner::runContained(const ExperimentSpec &spec,
         // unregistering its stat groups — before the context is torn
         // down.
         ScopedPanicHandler contain;
-        ExperimentResult out = runOne(spec);
+        ExperimentResult out = runOne(spec, &cache);
         deadline.disarm();
         return out;
     } catch (const SimTimeout &e) {
@@ -138,7 +251,9 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
     // Self-scheduling queue: workers claim the next unstarted spec.
     // Which worker runs which spec varies; nothing about a result
     // does, because every spec runs in its own SimContext and
-    // writes only results[i].
+    // writes only results[i], and a scene adopting a shared texture
+    // store is bitwise the scene a fresh build gives.
+    StoreCache cache(specs, opt_.resumed);
     std::atomic<size_t> next{0};
     auto work = [&]() {
         for (;;) {
@@ -165,6 +280,7 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
             {
                 // Fresh context per spec: a failed spec leaves no
                 // stats or trace events behind.
+                StoreCache::User user(cache, specs[i]);
                 SimContext ctx;
                 SimContext::Scope scope(ctx);
                 std::string trace_file;
@@ -172,7 +288,7 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
                     trace_file = opt_.tracePath + ".job" + std::to_string(i);
                     ctx.trace().enable(trace_file, opt_.traceCap);
                 }
-                results[i] = runContained(specs[i], i);
+                results[i] = runContained(specs[i], i, cache);
                 if (!trace_file.empty()) {
                     ctx.trace().disable(); // writes the file
                     results[i].traceFile = trace_file;

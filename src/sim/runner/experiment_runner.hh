@@ -42,6 +42,13 @@
  * so in submission order, so their outputs are byte-identical too —
  * including across an interrupt/resume boundary.
  *
+ * Shared textures: textures depend only on (game, seed), so run()
+ * synthesizes each key's TextureStore once and every other spec of
+ * that key adopts it (StoreCache in experiment_runner.cc; DESIGN.md
+ * "SimContext & the experiment runner"). Adopted scenes are bitwise
+ * the fresh ones, so nothing above depends on which spec built the
+ * store. runOne() always builds fresh.
+ *
  * Tracing: with RunnerOptions::tracePath set, job k writes its own
  * Chrome-trace file "<tracePath>.job<k>" (k = spec index, not worker
  * id, so file contents and names are schedule-independent).
@@ -176,13 +183,21 @@ class ExperimentRunner
     static ExperimentResult runOne(const ExperimentSpec &spec);
 
   private:
+    /** The texture stores one run() shares between its specs. */
+    class StoreCache;
+
+    /** runOne(), adopting the spec's texture store through `cache`
+     *  (null builds it fresh). */
+    static ExperimentResult runOne(const ExperimentSpec &spec,
+                                   StoreCache *cache);
+
     /**
      * Run `spec` once, contained, in the current SimContext: arms the
      * watchdog, installs the panic handler, converts any escape into a
      * Failed/Timeout result carrying a JobError.
      */
-    ExperimentResult runContained(const ExperimentSpec &spec,
-                                  size_t index) const;
+    ExperimentResult runContained(const ExperimentSpec &spec, size_t index,
+                                  StoreCache &cache) const;
 
     RunnerOptions opt_;
 };

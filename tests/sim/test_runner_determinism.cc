@@ -79,6 +79,60 @@ TEST(RunnerDeterminism, FourWorkersReproduceSerialBitExactly)
     EXPECT_EQ(snapshotToCsv(m1), snapshotToCsv(m4));
 }
 
+TEST(RunnerDeterminism, SharedTextureStoresMatchFreshBuilds)
+{
+    // Two games x two resolutions x two seeds x two designs: each
+    // (game, seed) key has four users, so run() synthesizes each store
+    // once and the other three specs adopt it, while runOne() builds
+    // every scene fresh.
+    std::vector<ExperimentSpec> specs;
+    for (Game g : {Game::Doom3, Game::Riddick}) {
+        for (Workload wl : {Workload{g, 96, 64}, Workload{g, 128, 96}}) {
+            for (u64 seed : {u64(0x7e01d), u64(0x51)}) {
+                for (Design d : {Design::Baseline, Design::ATfim}) {
+                    ExperimentSpec spec;
+                    spec.config.design = d;
+                    spec.workload = wl;
+                    spec.seed = seed;
+                    spec.name = spec.defaultLabel() + "/s" +
+                                std::to_string(seed);
+                    specs.push_back(spec);
+                }
+            }
+        }
+    }
+    specs[5].maxAniso = 2;
+
+    std::vector<ExperimentResult> fresh;
+    for (const ExperimentSpec &spec : specs) {
+        SimContext ctx;
+        SimContext::Scope scope(ctx);
+        fresh.push_back(ExperimentRunner::runOne(spec));
+    }
+    std::string fresh_merged =
+        snapshotToJson(mergedStats(fresh), specs.size());
+
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        std::vector<ExperimentResult> shared = runWith(jobs, specs);
+        ASSERT_EQ(shared.size(), specs.size());
+        for (size_t i = 0; i < specs.size(); ++i) {
+            SCOPED_TRACE(specs[i].name);
+            ASSERT_TRUE(shared[i].ok()) << shared[i].error.message;
+            EXPECT_EQ(shared[i].imageFnv1a, fresh[i].imageFnv1a);
+            EXPECT_EQ(shared[i].result.frame.frameCycles,
+                      fresh[i].result.frame.frameCycles);
+            EXPECT_EQ(shared[i].result.textureFilterCycles,
+                      fresh[i].result.textureFilterCycles);
+            EXPECT_EQ(shared[i].result.offChipTotalBytes,
+                      fresh[i].result.offChipTotalBytes);
+            EXPECT_EQ(shared[i].stats, fresh[i].stats);
+        }
+        EXPECT_EQ(snapshotToJson(mergedStats(shared), specs.size()),
+                  fresh_merged);
+    }
+}
+
 TEST(RunnerDeterminism, JobsZeroMeansHardwareConcurrency)
 {
     RunnerOptions opt;

@@ -130,6 +130,68 @@ TEST(RunnerResilience, FailedSpecsContributeNothingToMergedStats)
         << "merged stats must be exactly the surviving spec's snapshot";
 }
 
+TEST(RunnerResilience, FailedSharedBuildFailsOnlyItsUsers)
+{
+    // Two specs share an out-of-range game, so the first to claim that
+    // key panics in buildGameScene and the other rethrows its error.
+    // Explicit names keep defaultLabel() (which names the game) out of
+    // it. The Riddick key's first user fails before it claims the key,
+    // so a sibling builds the store instead.
+    std::vector<ExperimentSpec> specs = {
+        smallSpec(Design::Baseline, Game(99)), smallSpec(Design::Baseline),
+        smallSpec(Design::BPim, Game(99)),     smallSpec(Design::BPim),
+        smallSpec(Design::STfim, Game::Riddick),
+        smallSpec(Design::Baseline, Game::Riddick),
+        smallSpec(Design::ATfim, Game::Riddick)};
+    specs[0].name = "bad-game/a";
+    specs[2].name = "bad-game/b";
+    specs[4].inject = InjectedFailure::Throw;
+    const size_t bad[] = {0, 2};
+    const size_t good[] = {1, 3, 5, 6};
+
+    std::vector<ExperimentResult> clean(specs.size());
+    for (size_t i : good) {
+        SimContext ctx;
+        SimContext::Scope scope(ctx);
+        clean[i] = ExperimentRunner::runOne(specs[i]);
+    }
+
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        RunnerOptions opt;
+        opt.jobs = jobs;
+        std::vector<ExperimentResult> results =
+            ExperimentRunner(opt).run(specs);
+        ASSERT_EQ(results.size(), specs.size());
+
+        for (size_t i : bad) {
+            SCOPED_TRACE(specs[i].name);
+            EXPECT_EQ(results[i].name, specs[i].name);
+            EXPECT_EQ(results[i].status, JobStatus::Failed);
+            EXPECT_EQ(results[i].error.category, JobErrorCategory::Panic);
+            EXPECT_EQ(results[i].error.specIndex, i);
+            EXPECT_NE(results[i].error.message.find("bad game"),
+                      std::string::npos)
+                << results[i].error.message;
+            EXPECT_NE(results[i].error.site.find("game_profiles.cc:"),
+                      std::string::npos)
+                << results[i].error.site;
+            EXPECT_TRUE(results[i].stats.empty());
+        }
+
+        EXPECT_EQ(results[4].status, JobStatus::Failed);
+        EXPECT_EQ(results[4].error.category, JobErrorCategory::Exception);
+        EXPECT_NE(results[4].error.message.find("injected failure: throw"),
+                  std::string::npos);
+
+        for (size_t i : good) {
+            SCOPED_TRACE(results[i].name);
+            ASSERT_TRUE(results[i].ok()) << results[i].error.message;
+            expectSameOutcome(results[i], clean[i]);
+        }
+    }
+}
+
 // --- watchdog -------------------------------------------------------
 
 TEST(RunnerResilience, WatchdogCancelsARealRenderAtAPollSite)
