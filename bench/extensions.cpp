@@ -19,13 +19,16 @@
  * suite grid on the ExperimentRunner pool (--jobs N / TEXPIM_JOBS).
  * The BC1 and EWA frames, which no suite spec can describe, and the
  * camera paths render one at a time against it, each distinct path
- * once. Those frames record their tiles on a pool of --jobs threads
+ * once; the BC1 and EWA frames share one texture store per game.
+ * Those frames record their tiles on a pool of --jobs threads
  * (gpu.render_threads), which leaves every image, cycle count and
  * statistic unchanged, so the output is byte-identical whatever the
  * worker count.
  */
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <thread>
 
 #include "bench_common.hh"
@@ -85,12 +88,17 @@ withRecorders(SimConfig cfg, const SuiteOptions &opt)
     return cfg;
 }
 
+/** Each game's texture store. Textures depend only on game and seed,
+ *  so a game's first scene builds its store and later ones adopt it. */
+using Stores = std::map<Game, std::shared_ptr<TextureStore>>;
+
 /** The scene a suite spec renders for `wl`: the paper's anisotropy
  *  level for the workload's full resolution. */
 Scene
-suiteScene(const Workload &wl, const SuiteOptions &opt)
+suiteScene(const Workload &wl, const SuiteOptions &opt, Stores &stores)
 {
-    Scene scene = buildGameScene(wl, opt.frame, opt.seed);
+    Scene scene = buildGameScene(wl, opt.frame, opt.seed, stores[wl.game]);
+    stores[wl.game] = scene.textures;
     scene.settings.maxAniso =
         defaultMaxAniso(wl.width * opt.resolutionDivisor);
     return scene;
@@ -124,7 +132,8 @@ unitAblation(const Grid &g, const std::vector<std::string> &rows)
 
 void
 compression(const Grid &g, const std::vector<SimConfig> &cfgs,
-            const std::vector<std::string> &rows, const SuiteOptions &opt)
+            const std::vector<std::string> &rows, const SuiteOptions &opt,
+            Stores &stores)
 {
     printHeader("Ablation - BC1 texture compression x PIM designs",
                 "compression and in-memory anisotropic filtering are "
@@ -133,8 +142,8 @@ compression(const Grid &g, const std::vector<SimConfig> &cfgs,
     // bc1[p]: design point p (one of the four designs) on BC1 storage.
     Grid bc1(ATfim + 1);
     for (const Workload &wl : suiteWorkloads(opt)) {
-        const Scene scene =
-            withTextureFormat(suiteScene(wl, opt), TexelFormat::Bc1);
+        const Scene scene = withTextureFormat(suiteScene(wl, opt, stores),
+                                              TexelFormat::Bc1);
         for (size_t p = 0; p < bc1.size(); ++p)
             bc1[p].push_back({wl, renderOne(cfgs[p], scene, opt)});
     }
@@ -173,7 +182,7 @@ compression(const Grid &g, const std::vector<SimConfig> &cfgs,
 
 void
 ewaQuality(const Grid &g, const std::vector<SimConfig> &cfgs,
-           const SuiteOptions &opt)
+           const SuiteOptions &opt, Stores &stores)
 {
     printHeader("Ablation - box-anisotropic vs EWA reference",
                 "the reorderable equal-weight filter tracks the EWA "
@@ -184,7 +193,7 @@ ewaQuality(const Grid &g, const std::vector<SimConfig> &cfgs,
     std::vector<double> box_q, atfim_q;
     for (size_t w = 0; w < g[Base].size(); ++w) {
         const Workload &wl = g[Base][w].workload;
-        Scene scene = suiteScene(wl, opt);
+        Scene scene = suiteScene(wl, opt, stores);
         scene.settings.filterMode = FilterMode::TrilinearEwa;
         SimResult ewa = renderOne(cfgs[Base], scene, opt);
         box_q.push_back(psnr(*ewa.image, *g[Base][w].result.image));
@@ -318,8 +327,12 @@ main(int argc, char **argv)
     const std::vector<std::string> rows = workloadLabels(opt);
 
     unitAblation(g, rows);
-    compression(g, cfgs, rows, opt);
-    ewaQuality(g, cfgs, opt);
+    {
+        // Freed before the camera paths, which build their own.
+        Stores stores;
+        compression(g, cfgs, rows, opt, stores);
+        ewaQuality(g, cfgs, opt, stores);
+    }
     cameraPaths(cfgs, opt);
     return 0;
 }

@@ -187,13 +187,6 @@ Config::keys() const
     return out;
 }
 
-void
-Config::dump(std::ostream &os) const
-{
-    for (const auto &kv : values_)
-        os << kv.first << " = " << kv.second << "\n";
-}
-
 namespace {
 
 /** Classic Levenshtein distance (both strings are short config keys). */

@@ -14,7 +14,6 @@
 
 #include <map>
 #include <optional>
-#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -68,11 +67,8 @@ class Config
                                   const std::string &raw, unsigned lo,
                                   unsigned hi);
 
-    /** All keys in sorted order (for dumps). */
+    /** All keys in sorted order. */
     std::vector<std::string> keys() const;
-
-    /** Dump as "key = value" rows. */
-    void dump(std::ostream &os) const;
 
     /**
      * Strict key validation. Every lookup (has() or any getter)

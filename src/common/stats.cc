@@ -1,7 +1,6 @@
 #include "common/stats.hh"
 
 #include <algorithm>
-#include <iomanip>
 
 #include "common/logging.hh"
 #include "common/sim_context.hh"
@@ -159,26 +158,6 @@ StatGroup::resetAll()
         kv.second.reset();
     for (auto &kv : histograms_)
         kv.second.reset();
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &kv : counters_) {
-        os << std::left << std::setw(48) << (name_ + "." + kv.first)
-           << kv.second.value() << "\n";
-    }
-    for (const auto &kv : averages_) {
-        os << std::left << std::setw(48) << (name_ + "." + kv.first)
-           << kv.second.mean() << " (n=" << kv.second.count() << ")\n";
-    }
-    for (const auto &kv : histograms_) {
-        os << std::left << std::setw(48) << (name_ + "." + kv.first)
-           << "n=" << kv.second.samples()
-           << " mean=" << kv.second.mean()
-           << " min=" << kv.second.min()
-           << " max=" << kv.second.max() << "\n";
-    }
 }
 
 } // namespace texpim

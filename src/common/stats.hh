@@ -17,7 +17,6 @@
 #define TEXPIM_COMMON_STATS_HH
 
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -171,9 +170,6 @@ class StatGroup
 
     /** Reset every statistic in the group to zero. */
     void resetAll();
-
-    /** Pretty-print all statistics as "<group>.<stat>  <value>" rows. */
-    void dump(std::ostream &os) const;
 
   private:
     std::string name_;

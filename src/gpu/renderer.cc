@@ -1048,7 +1048,6 @@ Renderer::finishTail(FrameCtx &ctx, FrameStats &fs)
 
     fs.frameCycles = frame_end;
     fs.texRequests = tex_.requests();
-    fs.texLatencySum = tex_.latencySum();
     fs.avgCameraAngleRad =
         fs.fragmentsShaded ? ctx.angleSum / double(fs.fragmentsShaded) : 0.0;
     fs.avgAnisoRatio = fs.fragmentsShaded

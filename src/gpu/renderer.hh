@@ -38,7 +38,6 @@ struct FrameStats
     Cycle geometryCycles = 0; //!< geometry-phase portion
 
     u64 texRequests = 0;
-    u64 texLatencySum = 0; //!< texture-filtering cycles (see TexturePath)
 
     u64 fragmentsCovered = 0;
     u64 fragmentsShaded = 0;

@@ -63,10 +63,7 @@ HmcMemory::HmcMemory(const HmcParams &params)
           "packets forced through after HmcParams::maxReplays failed "
           "replays")),
       vault_retries_(stats_.counter(
-          "vault_retries", "vault accesses re-issued after a transient error")),
-      package_deadline_misses_(stats_.counter(
-          "package_deadline_misses",
-          "PIM packages that arrived after their deadline"))
+          "vault_retries", "vault accesses re-issued after a transient error"))
 {
     TEXPIM_ASSERT(params_.vaults > 0, "need at least one vault");
     TEXPIM_ASSERT(params_.banksPerVault > 0, "need at least one bank");
@@ -190,15 +187,6 @@ HmcMemory::observedLinkRetryRate(Addr addr, u64 min_packets) const
     if (cube.linkPackets == 0 || cube.linkPackets < min_packets)
         return 0.0;
     return double(cube.linkRetries) / double(cube.linkPackets);
-}
-
-void
-HmcMemory::notePackageDeadline(Cycle deadline, Cycle arrive)
-{
-    if (deadline == 0 || arrive <= deadline)
-        return;
-    ++package_deadline_misses_;
-    TEXPIM_TRACE_INSTANT("fault", "package_timeout", 311, deadline);
 }
 
 Cycle
@@ -342,7 +330,7 @@ HmcMemory::internalAccess(const MemRequest &req)
 
 Cycle
 HmcMemory::hostToDevice(u64 bytes, TrafficClass cls, Cycle now,
-                        Addr route_addr, Cycle deadline)
+                        Addr route_addr)
 {
     TEXPIM_ASSERT(bytes > 0, "zero-byte package");
     Cube &cube = cubes_[cubeOf(route_addr)];
@@ -356,14 +344,13 @@ HmcMemory::hostToDevice(u64 bytes, TrafficClass cls, Cycle now,
                   now);
     ++packages_to_device_;
     Cycle arrive = Cycle(std::ceil(done)) + params_.linkLatency;
-    notePackageDeadline(deadline, arrive);
     TEXPIM_TRACE_COMPLETE("pim", "pkg_to_device", 300, now, arrive - now);
     return arrive;
 }
 
 Cycle
 HmcMemory::deviceToHost(u64 bytes, TrafficClass cls, Cycle now,
-                        Addr route_addr, Cycle deadline)
+                        Addr route_addr)
 {
     TEXPIM_ASSERT(bytes > 0, "zero-byte package");
     Cube &cube = cubes_[cubeOf(route_addr)];
@@ -375,7 +362,6 @@ HmcMemory::deviceToHost(u64 bytes, TrafficClass cls, Cycle now,
                   now);
     ++packages_to_host_;
     Cycle arrive = Cycle(std::ceil(done)) + params_.linkLatency;
-    notePackageDeadline(deadline, arrive);
     TEXPIM_TRACE_COMPLETE("pim", "pkg_to_host", 301, now, arrive - now);
     return arrive;
 }

@@ -88,18 +88,15 @@ class HmcMemory : public MemorySystem
      * Ship an opaque package of `bytes` from host to the logic layer
      * (PIM offload). Charged on the transmit link of the cube owning
      * `route_addr` (§V-E: a package maps to a single HMC) and counted
-     * as off-chip package traffic. A nonzero `deadline` makes the
-     * package carry a timeout: arrival past the deadline is counted
-     * (`package_deadline_misses`) and traced so offload paths can
-     * degrade instead of waiting forever.
+     * as off-chip package traffic.
      * @return arrival cycle at that cube's logic layer
      */
     Cycle hostToDevice(u64 bytes, TrafficClass cls, Cycle now,
-                       Addr route_addr = 0, Cycle deadline = 0);
+                       Addr route_addr = 0);
 
     /** Ship a package from the logic layer back to the host. */
     Cycle deviceToHost(u64 bytes, TrafficClass cls, Cycle now,
-                       Addr route_addr = 0, Cycle deadline = 0);
+                       Addr route_addr = 0);
 
     /**
      * Observed link retry rate (retransmissions / packets) of the cube
@@ -179,9 +176,6 @@ class HmcMemory : public MemorySystem
     double sendPacket(Cube &cube, Link &link, double now, u64 bytes,
                       double bytes_per_cyc);
 
-    /** Count a missed package deadline (nonzero `deadline` only). */
-    void notePackageDeadline(Cycle deadline, Cycle arrive);
-
     HmcParams params_;
     double tx_bw_; //!< bytes per cycle host->cube
     double rx_bw_; //!< bytes per cycle cube->host
@@ -208,7 +202,6 @@ class HmcMemory : public MemorySystem
     StatCounter &retry_buffer_stalls_;
     StatCounter &retry_aborts_;
     StatCounter &vault_retries_;
-    StatCounter &package_deadline_misses_;
 };
 
 } // namespace texpim

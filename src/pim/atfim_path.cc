@@ -284,9 +284,8 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
                                 : n_miss * pkts_.readRequestBytes *
                                       pkts_.offloadFactor;
             Cycle deadline = robust_.deadline(offload_at);
-            Cycle arrival = hmc_.hostToDevice(pkg_bytes,
-                                              TrafficClass::PimPackage,
-                                              offload_at, route, deadline);
+            Cycle arrival = hmc_.hostToDevice(
+                pkg_bytes, TrafficClass::PimPackage, offload_at, route);
             if (robust_.timedOut(deadline, arrival)) {
                 // The request package blew its deadline before the
                 // logic layer saw it; flow control cancels it and the
@@ -327,7 +326,7 @@ AtfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
                 Cycle back =
                     hmc_.deviceToHost(pkts_.atfimResponseBytes(n_miss),
                                       TrafficClass::PimPackage, done,
-                                      route, deadline);
+                                      route);
 
                 TEXPIM_PROF_CYCLES(prof::kZonePimPackage,
                                    done - Cycle(pipe_start));

@@ -32,6 +32,7 @@
 
 #include "common/config.hh"
 #include "common/stats.hh"
+#include "common/trace_events.hh"
 #include "mem/hmc.hh"
 
 namespace texpim {
@@ -86,13 +87,15 @@ class PimRobustness
         return true;
     }
 
-    /** Did work complete after its deadline? Counts the timeout. */
+    /** Did work complete after its deadline? Counts and traces the
+     *  timeout. */
     bool
     timedOut(Cycle deadline, Cycle complete)
     {
         if (deadline == 0 || complete <= deadline)
             return false;
         ++timeouts_;
+        TEXPIM_TRACE_INSTANT("fault", "package_timeout", 311, deadline);
         return true;
     }
 

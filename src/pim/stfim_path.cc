@@ -121,7 +121,7 @@ StfimTexturePath::replay(const TexRequest &req, const ReplayStream &stream,
         1, pkts_.stfimRequestBytes() / mtu_params_.requestsPerPackage);
     Cycle deadline = robust_.deadline(send_at);
     Cycle arrival = hmc_.hostToDevice(req_share, TrafficClass::PimPackage,
-                                      send_at, route, deadline);
+                                      send_at, route);
     if (robust_.timedOut(deadline, arrival)) {
         // The shader gave up at the deadline; flow control cancels the
         // in-flight package, so the MTU never works on it. The queue

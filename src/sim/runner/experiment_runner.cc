@@ -68,36 +68,20 @@ fireInjectedFailure(const ExperimentSpec &spec, const std::string &label)
 
 /**
  * The texture stores of one run() call, keyed by (game, seed): the
- * only inputs of a level's textures. The constructor counts each
- * key's users in the spec list (resumed specs run nothing and are not
- * counted) and keeps only keys with two or more, so a key with one
- * user builds exactly as runOne() does.
- *
- * The first user to claim a kept key builds its own scene and
- * publishes the scene's store through the key's latch, a shared
- * future; every later user waits on the latch and adopts the store
- * through buildGameScene's checked adopting path. A failed build
- * publishes its exception instead, so each user of the key rethrows
- * it inside its own containment boundary. A User marks one spec's
- * use of its key; the last one to leave drops the store.
+ * only inputs of a level's textures. The first spec to ask for a key
+ * inserts the key's latch, a shared future, builds its own scene and
+ * publishes the scene's store; every later spec of the key waits on
+ * the latch and adopts the store through buildGameScene's checked
+ * adopting path. A failed build publishes its exception instead, so
+ * each spec of the key rethrows it inside its own containment
+ * boundary. Stores live until the cache does.
  */
 class ExperimentRunner::StoreCache
 {
-    using Key = std::pair<Game, u64>;
     using Store = std::shared_ptr<TextureStore>;
 
   public:
-    StoreCache(const std::vector<ExperimentSpec> &specs,
-               const std::map<size_t, ExperimentResult> *resumed)
-    {
-        for (size_t i = 0; i < specs.size(); ++i)
-            if (resumed == nullptr || resumed->count(i) == 0)
-                ++entries_[keyOf(specs[i])].users;
-        std::erase_if(entries_,
-                      [](const auto &kv) { return kv.second.users < 2; });
-    }
-
-    /** `spec`'s scene, its textures shared with the key's other users. */
+    /** `spec`'s scene, its textures shared with the key's other specs. */
     Scene
     build(const ExperimentSpec &spec)
     {
@@ -105,18 +89,16 @@ class ExperimentRunner::StoreCache
         std::shared_future<Store> latch;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            auto it = entries_.find(keyOf(spec));
-            if (it != entries_.end()) {
-                latch = it->second.store;
-                if (!latch.valid())
-                    it->second.store = claim.get_future().share();
-            }
+            auto [it, first] = stores_.try_emplace(
+                {spec.workload.game, spec.seed});
+            if (first)
+                it->second = claim.get_future().share();
+            else
+                latch = it->second;
         }
         if (latch.valid())
             return buildGameScene(spec.workload, spec.frame, spec.seed,
                                   latch.get());
-        // The claimant, or the only user of its key (no one waits on
-        // that claim).
         try {
             Scene scene = buildGameScene(spec.workload, spec.frame, spec.seed);
             claim.set_value(scene.textures);
@@ -127,64 +109,27 @@ class ExperimentRunner::StoreCache
         }
     }
 
-    /** One spec's use of its key, for that spec's whole run. */
-    class User
-    {
-      public:
-        User(StoreCache &cache, const ExperimentSpec &spec)
-            : cache_(cache), key_(keyOf(spec))
-        {}
-
-        ~User()
-        {
-            std::lock_guard<std::mutex> lock(cache_.mutex_);
-            auto it = cache_.entries_.find(key_);
-            if (it != cache_.entries_.end() && --it->second.users == 0)
-                cache_.entries_.erase(it);
-        }
-
-        User(const User &) = delete;
-        User &operator=(const User &) = delete;
-
-      private:
-        StoreCache &cache_;
-        Key key_;
-    };
-
   private:
-    struct Entry
-    {
-        size_t users = 0; //!< specs of this key that have not left
-        std::shared_future<Store> store; //!< invalid until claimed
-    };
-
-    static Key
-    keyOf(const ExperimentSpec &spec)
-    {
-        return {spec.workload.game, spec.seed};
-    }
-
     std::mutex mutex_;
-    std::map<Key, Entry> entries_;
+    std::map<std::pair<Game, u64>, std::shared_future<Store>> stores_;
 };
 
 ExperimentResult
 ExperimentRunner::runOne(const ExperimentSpec &spec)
 {
-    return runOne(spec, nullptr);
+    StoreCache cache;
+    return runOne(spec, cache);
 }
 
 ExperimentResult
-ExperimentRunner::runOne(const ExperimentSpec &spec, StoreCache *cache)
+ExperimentRunner::runOne(const ExperimentSpec &spec, StoreCache &cache)
 {
     ExperimentResult out;
     out.name = spec.name.empty() ? spec.defaultLabel() : spec.name;
 
     fireInjectedFailure(spec, out.name);
 
-    Scene scene = cache != nullptr
-                      ? cache->build(spec)
-                      : buildGameScene(spec.workload, spec.frame, spec.seed);
+    Scene scene = cache.build(spec);
     scene.settings.maxAniso = spec.maxAniso != 0
                                   ? spec.maxAniso
                                   : defaultMaxAniso(spec.workload.width);
@@ -211,7 +156,7 @@ ExperimentRunner::runContained(const ExperimentSpec &spec, size_t index,
         // unregistering its stat groups — before the context is torn
         // down.
         ScopedPanicHandler contain;
-        ExperimentResult out = runOne(spec, &cache);
+        ExperimentResult out = runOne(spec, cache);
         deadline.disarm();
         return out;
     } catch (const SimTimeout &e) {
@@ -253,7 +198,7 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
     // does, because every spec runs in its own SimContext and
     // writes only results[i], and a scene adopting a shared texture
     // store is bitwise the scene a fresh build gives.
-    StoreCache cache(specs, opt_.resumed);
+    StoreCache cache;
     std::atomic<size_t> next{0};
     auto work = [&]() {
         for (;;) {
@@ -280,7 +225,6 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
             {
                 // Fresh context per spec: a failed spec leaves no
                 // stats or trace events behind.
-                StoreCache::User user(cache, specs[i]);
                 SimContext ctx;
                 SimContext::Scope scope(ctx);
                 std::string trace_file;

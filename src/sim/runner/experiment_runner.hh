@@ -43,11 +43,12 @@
  * including across an interrupt/resume boundary.
  *
  * Shared textures: textures depend only on (game, seed), so run()
- * synthesizes each key's TextureStore once and every other spec of
- * that key adopts it (StoreCache in experiment_runner.cc; DESIGN.md
- * "SimContext & the experiment runner"). Adopted scenes are bitwise
- * the fresh ones, so nothing above depends on which spec built the
- * store. runOne() always builds fresh.
+ * synthesizes each key's TextureStore once, keeps it until run()
+ * returns, and every other spec of that key adopts it (StoreCache in
+ * experiment_runner.cc; DESIGN.md "Shared texture stores"). Adopted
+ * scenes are bitwise the fresh ones, so nothing above depends on
+ * which spec built the store. runOne() takes the same path with a
+ * cache of its own, so it builds its one scene fresh.
  *
  * Tracing: with RunnerOptions::tracePath set, job k writes its own
  * Chrome-trace file "<tracePath>.job<k>" (k = spec index, not worker
@@ -186,10 +187,9 @@ class ExperimentRunner
     /** The texture stores one run() shares between its specs. */
     class StoreCache;
 
-    /** runOne(), adopting the spec's texture store through `cache`
-     *  (null builds it fresh). */
+    /** runOne(), sharing the spec's texture store through `cache`. */
     static ExperimentResult runOne(const ExperimentSpec &spec,
-                                   StoreCache *cache);
+                                   StoreCache &cache);
 
     /**
      * Run `spec` once, contained, in the current SimContext: arms the

@@ -155,7 +155,12 @@ RenderingSimulator::renderScene(const Scene &scene)
                   "this simulator was built under");
     // Cold state per frame, as the paper renders selected frames.
     build();
-    return renderOnce(scene);
+    Scene frame_scene = prepareFrameScene(scene);
+    auto fb = std::make_shared<FrameBuffer>(frame_scene.settings.width,
+                                            frame_scene.settings.height);
+    std::unique_ptr<Renderer::FrameJob> job =
+        recordSequenceFrame(frame_scene, *fb);
+    return finishSequenceFrame(*job, std::move(fb));
 }
 
 namespace {
@@ -350,8 +355,8 @@ RenderingSimulator::finishSequenceFrame(Renderer::FrameJob &job,
     TEXPIM_ASSERT(&SimContext::current() == &ctx_,
                   "rendering under a different SimContext than the one "
                   "this simulator was built under");
-    // Same observable order as renderOnce: attribution is installed
-    // before any traffic flows (the functional setup produced none).
+    // Attribution is installed before any traffic flows (the
+    // functional setup produced none).
     installAttribution(job.scene());
     SimResult r;
     r.image = std::move(fb);
@@ -377,24 +382,10 @@ RenderingSimulator::noteFrameReuse(SimResult &r, u64 unique_blocks,
                                   r.interFrameTagHits);
 }
 
-SimResult
-RenderingSimulator::renderOnce(const Scene &scene)
-{
-    Scene frame_scene = prepareFrameScene(scene);
-    installAttribution(frame_scene);
-
-    SimResult r;
-    r.image = std::make_shared<FrameBuffer>(frame_scene.settings.width,
-                                            frame_scene.settings.height);
-    r.frame = renderer_->renderFrame(frame_scene, *r.image);
-    finalizeResult(r);
-    return r;
-}
-
 void
 RenderingSimulator::finalizeResult(SimResult &r)
 {
-    r.textureFilterCycles = r.frame.texLatencySum;
+    r.textureFilterCycles = tex_path_->latencySum();
 
     const TrafficMeter &traffic = mem_->offChipTraffic();
     for (unsigned c = 0; c < kNumTrafficClasses; ++c)

@@ -156,18 +156,18 @@ class RenderingSimulator
     void resetFrameStats();
 
     /**
-     * Functional setup of one sequence frame: geometry and tile
-     * binning (Renderer::recordFrame). Touches no simulation state, so
-     * it may run on a set-up thread while the coordinating thread
-     * finishes an earlier frame. `scene` must already be
-     * prepareFrameScene'd, and scene and fb must outlive the returned
-     * job.
+     * Functional setup of one frame (a sequence frame or renderScene's
+     * cold one): geometry and tile binning (Renderer::recordFrame).
+     * Touches no simulation state, so it may run on a set-up thread
+     * while the coordinating thread finishes an earlier frame.
+     * `scene` must already be prepareFrameScene'd, and scene and fb
+     * must outlive the returned job.
      */
     std::unique_ptr<Renderer::FrameJob>
     recordSequenceFrame(const Scene &scene, FrameBuffer &fb);
 
     /**
-     * The rest of one sequence frame: attribution install, the
+     * The rest of one recorded frame: attribution install, the
      * streamed tile record + timing replay, and result assembly.
      * Coordinating thread only, and jobs must be finished in recording
      * order — then every SimResult is bit-identical to the unpipelined
@@ -199,18 +199,14 @@ class RenderingSimulator
   private:
     void build();
 
-    /** Render one frame against the currently built pipeline (shared
-     *  by the cold and warm entry points). */
-    SimResult renderOnce(const Scene &scene);
-
     /** Point the memory system's TrafficSink at a fresh, texture-
      *  mapped TrafficAttribution when the profiler is active (else
      *  clear it). Coordinating thread only. */
     void installAttribution(const Scene &scene);
 
-    /** The post-render tail shared by renderOnce and
-     *  finishSequenceFrame: traffic meters, energy inputs, fault and
-     *  inter-frame-reuse counters into `r`. */
+    /** The post-render tail of finishSequenceFrame, the one frame
+     *  tail: texture-filter cycles, traffic meters, energy inputs,
+     *  fault and inter-frame-reuse counters into `r`. */
     void finalizeResult(SimResult &r);
 
     /** Record one finished sequence frame's block-reuse numbers into

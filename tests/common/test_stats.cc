@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "common/stats.hh"
@@ -121,16 +120,6 @@ TEST(StatGroup, ResetAllClearsEverything)
     EXPECT_EQ(g.findCounter("c").value(), 0u);
     EXPECT_EQ(g.average("a").count(), 0u);
     EXPECT_EQ(g.histogram("h", 0, 1, 2).samples(), 0u);
-}
-
-TEST(StatGroup, DumpContainsQualifiedNames)
-{
-    StatGroup g("mem");
-    g.counter("reads") += 7;
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("mem.reads"), std::string::npos);
-    EXPECT_NE(os.str().find("7"), std::string::npos);
 }
 
 TEST(StatGroupDeath, FindMissingCounterPanics)

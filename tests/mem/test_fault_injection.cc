@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "mem/hmc.hh"
+#include "pim/robustness.hh"
 
 namespace texpim {
 namespace {
@@ -134,16 +135,23 @@ TEST(FaultInjection, ObservedRetryRateTracksBer)
 
 TEST(FaultInjection, PackageDeadlineMissesAreCounted)
 {
-    HmcParams p;
-    HmcMemory mem(p);
+    HmcMemory mem(HmcParams{});
+    PimRobustness robust(RobustnessParams{}, mem);
+    auto timeouts = [&] {
+        return robust.stats().findCounter("timeouts").value();
+    };
     // Generous deadline: met, not counted.
-    mem.hostToDevice(64, TrafficClass::PimPackage, 0, 0, 100000);
-    EXPECT_EQ(counter(mem, "package_deadline_misses"), 0u);
-    // Impossible deadline: missed and counted.
-    mem.hostToDevice(64, TrafficClass::PimPackage, 1000, 0, 1);
-    EXPECT_EQ(counter(mem, "package_deadline_misses"), 1u);
-    mem.deviceToHost(64, TrafficClass::PimPackage, 2000, 0, 1);
-    EXPECT_EQ(counter(mem, "package_deadline_misses"), 2u);
+    EXPECT_FALSE(robust.timedOut(
+        100000, mem.hostToDevice(64, TrafficClass::PimPackage, 0)));
+    EXPECT_EQ(timeouts(), 0u);
+    // Impossible deadline: a missed request and a missed response
+    // are each counted.
+    EXPECT_TRUE(robust.timedOut(
+        1, mem.hostToDevice(64, TrafficClass::PimPackage, 1000)));
+    EXPECT_EQ(timeouts(), 1u);
+    EXPECT_TRUE(robust.timedOut(
+        1, mem.deviceToHost(64, TrafficClass::PimPackage, 2000)));
+    EXPECT_EQ(timeouts(), 2u);
 }
 
 TEST(FaultInjection, BurstsAmplifyRetriesAtEqualTriggerRate)

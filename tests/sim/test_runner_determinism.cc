@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/sim_context.hh"
@@ -82,7 +86,7 @@ TEST(RunnerDeterminism, FourWorkersReproduceSerialBitExactly)
 TEST(RunnerDeterminism, SharedTextureStoresMatchFreshBuilds)
 {
     // Two games x two resolutions x two seeds x two designs: each
-    // (game, seed) key has four users, so run() synthesizes each store
+    // (game, seed) key has four specs, so run() synthesizes each store
     // once and the other three specs adopt it, while runOne() builds
     // every scene fresh.
     std::vector<ExperimentSpec> specs;
@@ -112,24 +116,51 @@ TEST(RunnerDeterminism, SharedTextureStoresMatchFreshBuilds)
     std::string fresh_merged =
         snapshotToJson(mergedStats(fresh), specs.size());
 
-    for (unsigned jobs : {1u, 4u}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        std::vector<ExperimentResult> shared = runWith(jobs, specs);
-        ASSERT_EQ(shared.size(), specs.size());
-        for (size_t i = 0; i < specs.size(); ++i) {
-            SCOPED_TRACE(specs[i].name);
-            ASSERT_TRUE(shared[i].ok()) << shared[i].error.message;
-            EXPECT_EQ(shared[i].imageFnv1a, fresh[i].imageFnv1a);
-            EXPECT_EQ(shared[i].result.frame.frameCycles,
-                      fresh[i].result.frame.frameCycles);
-            EXPECT_EQ(shared[i].result.textureFilterCycles,
-                      fresh[i].result.textureFilterCycles);
-            EXPECT_EQ(shared[i].result.offChipTotalBytes,
-                      fresh[i].result.offChipTotalBytes);
-            EXPECT_EQ(shared[i].stats, fresh[i].stats);
+    // Two orders of the same specs: as built above, where each game's
+    // two keys interleave, and key-contiguous (game-major, then seed),
+    // where a later key is built only after an earlier key's last spec
+    // has finished. Results go back to the built order for comparison.
+    std::vector<size_t> built(specs.size());
+    std::iota(built.begin(), built.end(), size_t(0));
+    std::vector<size_t> contiguous = built;
+    std::stable_sort(contiguous.begin(), contiguous.end(),
+                     [&](size_t a, size_t b) {
+                         return std::tie(specs[a].workload.game,
+                                         specs[a].seed) <
+                                std::tie(specs[b].workload.game,
+                                         specs[b].seed);
+                     });
+    ASSERT_NE(contiguous, built);
+
+    const std::pair<const char *, std::vector<size_t>> orders[] = {
+        {"built order", built}, {"key-contiguous order", contiguous}};
+    for (const auto &[label, order] : orders) {
+        for (unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(std::string(label) + ", jobs=" +
+                         std::to_string(jobs));
+            std::vector<ExperimentSpec> ordered;
+            for (size_t k : order)
+                ordered.push_back(specs[k]);
+            std::vector<ExperimentResult> run = runWith(jobs, ordered);
+            ASSERT_EQ(run.size(), specs.size());
+            std::vector<ExperimentResult> shared(specs.size());
+            for (size_t k = 0; k < order.size(); ++k)
+                shared[order[k]] = std::move(run[k]);
+            for (size_t i = 0; i < specs.size(); ++i) {
+                SCOPED_TRACE(specs[i].name);
+                ASSERT_TRUE(shared[i].ok()) << shared[i].error.message;
+                EXPECT_EQ(shared[i].imageFnv1a, fresh[i].imageFnv1a);
+                EXPECT_EQ(shared[i].result.frame.frameCycles,
+                          fresh[i].result.frame.frameCycles);
+                EXPECT_EQ(shared[i].result.textureFilterCycles,
+                          fresh[i].result.textureFilterCycles);
+                EXPECT_EQ(shared[i].result.offChipTotalBytes,
+                          fresh[i].result.offChipTotalBytes);
+                EXPECT_EQ(shared[i].stats, fresh[i].stats);
+            }
+            EXPECT_EQ(snapshotToJson(mergedStats(shared), specs.size()),
+                      fresh_merged);
         }
-        EXPECT_EQ(snapshotToJson(mergedStats(shared), specs.size()),
-                  fresh_merged);
     }
 }
 
