@@ -10,13 +10,11 @@
 #define TEXPIM_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/stat_export.hh"
 #include "sim/experiment.hh"
 
 namespace texpim::bench {
@@ -84,52 +82,6 @@ printHeader(const char *experiment, const char *paper_result)
     std::printf("%s\n", experiment);
     std::printf("paper: %s\n", paper_result);
     std::printf("==============================================================\n\n");
-}
-
-/** One named per-workload series for emitMetricsJson(). */
-struct MetricSeries
-{
-    std::string name;
-    std::vector<double> values;
-};
-
-/**
- * Emit a bench's table as machine-readable JSON:
- *
- *   { "schema": "texpim-bench-v1", "bench": "...",
- *     "workloads": [...], "series": { "<name>": [...], ... } }
- *
- * Writes to the file the TEXPIM_METRICS_OUT environment variable
- * names when it is set, else does nothing — so a bench can call it
- * unconditionally after printing its tables.
- */
-inline void
-emitMetricsJson(const std::string &bench,
-                const std::vector<std::string> &workloads,
-                const std::vector<MetricSeries> &series)
-{
-    const char *out = std::getenv("TEXPIM_METRICS_OUT");
-    if (out == nullptr || *out == '\0')
-        return;
-    JsonWriter w;
-    w.beginObject();
-    w.keyValue("schema", "texpim-bench-v1");
-    w.keyValue("bench", bench);
-    w.key("workloads").beginArray();
-    for (const std::string &l : workloads)
-        w.value(l);
-    w.endArray();
-    w.key("series").beginObject();
-    for (const MetricSeries &s : series) {
-        w.key(s.name).beginArray();
-        for (double v : s.values)
-            w.value(v);
-        w.endArray();
-    }
-    w.endObject();
-    w.endObject();
-    writeTextFile(out, w.str());
-    std::fprintf(stderr, "metrics: wrote %s\n", out);
 }
 
 } // namespace texpim::bench

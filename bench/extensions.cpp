@@ -16,7 +16,7 @@
  *     and the horizon vs pinned round-robin tile schedules.
  *
  * The seven uncompressed design points the studies read run as one
- * suite grid on the ExperimentRunner pool (--jobs N / TEXPIM_JOBS).
+ * suite grid on the ExperimentRunner pool (--jobs N).
  * The BC1 and EWA frames, which no suite spec can describe, and the
  * camera paths render one at a time against it, each distinct path
  * once; the BC1 and EWA frames share one texture store per game.

@@ -2,16 +2,11 @@
  * @file
  * The paper's suite figures - Figs. 2, 4, 5 and 10-16 - from one grid:
  * the Table II workloads under the nine design points those figures
- * read, submitted to one ExperimentRunner pool (--jobs N /
- * TEXPIM_JOBS). Each figure's table is then read off the shared
- * results, in figure order. Every spec runs in its own SimContext, so
- * a figure's numbers do not depend on which other points share the
- * grid, and the output is byte-identical whatever the worker count.
- *
- * With TEXPIM_METRICS_OUT=<file.json> the Fig. 10 and Fig. 11 series
- * (plus their link-retry and PIM-fallback accounting) are also written
- * as one texpim-bench-v1 document, each series prefixed "fig10 " or
- * "fig11 ".
+ * read, submitted to one ExperimentRunner pool (--jobs N). Each
+ * figure's table is then read off the shared results, in figure order.
+ * Every spec runs in its own SimContext, so a figure's numbers do not
+ * depend on which other points share the grid, and the output is
+ * byte-identical whatever the worker count.
  */
 
 #include <span>
@@ -95,28 +90,6 @@ vsBaseline(const char *title, const std::vector<std::string> &rows,
     return table;
 }
 
-/** Figs. 10 and 11 also export their series, each design's with its
- *  fault accounting (all zero under the default fault-free config). */
-void
-exportSeries(const std::string &fig, const Grid &g, Metric m,
-             std::vector<MetricSeries> &series)
-{
-    for (Point p : kDesigns) {
-        std::string name = fig + " " + kGrid[p].name;
-        series.push_back({name, over(g[Base], g[p], m)});
-        if (p == Base)
-            continue;
-        series.push_back({name + " hmc.link_retries",
-                          metricOf(g[p], [](const SimResult &r) {
-                              return double(r.linkRetries);
-                          })});
-        series.push_back({name + " pim.fallbacks",
-                          metricOf(g[p], [](const SimResult &r) {
-                              return double(r.pimFallbacks);
-                          })});
-    }
-}
-
 void
 fig02(const Grid &g, const std::vector<std::string> &rows)
 {
@@ -170,8 +143,7 @@ fig05(const Grid &g, const std::vector<std::string> &rows)
 }
 
 void
-fig10(const Grid &g, const std::vector<std::string> &rows,
-      std::vector<MetricSeries> &series)
+fig10(const Grid &g, const std::vector<std::string> &rows)
 {
     printHeader(
         "Fig. 10 - texture filtering speedup under the four designs",
@@ -179,12 +151,10 @@ fig10(const Grid &g, const std::vector<std::string> &rows,
     vsBaseline("texture filtering speedup (x)", rows, g, kDesigns,
                filterCycles, true)
         .print(std::cout);
-    exportSeries("fig10", g, filterCycles, series);
 }
 
 void
-fig11(const Grid &g, const std::vector<std::string> &rows,
-      std::vector<MetricSeries> &series)
+fig11(const Grid &g, const std::vector<std::string> &rows)
 {
     printHeader("Fig. 11 - 3D rendering speedup under the four designs",
                 "A-TFIM +43% on average (up to 65%); S-TFIM ~ B-PIM in "
@@ -193,7 +163,6 @@ fig11(const Grid &g, const std::vector<std::string> &rows,
     vsBaseline("3D rendering speedup (x)", rows, g, kDesigns, frameCycles,
                true)
         .print(std::cout);
-    exportSeries("fig11", g, frameCycles, series);
 }
 
 void
@@ -280,18 +249,16 @@ main(int argc, char **argv)
     }
     const Grid g = runSuites(cfgs, opt);
     const std::vector<std::string> rows = workloadLabels(opt);
-    std::vector<MetricSeries> series;
 
     fig02(g, rows);
     fig04(g, rows);
     fig05(g, rows);
-    fig10(g, rows, series);
-    fig11(g, rows, series);
+    fig10(g, rows);
+    fig11(g, rows);
     fig12(g, rows);
     fig13(g, rows);
     fig14(g, rows);
     fig15(g, rows);
     fig16(g);
-    emitMetricsJson("paper_figures", rows, series);
     return 0;
 }

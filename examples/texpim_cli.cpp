@@ -38,8 +38,9 @@
  * Recognized keys: every SimConfig key (design=, disable_aniso=,
  * gpu.render_threads=, gpu.pipeline_depth=, gpu.schedule=,
  * atfim.angle_threshold_rad=, fault_*) plus:
- *   width=, height= (1..65536), frame=, seed= (every command that
- *   renders: all but stats), out=<frame.ppm> (render and frames),
+ *   width=, height= (1..65536), frame=, seed= (any u64, as is
+ *   fault_seed=; every command that renders: all but stats),
+ *   out=<frame.ppm> (render and frames),
  *   max_aniso= (1..32; render, compare, report and sweep),
  *   compress=true (BC1 textures; render, compare and report)
  *
@@ -56,9 +57,10 @@
  * config accepts every known key.
  *
  * Observability keys (see README "Observability"):
- *   stats_out=<file.json|.csv>  structured export of every registered
- *                               statistic after the run (render also
- *                               embeds the per-frame SimResult)
+ *   stats_out=<file.json>       JSON export of every registered
+ *                               statistic after the run, with the
+ *                               frame's SimResult embedded (sweep
+ *                               writes the merged per-spec stats)
  *   trace_out=<file.json>       cycle-level Chrome trace-event file
  *                               (load in chrome://tracing or Perfetto)
  *   trace_cap=<N>               trace event cap (default 1000000)
@@ -91,7 +93,6 @@
 #include "quality/image_metrics.hh"
 #include "sim/attribution/attribution.hh"
 #include "sim/attribution/report.hh"
-#include "sim/experiment.hh"
 #include "sim/runner/experiment_runner.hh"
 #include "sim/runner/sweep_journal.hh"
 #include "sim/simulator.hh"
@@ -224,7 +225,7 @@ loadScene(const std::string &game, const Config &cfg)
 {
     Scene scene = buildGameScene(readWorkload(readGame(game), cfg),
                                  cfg.getUnsigned("frame", 3, 0, kMaxUnsigned),
-                                 u64(cfg.getInt("seed", 0x7e01d)));
+                                 cfg.getU64("seed", 0x7e01d));
     if (unsigned max_aniso = readMaxAniso(cfg))
         scene.settings.maxAniso = max_aniso;
     if (cfg.getBool("compress", false))
@@ -317,33 +318,21 @@ endProfiling(const Config &cfg, const TrafficAttribution *attrib,
     std::printf("wrote %s\n", out.c_str());
 }
 
-bool
-isCsvPath(const std::string &path)
-{
-    return path.size() >= 4 &&
-           path.compare(path.size() - 4, 4, ".csv") == 0;
-}
-
-/** Export every registered stat group, optionally embedding a
- *  SimResult summary (JSON only). */
+/** Export every registered stat group with `result` embedded. */
 void
-exportStats(const std::string &path, const SimResult *result)
+exportStats(const std::string &path, const SimResult &result)
 {
-    if (isCsvPath(path) || result == nullptr) {
-        writeStatsFile(path);
-    } else {
-        JsonWriter w;
-        w.beginObject();
-        w.keyValue("schema", "texpim-stats-v1");
-        w.key("result");
-        writeSimResultJson(w, *result);
-        w.key("groups").beginArray();
-        for (const auto &[display, g] : StatRegistry::instance().groups())
-            writeGroupJson(w, display, *g);
-        w.endArray();
-        w.endObject();
-        writeTextFile(path, w.str());
-    }
+    JsonWriter w;
+    w.beginObject();
+    w.keyValue("schema", "texpim-stats-v1");
+    w.key("result");
+    writeSimResultJson(w, result);
+    w.key("groups").beginArray();
+    for (const auto &[display, g] : StatRegistry::instance().groups())
+        writeGroupJson(w, display, *g);
+    w.endArray();
+    w.endObject();
+    writeTextFile(path, w.str());
     std::printf("wrote %s\n", path.c_str());
 }
 
@@ -365,7 +354,7 @@ cmdRender(int argc, char **argv)
     printResult(designName(sc.design), r);
     std::string stats_out = cfg.getString("stats_out", "");
     if (!stats_out.empty())
-        exportStats(stats_out, &r);
+        exportStats(stats_out, r);
     std::string out = cfg.getString("out", "");
     if (!out.empty()) {
         writePpm(*r.image, out);
@@ -426,7 +415,7 @@ cmdCompare(int argc, char **argv)
         }
         // Per-design stats file while this design's groups are live.
         if (!stats_out.empty())
-            exportStats(perDesignPath(stats_out, designName(d)), &r);
+            exportStats(perDesignPath(stats_out, designName(d)), r);
     }
     endTracing();
     return 0;
@@ -450,7 +439,7 @@ cmdFrames(int argc, char **argv)
     beginProfiling(cfg);
     auto frames = sim.renderSequence(
         wl, count, cfg.getUnsigned("frame", 0, 0, kMaxUnsigned),
-        u64(cfg.getInt("seed", 0x7e01d)));
+        cfg.getU64("seed", 0x7e01d));
     // Like stats_out below, the profile reflects the final frame
     // (zones accumulate across frames; attribution is per frame).
     endProfiling(cfg, sim.attribution(), cfg.getString("prof_out", ""));
@@ -464,7 +453,7 @@ cmdFrames(int argc, char **argv)
     // export reflects the final frame; the embedded result matches.
     std::string stats_out = cfg.getString("stats_out", "");
     if (!stats_out.empty())
-        exportStats(stats_out, frames.empty() ? nullptr : &frames.back());
+        exportStats(stats_out, frames.back());
     // out=path.ppm writes path-<f>.ppm per frame; CI byte-compares
     // these between pipelined and serial sequence runs.
     std::string out = cfg.getString("out", "");
@@ -559,7 +548,7 @@ cmdSweep(int argc, char **argv)
     Config cfg = collectConfig(argc, argv, first);
     SimConfig proto = SimConfig::fromConfig(cfg);
     unsigned frame = cfg.getUnsigned("frame", 3, 0, kMaxUnsigned);
-    u64 seed = u64(cfg.getInt("seed", 0x7e01d));
+    u64 seed = cfg.getU64("seed", 0x7e01d);
     unsigned max_aniso = readMaxAniso(cfg);
     std::string stats_out = cfg.getString("stats_out", "");
     std::string metrics_out = cfg.getString("metrics_out", "");
@@ -687,8 +676,8 @@ cmdSweep(int argc, char **argv)
         // "jobs" in the file is the number of merged per-spec
         // snapshots, not the worker count, so the bytes stay identical
         // whatever jobs= was.
-        writeSnapshotFile(stats_out, mergedStats(results),
-                          u64(results.size()));
+        writeTextFile(stats_out, snapshotToJson(mergedStats(results),
+                                                u64(results.size())));
         std::printf("wrote %s\n", stats_out.c_str());
     }
     return 0;

@@ -93,17 +93,6 @@ Config::getString(const std::string &key) const
     return *v;
 }
 
-i64
-Config::getInt(const std::string &key) const
-{
-    std::string v = getString(key);
-    char *end = nullptr;
-    i64 r = std::strtoll(v.c_str(), &end, 0);
-    if (end == v.c_str() || *end != '\0')
-        TEXPIM_FATAL("config key '", key, "' = '", v, "' is not an integer");
-    return r;
-}
-
 double
 Config::getDouble(const std::string &key) const
 {
@@ -135,12 +124,6 @@ Config::getString(const std::string &key, const std::string &dflt) const
 {
     auto v = rawGet(key);
     return v ? *v : dflt;
-}
-
-i64
-Config::getInt(const std::string &key, i64 dflt) const
-{
-    return has(key) ? getInt(key) : dflt;
 }
 
 double
@@ -175,6 +158,25 @@ Config::parseUnsigned(const std::string &name, const std::string &raw,
         TEXPIM_FATAL(name, " must be between ", lo, " and ", hi, ", got ",
                      raw);
     return unsigned(v);
+}
+
+u64
+Config::getU64(const std::string &key, u64 dflt) const
+{
+    auto raw = rawGet(key);
+    return raw ? parseU64(key, *raw) : dflt;
+}
+
+u64
+Config::parseU64(const std::string &name, const std::string &raw)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(raw.c_str(), &end, 0);
+    if (end == raw.c_str() || *end != '\0' || errno == ERANGE ||
+        raw.find('-') != std::string::npos)
+        TEXPIM_FATAL(name, " must be an unsigned 64-bit integer, got ", raw);
+    return u64(v);
 }
 
 std::vector<std::string>

@@ -40,14 +40,12 @@ class Config
 
     /** Required lookups: fatal() when the key is missing or malformed. */
     std::string getString(const std::string &key) const;
-    i64 getInt(const std::string &key) const;
     double getDouble(const std::string &key) const;
     bool getBool(const std::string &key) const;
 
     /** Defaulted lookups. */
     std::string getString(const std::string &key,
                           const std::string &dflt) const;
-    i64 getInt(const std::string &key, i64 dflt) const;
     double getDouble(const std::string &key, double dflt) const;
     bool getBool(const std::string &key, bool dflt) const;
 
@@ -59,13 +57,25 @@ class Config
                          unsigned lo, unsigned hi) const;
 
     /**
-     * Parse `raw` as an integer (as getInt does) in [lo, hi]. The range
-     * check runs on the signed value, so -1 cannot wrap to 4294967295;
-     * anything else fatal()s naming `name`, the range and `raw`.
+     * Parse `raw` as an integer, decimal or 0x-prefixed, in [lo, hi].
+     * The range check runs on the signed value, so -1 cannot wrap to
+     * 4294967295; anything else fatal()s naming `name`, the range and
+     * `raw`.
      */
     static unsigned parseUnsigned(const std::string &name,
                                   const std::string &raw, unsigned lo,
                                   unsigned hi);
+
+    /** Strict u64 lookup (the seeds): `dflt` when the key is missing,
+     *  else parseU64(key, value). */
+    u64 getU64(const std::string &key, u64 dflt) const;
+
+    /**
+     * Parse `raw` as any u64, decimal or 0x-prefixed. A sign, junk or
+     * overflow fatal()s naming `name` and `raw` (strtoull alone would
+     * wrap "-1" and read "abc" as 0).
+     */
+    static u64 parseU64(const std::string &name, const std::string &raw);
 
     /** All keys in sorted order. */
     std::vector<std::string> keys() const;

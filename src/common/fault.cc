@@ -11,7 +11,7 @@ FaultParams
 FaultParams::fromConfig(const Config &cfg)
 {
     FaultParams p;
-    p.seed = u64(cfg.getInt("fault_seed", i64(p.seed)));
+    p.seed = cfg.getU64("fault_seed", p.seed);
     p.linkBer = cfg.getDouble("fault_link_ber", p.linkBer);
     p.vaultBer = cfg.getDouble("fault_vault_ber", p.vaultBer);
     p.burstLen = cfg.getUnsigned("fault_burst_len", p.burstLen, 1,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -239,66 +238,6 @@ statsToJson(const StatRegistry &reg)
     return w.str();
 }
 
-namespace {
-
-/** One CSV field, quoted when it contains a delimiter. */
-std::string
-csvField(const std::string &s)
-{
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
-std::string
-statsToCsv(const StatRegistry &reg)
-{
-    std::ostringstream os;
-    os << "group,stat,kind,value,count,mean,min,max,p50,p95,p99,buckets,"
-          "description\n";
-    for (const auto &[display, g] : reg.groups()) {
-        for (const auto &kv : g->counters()) {
-            os << csvField(display) << ',' << csvField(kv.first)
-               << ",counter," << kv.second.value() << ",,,,,,,,,"
-               << csvField(g->description(kv.first)) << "\n";
-        }
-        for (const auto &kv : g->averages()) {
-            os << csvField(display) << ',' << csvField(kv.first)
-               << ",average," << formatNumber(kv.second.sum()) << ','
-               << kv.second.count() << ','
-               << formatNumber(kv.second.mean()) << ",,,,,,,"
-               << csvField(g->description(kv.first)) << "\n";
-        }
-        for (const auto &kv : g->histograms()) {
-            const StatHistogram &h = kv.second;
-            std::string buckets;
-            for (unsigned i = 0; i < h.buckets(); ++i) {
-                if (i)
-                    buckets += ';';
-                buckets += std::to_string(h.bucketCount(i));
-            }
-            os << csvField(display) << ',' << csvField(kv.first)
-               << ",histogram," << h.samples() << ',' << h.samples() << ','
-               << formatNumber(h.mean()) << ',' << formatNumber(h.min())
-               << ',' << formatNumber(h.max()) << ','
-               << formatNumber(h.percentile(0.50)) << ','
-               << formatNumber(h.percentile(0.95)) << ','
-               << formatNumber(h.percentile(0.99)) << ',' << buckets << ','
-               << csvField(g->description(kv.first)) << "\n";
-        }
-    }
-    return os.str();
-}
-
 void
 writeTextFile(const std::string &path, const std::string &text)
 {
@@ -309,14 +248,6 @@ writeTextFile(const std::string &path, const std::string &text)
     f.close();
     if (!f)
         TEXPIM_FATAL("error writing '", path, "'");
-}
-
-void
-writeStatsFile(const std::string &path, const StatRegistry &reg)
-{
-    bool csv = path.size() >= 4 &&
-               path.compare(path.size() - 4, 4, ".csv") == 0;
-    writeTextFile(path, csv ? statsToCsv(reg) : statsToJson(reg));
 }
 
 StatRegistry::Snapshot
@@ -343,25 +274,6 @@ snapshotToJson(const StatRegistry::Snapshot &snap, u64 jobs)
     w.endObject();
     w.endObject();
     return w.str();
-}
-
-std::string
-snapshotToCsv(const StatRegistry::Snapshot &snap)
-{
-    std::ostringstream os;
-    os << "stat,value\n";
-    for (const auto &kv : snap)
-        os << csvField(kv.first) << "," << formatNumber(kv.second) << "\n";
-    return os.str();
-}
-
-void
-writeSnapshotFile(const std::string &path, const StatRegistry::Snapshot &snap,
-                  u64 jobs)
-{
-    bool csv = path.size() >= 4 &&
-               path.compare(path.size() - 4, 4, ".csv") == 0;
-    writeTextFile(path, csv ? snapshotToCsv(snap) : snapshotToJson(snap, jobs));
 }
 
 namespace json {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Structured statistics export: JSON and CSV serialization of every
+ * Structured statistics export: JSON serialization of every
  * registered statistic (counters, averages, histograms including
  * bucket contents and p50/p95/p99 percentiles), plus a minimal JSON
  * reader used for round-trip validation in tests and tools.
@@ -18,9 +18,6 @@
  *                          "desc"?}, ... ] },
  *       ... ]
  *   }
- *
- * The CSV is one row per stat with a fixed header; histogram bucket
- * contents are a ';'-joined list in the "buckets" column.
  */
 
 #ifndef TEXPIM_COMMON_STAT_EXPORT_HH
@@ -96,17 +93,6 @@ void writeGroupJson(JsonWriter &w, const std::string &display,
 /** The full registry as a "texpim-stats-v1" JSON document. */
 std::string statsToJson(const StatRegistry &reg = StatRegistry::instance());
 
-/** The full registry as CSV (fixed header, one row per stat). */
-std::string statsToCsv(const StatRegistry &reg = StatRegistry::instance());
-
-/**
- * Write the registry to `path`, JSON or CSV by file extension
- * (".csv" selects CSV, anything else JSON). fatal() if the file
- * cannot be written.
- */
-void writeStatsFile(const std::string &path,
-                    const StatRegistry &reg = StatRegistry::instance());
-
 /** Write arbitrary text to `path`; fatal() on failure. */
 void writeTextFile(const std::string &path, const std::string &text);
 
@@ -123,14 +109,6 @@ mergeSnapshots(const std::vector<StatRegistry::Snapshot> &parts);
 /** A (possibly merged) snapshot as a "texpim-stats-merged-v1" JSON
  *  document: {"schema", "jobs", "stats": {key: value, ...}}. */
 std::string snapshotToJson(const StatRegistry::Snapshot &snap, u64 jobs = 1);
-
-/** The snapshot as CSV ("stat,value" rows under a fixed header). */
-std::string snapshotToCsv(const StatRegistry::Snapshot &snap);
-
-/** Write a snapshot to `path`, JSON or CSV by file extension (".csv"
- *  selects CSV). fatal() if the file cannot be written. */
-void writeSnapshotFile(const std::string &path,
-                       const StatRegistry::Snapshot &snap, u64 jobs = 1);
 
 namespace json {
 

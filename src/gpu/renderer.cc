@@ -992,13 +992,6 @@ Renderer::FrameJob::scene() const
     return ctx_->scene;
 }
 
-FrameBuffer &
-Renderer::FrameJob::fb() const
-{
-    TEXPIM_ASSERT(ctx_ != nullptr, "FrameJob already consumed");
-    return ctx_->fb;
-}
-
 std::vector<Addr>
 Renderer::FrameJob::uniqueBlocks() const
 {

@@ -250,7 +250,6 @@ class Renderer::FrameJob
     FrameJob &operator=(const FrameJob &) = delete;
 
     const Scene &scene() const;
-    FrameBuffer &fb() const;
 
     /** Sorted unique texel block/line addresses the frame's recorded
      *  streams touch (base blocks plus A-TFIM child blocks). Tiles

@@ -1,10 +1,7 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <iomanip>
 #include <limits>
 #include <ostream>
@@ -171,31 +168,12 @@ namespace {
 
 constexpr unsigned kMaxUnsigned = std::numeric_limits<unsigned>::max();
 
-/** --seed: any u64, decimal or 0x-prefixed; a sign, junk or overflow
- *  is fatal (strtoull alone would wrap "-1" and read "abc" as 0). */
-u64
-parseSeed(const char *raw)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(raw, &end, 0);
-    if (end == raw || *end != '\0' || errno == ERANGE ||
-        std::strchr(raw, '-') != nullptr)
-        TEXPIM_FATAL("--seed must be an unsigned 64-bit integer, got ",
-                     raw);
-    return u64(v);
-}
-
 } // namespace
 
 SuiteOptions
 parseSuiteArgs(int argc, char **argv)
 {
     SuiteOptions opt;
-    // texpim-lint: allow(D1) worker-count knob only; results are
-    // thread-count-invariant by construction.
-    if (const char *env = std::getenv("TEXPIM_JOBS"); env && *env)
-        opt.jobs = Config::parseUnsigned("TEXPIM_JOBS", env, 0, kMaxUnsigned);
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
         auto value = [&]() -> const char * {
@@ -210,7 +188,7 @@ parseSuiteArgs(int argc, char **argv)
         } else if (flag == "--frame") {
             opt.frame = Config::parseUnsigned(flag, value(), 0, kMaxUnsigned);
         } else if (flag == "--seed") {
-            opt.seed = parseSeed(value());
+            opt.seed = Config::parseU64(flag, value());
         } else if (flag == "--jobs") {
             opt.jobs = Config::parseUnsigned(flag, value(), 0, kMaxUnsigned);
         } else if (flag == "--timeout-ms") {

@@ -32,9 +32,9 @@ struct SuiteOptions
     /** Optional downscale divisor for quick runs (1 = paper size). */
     unsigned resolutionDivisor = 1;
     bool verbose = false;
-    /** Worker threads for the suite grid (--jobs N / TEXPIM_JOBS;
-     *  0 = all hardware threads). Results are identical whatever this
-     *  is — see sim/runner/experiment_runner.hh. */
+    /** Worker threads for the suite grid (--jobs N; 0 = all hardware
+     *  threads). Results are identical whatever this is — see
+     *  sim/runner/experiment_runner.hh. */
     unsigned jobs = 1;
     /** Watchdog deadline per simulation in milliseconds (--timeout-ms;
      *  0 = no watchdog). A timed-out or otherwise failed suite spec is
@@ -87,9 +87,8 @@ class ResultTable
 /**
  * Parse the bench flags: --quick (halve every workload's resolution;
  * the suite keeps all its workloads), --frame N, --seed S, --jobs N,
- * --timeout-ms T and --verbose; TEXPIM_JOBS sets the default --jobs.
- * A malformed or out-of-range value, a flag missing its value or an
- * unknown flag is fatal.
+ * --timeout-ms T and --verbose. A malformed or out-of-range value, a
+ * flag missing its value or an unknown flag is fatal.
  */
 SuiteOptions parseSuiteArgs(int argc, char **argv);
 

@@ -184,9 +184,6 @@ class RenderingSimulator
     /** The texture path of the last renderScene call. */
     const TexturePath &texturePath() const;
 
-    /** Renderer statistics of the last renderScene call. */
-    StatGroup &rendererStats() { return renderer_->stats(); }
-
     /**
      * Traffic attribution of the last rendered frame, or nullptr.
      * Attribution is collected automatically whenever the profiler is

@@ -13,7 +13,7 @@ TEST(Config, SetAndGetTyped)
     c.setDouble("pi", 3.5);
     c.setBool("flag", true);
     c.set("name", "doom3");
-    EXPECT_EQ(c.getInt("n"), 42);
+    EXPECT_EQ(c.getU64("n", 0), 42u);
     EXPECT_DOUBLE_EQ(c.getDouble("pi"), 3.5);
     EXPECT_TRUE(c.getBool("flag"));
     EXPECT_EQ(c.getString("name"), "doom3");
@@ -22,7 +22,7 @@ TEST(Config, SetAndGetTyped)
 TEST(Config, DefaultsWhenMissing)
 {
     Config c;
-    EXPECT_EQ(c.getInt("absent", 7), 7);
+    EXPECT_EQ(c.getU64("absent", 7), 7u);
     EXPECT_DOUBLE_EQ(c.getDouble("absent", 1.5), 1.5);
     EXPECT_FALSE(c.getBool("absent", false));
     EXPECT_EQ(c.getString("absent", "x"), "x");
@@ -52,7 +52,7 @@ TEST(Config, HexIntegers)
 {
     Config c;
     c.set("addr", "0x1000");
-    EXPECT_EQ(c.getInt("addr"), 0x1000);
+    EXPECT_EQ(c.getU64("addr", 0), 0x1000u);
 }
 
 TEST(Config, ParseItemSplitsOnFirstEqualsOnly)
@@ -100,7 +100,7 @@ TEST(Config, DuplicateKeysLastOneWins)
     EXPECT_EQ(c.getString("design"), "atfim");
     for (const char *item : {"n = 1", "n = 2", "n = 3"})
         c.parseItem(item);
-    EXPECT_EQ(c.getInt("n"), 3);
+    EXPECT_EQ(c.getU64("n", 0), 3u);
     EXPECT_EQ(c.keys().size(), 2u);
 }
 
@@ -152,10 +152,19 @@ TEST(ConfigDeath, CheckKnownKeysStrictIsFatalWithSuggestion)
 
 TEST(ConfigDeath, IntErrorReportsKeyAndRawValue)
 {
-    Config c;
-    c.set("seed", "thirty-two");
-    EXPECT_EXIT({ (void)c.getInt("seed"); }, testing::ExitedWithCode(1),
-                "'seed' = 'thirty-two' is not an integer");
+    // Junk, a sign or overflow: nothing wraps or saturates.
+    for (const char *raw : {"thirty-two", "-1", "-0", "18446744073709551616",
+                            "99999999999999999999", "0x10000000000000000",
+                            "12px", ""}) {
+        SCOPED_TRACE(raw);
+        Config c;
+        c.set("seed", raw);
+        EXPECT_EXIT({ (void)c.getU64("seed", 0); },
+                    testing::ExitedWithCode(1),
+                    std::string("seed must be an unsigned 64-bit integer, "
+                                "got ") +
+                        raw + "\n");
+    }
 }
 
 TEST(ConfigDeath, DoubleErrorReportsKeyAndRawValue)
@@ -182,7 +191,7 @@ TEST(Config, GetUnsignedReadsInRangeValues)
     EXPECT_EQ(c.getUnsigned("width", 640, 1, 65536), 640u);
     c.set("width", "65536");
     EXPECT_EQ(c.getUnsigned("width", 640, 1, 65536), 65536u);
-    c.set("width", "0x40"); // parsed like getInt
+    c.set("width", "0x40"); // hex, as for every integer key
     EXPECT_EQ(c.getUnsigned("width", 640, 1, 65536), 64u);
     c.set("frame", "4294967295");
     EXPECT_EQ(c.getUnsigned("frame", 3, 0, 4294967295u), 4294967295u);
@@ -220,19 +229,32 @@ TEST(ConfigDeath, GetUnsignedRejectsOutOfRangeAndMalformed)
     }
 }
 
+TEST(Config, GetU64ReadsTheWholeRange)
+{
+    Config c;
+    c.set("seed", "0");
+    EXPECT_EQ(c.getU64("seed", 1), 0u);
+    c.set("seed", "9223372036854775808"); // 2^63: past any i64
+    EXPECT_EQ(c.getU64("seed", 1), u64(1) << 63);
+    c.set("seed", "18446744073709551615");
+    EXPECT_EQ(c.getU64("seed", 1), ~u64(0));
+    c.set("seed", "0xffffffffffffffff");
+    EXPECT_EQ(c.getU64("seed", 1), ~u64(0));
+}
+
 TEST(ConfigDeath, MissingRequiredKeyIsFatal)
 {
     Config c;
-    EXPECT_EXIT({ (void)c.getInt("nope"); }, testing::ExitedWithCode(1),
-                "missing required config key");
+    EXPECT_EXIT({ (void)c.getString("nope"); }, testing::ExitedWithCode(1),
+                "missing required config key 'nope'");
 }
 
 TEST(ConfigDeath, MalformedNumberIsFatal)
 {
     Config c;
     c.set("n", "abc");
-    EXPECT_EXIT({ (void)c.getInt("n"); }, testing::ExitedWithCode(1),
-                "not an integer");
+    EXPECT_EXIT({ (void)c.getU64("n", 0); }, testing::ExitedWithCode(1),
+                "n must be an unsigned 64-bit integer, got abc");
 }
 
 TEST(ConfigDeath, MalformedItemIsFatal)

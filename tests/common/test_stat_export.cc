@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 
 #include "common/stat_export.hh"
@@ -131,64 +128,6 @@ TEST(StatExport, JsonOmitsDescWhenUnset)
     const json::Value *c = findNamed(grp->at("counters"), "c");
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->find("desc"), nullptr);
-}
-
-TEST(StatExport, CsvHasHeaderAndRowPerStat)
-{
-    StatGroup g("export_csv");
-    g.counter("n, quoted", "uses \"quotes\"") += 3;
-    g.average("avg").sample(4.0);
-    g.histogram("h", 0.0, 4.0, 2).sample(1.0);
-
-    std::string csv = statsToCsv();
-    std::istringstream is(csv);
-    std::string header;
-    std::getline(is, header);
-    EXPECT_EQ(header,
-              "group,stat,kind,value,count,mean,min,max,p50,p95,p99,"
-              "buckets,description");
-
-    bool saw_counter = false, saw_avg = false, saw_hist = false;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.rfind("export_csv,", 0) != 0)
-            continue;
-        if (line.find("\"n, quoted\",counter,3") != std::string::npos &&
-            line.find("\"uses \"\"quotes\"\"\"") != std::string::npos)
-            saw_counter = true;
-        if (line.find("avg,average,4,1,4") != std::string::npos)
-            saw_avg = true;
-        if (line.find("h,histogram,1,1,1,1,1") != std::string::npos &&
-            line.find(",1;0,") != std::string::npos)
-            saw_hist = true;
-    }
-    EXPECT_TRUE(saw_counter);
-    EXPECT_TRUE(saw_avg);
-    EXPECT_TRUE(saw_hist);
-}
-
-TEST(StatExport, WriteStatsFilePicksFormatByExtension)
-{
-    StatGroup g("export_file");
-    g.counter("c") += 9;
-
-    std::string jpath = ::testing::TempDir() + "/texpim_stats_test.json";
-    std::string cpath = ::testing::TempDir() + "/texpim_stats_test.csv";
-    writeStatsFile(jpath);
-    writeStatsFile(cpath);
-
-    std::ifstream jf(jpath);
-    std::string jtext((std::istreambuf_iterator<char>(jf)),
-                      std::istreambuf_iterator<char>());
-    json::Value doc = json::parse(jtext);
-    EXPECT_NE(findGroup(doc, "export_file"), nullptr);
-
-    std::ifstream cf(cpath);
-    std::string first;
-    std::getline(cf, first);
-    EXPECT_EQ(first.rfind("group,stat,", 0), 0u);
-    std::remove(jpath.c_str());
-    std::remove(cpath.c_str());
 }
 
 } // namespace

@@ -1,11 +1,11 @@
-struct Cfg { int getInt(const char *, int) const; unsigned getUnsigned(const char *, unsigned, unsigned, unsigned) const; };
+struct Cfg { unsigned long getU64(const char *, unsigned long) const; unsigned getUnsigned(const char *, unsigned, unsigned, unsigned) const; };
 
 int readKeys(const Cfg &cfg)
 {
-    int a = cfg.getInt("used_key", 1);
-    int b = cfg.getInt("unlisted_key", 2);
-    int c = cfg.getInt("undocumented_key", 3);
-    return a + b + c;
+    unsigned long a = cfg.getU64("used_key", 1);
+    unsigned long b = cfg.getU64("unlisted_key", 2);
+    unsigned long c = cfg.getU64("undocumented_key", 3);
+    return int(a + b + c);
 }
 
 struct Stats { int &counter(const char *name); };

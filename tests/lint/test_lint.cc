@@ -82,6 +82,19 @@ TEST(TexpimLint, D1FlagsSeededNondeterminismAtExactLines)
     EXPECT_NE(r.out.find("texpim-lint: 3 finding(s)"), std::string::npos) << r.out;
 }
 
+TEST(TexpimLint, D1FlagsGetenvInParamsCc)
+{
+    // The key table's file reads settings through Config like any
+    // other: an environment read there is a finding too.
+    LintRun r =
+        runLint("--repo-root " + fixture("d1params") + " --rules D1 src");
+    EXPECT_EQ(r.exitCode, 1) << r.out;
+    EXPECT_NE(r.out.find("src/gpu/params.cc:4: [D1]"),
+              std::string::npos)
+        << r.out;
+    EXPECT_EQ(countOf(r.out, "[D1]"), 1) << r.out;
+}
+
 TEST(TexpimLint, D2FlagsUnorderedIterationButHonorsAllow)
 {
     LintRun r = runLint("--repo-root " + fixture("d2") + " --rules D2,A0 src");

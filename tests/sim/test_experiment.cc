@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -104,17 +102,6 @@ TEST(ExperimentDeath, ParseSuiteArgsNamesAFlagMissingItsValue)
         EXPECT_EXIT(parseArgs({"--quick", flag}),
                     testing::ExitedWithCode(1),
                     std::string("fatal: ") + flag + " needs a value");
-}
-
-TEST(ExperimentDeath, ParseSuiteArgsRejectsBadJobsEnvironment)
-{
-    EXPECT_EXIT(
-        {
-            setenv("TEXPIM_JOBS", "abc", 1);
-            parseArgs({});
-        },
-        testing::ExitedWithCode(1),
-        "fatal: TEXPIM_JOBS must be between 0 and [0-9]+, got abc");
 }
 
 /** A spec's result must not depend on which other configs share its

@@ -80,7 +80,6 @@ TEST(RunnerDeterminism, FourWorkersReproduceSerialBitExactly)
     EXPECT_EQ(m1, m4);
     EXPECT_EQ(snapshotToJson(m1, specs.size()),
               snapshotToJson(m4, specs.size()));
-    EXPECT_EQ(snapshotToCsv(m1), snapshotToCsv(m4));
 }
 
 TEST(RunnerDeterminism, SharedTextureStoresMatchFreshBuilds)

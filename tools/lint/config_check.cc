@@ -2,7 +2,7 @@
  * @file
  * Rule C1: three-way config-key reconciliation.
  *
- *  - every key a source file queries (cfg.getInt("..."), getBool,
+ *  - every key a source file queries (cfg.getU64("..."), getBool,
  *    getDouble, getString, getUnsigned, has, rawGet) from src/ must
  *    appear in the known-key table in src/gpu/params.cc (between the
  *    `texpim-lint: config-key-table begin/end` markers);
@@ -110,7 +110,7 @@ runConfigRule(const std::vector<SourceFile> &files, const Options &opt,
     // Scanned over joined text (\s spans newlines) so a call whose key
     // literal wrapped to the next line still counts as a reference.
     static const std::regex refRe(
-        R"re(\.\s*(getInt|getDouble|getBool|getString|getUnsigned|)re"
+        R"re(\.\s*(getU64|getDouble|getBool|getString|getUnsigned|)re"
         R"re(rawGet|has)\s*\(\s*"([^"]+)")re");
     std::map<std::string, Located> refAnywhere; // first reference
     std::map<std::string, Located> refInSrc;    // first src/ reference

@@ -7,7 +7,7 @@
  * individually-suppressible rules:
  *
  *   [D1] no nondeterminism sources in src/ (rand(), std::random_device,
- *        wall clocks, time(), getenv outside params.cc) — every
+ *        wall clocks, time(), getenv) — every
  *        stochastic or environment-dependent choice must flow through
  *        the seeded common/rng.hh or the Config surface.
  *   [D2] no range-for / iterator loops over std::unordered_map /

@@ -17,13 +17,6 @@ namespace texpim_lint {
 
 namespace {
 
-std::string
-baseName(const std::string &path)
-{
-    size_t slash = path.find_last_of('/');
-    return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
 /** Join a line vector into one text blob plus an offset -> line map. */
 struct JoinedText
 {
@@ -100,19 +93,15 @@ ruleD1(const SourceFile &f, std::vector<Finding> &out)
 {
     if (!f.inSrc)
         return;
-    bool paramsFile = baseName(f.path) == "params.cc";
     for (size_t i = 0; i < f.code.size(); ++i) {
         for (const NondetPattern &p : nondetPatterns()) {
             if (!std::regex_search(f.code[i], p.re))
                 continue;
-            if (paramsFile &&
-                std::string(p.what).find("getenv") != std::string::npos)
-                continue; // the one blessed env-read site
             report(out, f, int(i) + 1, "D1", p.what,
                    std::string("nondeterminism source ") + p.what +
                        " in simulator code; route randomness through the "
-                       "seeded common/rng.hh and environment reads "
-                       "through params.cc / the Config surface");
+                       "seeded common/rng.hh and settings through the "
+                       "Config surface");
         }
     }
 }
