@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -29,27 +28,6 @@ void
 Config::set(const std::string &key, const std::string &value)
 {
     values_[key] = value;
-}
-
-void
-Config::setInt(const std::string &key, i64 value)
-{
-    values_[key] = std::to_string(value);
-}
-
-void
-Config::setDouble(const std::string &key, double value)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << value;
-    values_[key] = os.str();
-}
-
-void
-Config::setBool(const std::string &key, bool value)
-{
-    values_[key] = value ? "true" : "false";
 }
 
 void
@@ -85,41 +63,6 @@ Config::rawGet(const std::string &key) const
 }
 
 std::string
-Config::getString(const std::string &key) const
-{
-    auto v = rawGet(key);
-    if (!v)
-        TEXPIM_FATAL("missing required config key '", key, "'");
-    return *v;
-}
-
-double
-Config::getDouble(const std::string &key) const
-{
-    std::string v = getString(key);
-    char *end = nullptr;
-    double r = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        TEXPIM_FATAL("config key '", key, "' = '", v, "' is not a number");
-    return r;
-}
-
-bool
-Config::getBool(const std::string &key) const
-{
-    std::string raw = getString(key);
-    std::string v = raw;
-    std::transform(v.begin(), v.end(), v.begin(),
-                   [](unsigned char c) { return char(std::tolower(c)); });
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return false;
-    // Report the raw value, not the lowercased working copy.
-    TEXPIM_FATAL("config key '", key, "' = '", raw, "' is not a boolean");
-}
-
-std::string
 Config::getString(const std::string &key, const std::string &dflt) const
 {
     auto v = rawGet(key);
@@ -129,13 +72,31 @@ Config::getString(const std::string &key, const std::string &dflt) const
 double
 Config::getDouble(const std::string &key, double dflt) const
 {
-    return has(key) ? getDouble(key) : dflt;
+    auto v = rawGet(key);
+    if (!v)
+        return dflt;
+    char *end = nullptr;
+    double r = std::strtod(v->c_str(), &end);
+    if (end == v->c_str() || *end != '\0')
+        TEXPIM_FATAL("config key '", key, "' = '", *v, "' is not a number");
+    return r;
 }
 
 bool
 Config::getBool(const std::string &key, bool dflt) const
 {
-    return has(key) ? getBool(key) : dflt;
+    auto raw = rawGet(key);
+    if (!raw)
+        return dflt;
+    std::string v = *raw;
+    std::transform(v.begin(), v.end(), v.begin(),
+                   [](unsigned char c) { return char(std::tolower(c)); });
+    if (v == "true" || v == "1" || v == "yes" || v == "on")
+        return true;
+    if (v == "false" || v == "0" || v == "no" || v == "off")
+        return false;
+    // Report the raw value, not the lowercased working copy.
+    TEXPIM_FATAL("config key '", key, "' = '", *raw, "' is not a boolean");
 }
 
 unsigned

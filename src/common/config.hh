@@ -4,9 +4,8 @@
  *
  * Components read their parameters from a Config populated from
  * command-line style "key=value" strings. A missing key falls back to
- * the lookup's default, or fatal()s when there is none; a malformed or
- * out-of-range value always fatal()s, making misconfiguration a user
- * error, not a crash.
+ * the lookup's default; a malformed or out-of-range value fatal()s,
+ * making misconfiguration a user error, not a crash.
  */
 
 #ifndef TEXPIM_COMMON_CONFIG_HH
@@ -29,21 +28,14 @@ class Config
 
     /** Set (or overwrite) a key. */
     void set(const std::string &key, const std::string &value);
-    void setInt(const std::string &key, i64 value);
-    void setDouble(const std::string &key, double value);
-    void setBool(const std::string &key, bool value);
 
     /** Parse one "key=value" item; fatal() on malformed input. */
     void parseItem(const std::string &item);
 
     bool has(const std::string &key) const;
 
-    /** Required lookups: fatal() when the key is missing or malformed. */
-    std::string getString(const std::string &key) const;
-    double getDouble(const std::string &key) const;
-    bool getBool(const std::string &key) const;
-
-    /** Defaulted lookups. */
+    /** Defaulted lookups: `dflt` when the key is missing; a malformed
+     *  number or boolean fatal()s naming the key and the raw value. */
     std::string getString(const std::string &key,
                           const std::string &dflt) const;
     double getDouble(const std::string &key, double dflt) const;

@@ -122,9 +122,16 @@ class Profiler
 
 } // namespace texpim
 
+/** Compile-time check that `zone` is a constant TEXPIM_ZONE_TABLE row. */
+#define TEXPIM_PROF_ZONE_CHECK(zone)                                          \
+    static_assert((zone) > ::texpim::prof::kZoneNone &&                       \
+                      (zone) < ::texpim::prof::kZoneCount,                    \
+                  "profile zone must be a TEXPIM_ZONE_TABLE row")
+
 /** Charge `cycles` simulated cycles (and one event) to a zone. */
 #define TEXPIM_PROF_CYCLES(zone, cycles)                                      \
     do {                                                                      \
+        TEXPIM_PROF_ZONE_CHECK(zone);                                         \
         if (::texpim::Profiler::active())                                     \
             ::texpim::Profiler::instance().addCycles((zone), (cycles));       \
     } while (0)
@@ -132,6 +139,7 @@ class Profiler
 /** Charge `n` events to a zone. */
 #define TEXPIM_PROF_COUNT(zone, n)                                            \
     do {                                                                      \
+        TEXPIM_PROF_ZONE_CHECK(zone);                                         \
         if (::texpim::Profiler::active())                                     \
             ::texpim::Profiler::instance().addCount((zone), (n));             \
     } while (0)

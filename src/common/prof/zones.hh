@@ -7,14 +7,15 @@
  * The profiler records, per zone, an event count, simulated cycles and
  * host wall-clock seconds; the export derives self times as
  * total - sum(children totals). Keeping the table static (rather than
- * registering zones at runtime) is what lets texpim-lint rule S2 check
- * every charge site against it, and keeps the export order — and
- * therefore the profile JSON bytes — independent of execution order.
+ * registering zones at runtime) lets the compiler check every charge
+ * site against it (the TEXPIM_PROF_* macros static_assert a table row),
+ * and keeps the export order — and therefore the profile JSON bytes —
+ * independent of execution order.
  *
- * Adding a zone: add one Z() row between the markers, keeping the
- * hierarchy parent-before-child (the self-time computation walks the
- * table once in order). The name is the display path, the description
- * is mandatory (rule S2 flags empty ones).
+ * Adding a zone: add one Z() row, keeping the hierarchy
+ * parent-before-child (the self-time computation walks the table once
+ * in order). The name is the display path; the description is
+ * mandatory (a static_assert below rejects an empty one).
  */
 
 #ifndef TEXPIM_COMMON_PROF_ZONES_HH
@@ -28,7 +29,6 @@ namespace prof {
  *
  * kZoneNone is the root sentinel (parent of top-level zones).
  */
-// texpim-lint: zone-table begin
 #define TEXPIM_ZONE_TABLE(Z)                                                  \
     Z(kZoneFrame, "frame", kZoneNone,                                         \
       "one whole frame through the rendering pipeline")                       \
@@ -54,7 +54,6 @@ namespace prof {
     Z(kZonePimPackage, "pim/package", kZoneNone,                              \
       "PIM package execution on the logic layer, once per offload "           \
       "(link transfers are mem/hmc/link)")
-// texpim-lint: zone-table end
 
 /** Zone identifiers, one per table row, plus the kZoneNone root. */
 enum ZoneId : unsigned {
@@ -70,7 +69,7 @@ struct ZoneInfo
 {
     const char *name;        //!< display path, e.g. "frame/replay"
     ZoneId parent;           //!< kZoneNone for top-level zones
-    const char *description; //!< mandatory (texpim-lint rule S2)
+    const char *description; //!< mandatory (static_assert below)
 };
 
 /** The zone table; index 0 is the kZoneNone sentinel. */
@@ -80,6 +79,17 @@ inline constexpr ZoneInfo kZones[kZoneCount] = {
     TEXPIM_ZONE_TABLE(TEXPIM_ZONE_INFO)
 #undef TEXPIM_ZONE_INFO
 };
+
+constexpr bool
+everyZoneDescribed()
+{
+    for (unsigned z = 1; z < kZoneCount; ++z)
+        if (kZones[z].description[0] == '\0')
+            return false;
+    return true;
+}
+static_assert(everyZoneDescribed(),
+              "every TEXPIM_ZONE_TABLE row needs a non-empty description");
 
 } // namespace prof
 } // namespace texpim

@@ -178,8 +178,7 @@ writeGroupJson(JsonWriter &w, const std::string &display, const StatGroup &g)
         w.beginObject();
         w.keyValue("name", kv.first);
         w.keyValue("value", kv.second.value());
-        if (!g.description(kv.first).empty())
-            w.keyValue("desc", g.description(kv.first));
+        w.keyValue("desc", g.description(kv.first));
         w.endObject();
     }
     w.endArray();
@@ -191,8 +190,7 @@ writeGroupJson(JsonWriter &w, const std::string &display, const StatGroup &g)
         w.keyValue("mean", kv.second.mean());
         w.keyValue("count", kv.second.count());
         w.keyValue("sum", kv.second.sum());
-        if (!g.description(kv.first).empty())
-            w.keyValue("desc", g.description(kv.first));
+        w.keyValue("desc", g.description(kv.first));
         w.endObject();
     }
     w.endArray();
@@ -215,8 +213,7 @@ writeGroupJson(JsonWriter &w, const std::string &display, const StatGroup &g)
         for (unsigned i = 0; i < h.buckets(); ++i)
             w.value(h.bucketCount(i));
         w.endArray();
-        if (!g.description(kv.first).empty())
-            w.keyValue("desc", g.description(kv.first));
+        w.keyValue("desc", g.description(kv.first));
         w.endObject();
     }
     w.endArray();

@@ -29,8 +29,8 @@ StatRegistry::remove(StatGroup *g)
     entries_.erase(it);
 }
 
-std::vector<std::pair<std::string, StatGroup *>>
-StatRegistry::groupsMutable()
+std::vector<std::pair<std::string, const StatGroup *>>
+StatRegistry::groups() const
 {
     std::vector<Entry> sorted = entries_;
     // tie-break: the registration sequence number disambiguates groups
@@ -42,7 +42,7 @@ StatRegistry::groupsMutable()
                   return a.seq < b.seq;
               });
 
-    std::vector<std::pair<std::string, StatGroup *>> out;
+    std::vector<std::pair<std::string, const StatGroup *>> out;
     out.reserve(sorted.size());
     for (size_t i = 0; i < sorted.size(); ++i) {
         std::string display = sorted[i].group->name();
@@ -55,24 +55,6 @@ StatRegistry::groupsMutable()
         out.emplace_back(std::move(display), sorted[i].group);
     }
     return out;
-}
-
-std::vector<std::pair<std::string, const StatGroup *>>
-StatRegistry::groups() const
-{
-    auto mut = const_cast<StatRegistry *>(this)->groupsMutable();
-    std::vector<std::pair<std::string, const StatGroup *>> out;
-    out.reserve(mut.size());
-    for (auto &kv : mut)
-        out.emplace_back(std::move(kv.first), kv.second);
-    return out;
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (Entry &e : entries_)
-        e.group->resetAll();
 }
 
 StatRegistry::Snapshot

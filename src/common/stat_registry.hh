@@ -13,8 +13,7 @@
  *    colliding keys;
  *  - whole-simulation snapshot / delta of the monotone scalar parts of
  *    every statistic (counter values, average sums/counts, histogram
- *    sample counts), the building block for per-frame accounting;
- *  - bulk reset.
+ *    sample counts), the building block for per-frame accounting.
  *
  * One registry belongs to one SimContext (sim_context.hh); instance()
  * resolves to the calling thread's current context's registry, so the
@@ -55,12 +54,6 @@ class StatRegistry
      * group name, or "name#k" (k >= 2) for later same-named groups.
      */
     std::vector<std::pair<std::string, const StatGroup *>> groups() const;
-
-    /** Mutable variant of groups() (for resets in drivers/tests). */
-    std::vector<std::pair<std::string, StatGroup *>> groupsMutable();
-
-    /** Reset every statistic in every live group. */
-    void resetAll();
 
     /**
      * A snapshot of the monotone scalars of every stat, keyed

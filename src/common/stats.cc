@@ -74,41 +74,35 @@ StatGroup::~StatGroup()
     registry_->remove(this);
 }
 
-StatCounter &
-StatGroup::counter(const std::string &name, const std::string &desc)
+void
+StatGroup::claim(const std::string &name, StatDesc desc)
 {
-    if (!desc.empty())
-        descriptions_.emplace(name, desc);
+    bool fresh = descriptions_.emplace(name, desc.text()).second;
+    TEXPIM_ASSERT(fresh, "stat '", name, "' registered twice in group '",
+                  name_, "'");
+}
+
+StatCounter &
+StatGroup::counter(const std::string &name, StatDesc desc)
+{
+    claim(name, desc);
     return counters_[name];
 }
 
 StatAverage &
-StatGroup::average(const std::string &name, const std::string &desc)
+StatGroup::average(const std::string &name, StatDesc desc)
 {
-    if (!desc.empty())
-        descriptions_.emplace(name, desc);
+    claim(name, desc);
     return averages_[name];
 }
 
 StatHistogram &
 StatGroup::histogram(const std::string &name, double lo, double hi,
-                     unsigned buckets, const std::string &desc)
+                     unsigned buckets, StatDesc desc)
 {
-    if (!desc.empty())
-        descriptions_.emplace(name, desc);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        it = histograms_.emplace(name, StatHistogram(lo, hi, buckets)).first;
-    } else {
-        TEXPIM_ASSERT(it->second.lo() == lo && it->second.hi() == hi &&
-                          it->second.buckets() == buckets,
-                      "histogram '", name, "' in group '", name_,
-                      "' re-registered with different shape: have [",
-                      it->second.lo(), ", ", it->second.hi(), ")x",
-                      it->second.buckets(), ", got [", lo, ", ", hi, ")x",
-                      buckets);
-    }
-    return it->second;
+    claim(name, desc);
+    return histograms_.emplace(name, StatHistogram(lo, hi, buckets))
+        .first->second;
 }
 
 const StatCounter &

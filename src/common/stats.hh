@@ -4,9 +4,9 @@
  * averages and fixed-bucket histograms grouped under a StatGroup.
  *
  * Components own a StatGroup and register their statistics once at
- * construction (ideally with a description, which makes `texpim stats`
- * and the JSON export self-documenting); the group can be reset per
- * frame and dumped in a human-readable table. Every StatGroup
+ * construction, each with a description (a StatDesc, so `texpim stats`
+ * and the JSON export are self-documenting by construction); the group
+ * can be reset per frame. Every StatGroup
  * auto-registers with the global StatRegistry (stat_registry.hh) for
  * hierarchical enumeration and structured export (stat_export.hh). The
  * design deliberately mirrors the feel of gem5's stats package at a
@@ -23,6 +23,26 @@
 #include "common/types.hh"
 
 namespace texpim {
+
+/**
+ * A stat's description: a non-empty string literal. Only a char array
+ * converts, and its extent is checked at compile time, so "" or a
+ * run-time `const char *`/std::string does not compile.
+ */
+class StatDesc
+{
+  public:
+    template <size_t N>
+    constexpr StatDesc(const char (&text)[N]) : text_(text)
+    {
+        static_assert(N > 1, "a stat description must not be empty");
+    }
+
+    const char *text() const { return text_; }
+
+  private:
+    const char *text_;
+};
 
 /** A named monotonically increasing (resettable) counter. */
 class StatCounter
@@ -108,10 +128,10 @@ class StatHistogram
  * Registration returns a reference that stays valid for the lifetime of
  * the group (node-based storage) and across resetAll(). Components
  * register each stat once, at construction, with its description, and
- * timing code updates the reference it holds; name-keyed lookups
- * (counter/average/histogram/find*) belong in constructors, exporters
- * and tests. Lint rule R1 keeps them off the timing replay. The
- * description is recorded on first non-empty mention.
+ * hold the returned reference: registering a name the group already
+ * has is a panic. Reading by name goes through find*()/has*(), which
+ * belong in exporters and tests, never on the timing replay (lint rule
+ * R1).
  *
  * Construction registers the group with the StatRegistry of the
  * SimContext current on the constructing thread; destruction
@@ -127,19 +147,10 @@ class StatGroup
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
 
-    StatCounter &counter(const std::string &name,
-                         const std::string &desc = "");
-    StatAverage &average(const std::string &name,
-                         const std::string &desc = "");
-
-    /**
-     * Register (or re-find) a histogram. Re-registering an existing
-     * name with different bounds or bucket count is a panic: silently
-     * handing back the old shape would misattribute every later
-     * sample.
-     */
+    StatCounter &counter(const std::string &name, StatDesc desc);
+    StatAverage &average(const std::string &name, StatDesc desc);
     StatHistogram &histogram(const std::string &name, double lo, double hi,
-                             unsigned buckets, const std::string &desc = "");
+                             unsigned buckets, StatDesc desc);
 
     /** Look up an existing counter; panics if absent. */
     const StatCounter &findCounter(const std::string &name) const;
@@ -149,7 +160,7 @@ class StatGroup
     const StatAverage &findAverage(const std::string &name) const;
     bool hasAverage(const std::string &name) const;
 
-    /** Description recorded for a stat ("" when none was given). */
+    /** Description registered with a stat ("" for an unknown name). */
     const std::string &description(const std::string &name) const;
 
     /** Enumeration for the registry / exporters (sorted by name). */
@@ -172,6 +183,9 @@ class StatGroup
     void resetAll();
 
   private:
+    /** Record `name`'s description; panics if the name is taken. */
+    void claim(const std::string &name, StatDesc desc);
+
     std::string name_;
     class StatRegistry *registry_; //!< owner, captured at construction
     std::map<std::string, StatCounter> counters_;

@@ -38,9 +38,9 @@ TraceEvents::enable(const std::string &path, u64 max_events)
     // and reads 0 until a cap overflow actually happens.
     if (stats_ == nullptr) {
         stats_ = std::make_unique<StatGroup>("trace");
-        stats_->counter("dropped_events",
-                        "trace events dropped at the event cap "
-                        "(raise trace_cap=N)");
+        dropped_stat_ = &stats_->counter("dropped_events",
+                                         "trace events dropped at the event "
+                                         "cap (raise trace_cap=N)");
     }
     enabled_ = true;
     syncActive();
@@ -56,7 +56,7 @@ TraceEvents::disable()
     if (!path_.empty())
         flush();
     if (dropped_ > 0) {
-        stats_->counter("dropped_events") += dropped_;
+        *dropped_stat_ += dropped_;
         TEXPIM_WARN("trace event cap reached: dropped ", dropped_,
                     " events (raise trace_cap=N)");
     }

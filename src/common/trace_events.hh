@@ -54,6 +54,7 @@
 
 namespace texpim {
 
+class StatCounter;
 class StatGroup;
 
 class TraceEvents
@@ -158,6 +159,7 @@ class TraceEvents
      *  first enable() so construction never touches the (possibly
      *  still-constructing) owning SimContext's registry. */
     std::unique_ptr<StatGroup> stats_;
+    StatCounter *dropped_stat_ = nullptr; //!< stats_' dropped_events
 };
 
 } // namespace texpim

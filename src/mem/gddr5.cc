@@ -49,8 +49,9 @@ Gddr5Memory::classLatency(TrafficClass cls)
     if (avg == nullptr) {
         // texpim-lint: allow(R1) registered on first use so a class
         // with no traffic has no snapshot key; one lookup per class
-        avg = &stats_.average(std::string("latency_") +
-                              trafficClassName(cls));
+        avg = &stats_.average(
+            std::string("latency_") + trafficClassName(cls),
+            "end-to-end transaction latency of one traffic class, cycles");
     }
     return *avg;
 }

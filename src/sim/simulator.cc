@@ -83,6 +83,21 @@ RenderingSimulator::RenderingSimulator(const SimConfig &cfg)
     build();
 }
 
+struct RenderingSimulator::SequenceStats
+{
+    StatGroup group{"sequence"};
+    StatCounter &frames = group.counter(
+        "frames", "frames rendered in camera-path sequences");
+    StatCounter &uniqueBlocks = group.counter(
+        "unique_blocks", "distinct texel blocks touched, summed over frames");
+    StatCounter &blocksReusedPrev = group.counter(
+        "blocks_reused_prev", "texel blocks also touched by the previous "
+                              "frame");
+    StatCounter &interframeTagHits = group.counter(
+        "interframe_tag_hits", "texture L1/L2 hits on lines warm from an "
+                               "earlier frame");
+};
+
 RenderingSimulator::~RenderingSimulator() = default;
 
 void
@@ -285,20 +300,8 @@ RenderingSimulator::beginSequence()
     // The census adds record work only (tile-disjoint vectors); the
     // replay streams, timing and statistics are unchanged by it.
     renderer_->setCollectFrameBlocks(true);
-    if (!seq_stats_) {
-        seq_stats_ = std::make_unique<StatGroup>("sequence");
-        seq_stats_->counter("frames",
-                            "frames rendered in camera-path sequences");
-        seq_stats_->counter("unique_blocks",
-                            "distinct texel blocks touched, summed over "
-                            "frames");
-        seq_stats_->counter("blocks_reused_prev",
-                            "texel blocks also touched by the previous "
-                            "frame");
-        seq_stats_->counter("interframe_tag_hits",
-                            "texture L1/L2 hits on lines warm from an "
-                            "earlier frame");
-    }
+    if (!seq_stats_)
+        seq_stats_ = std::make_unique<SequenceStats>();
 }
 
 Scene
@@ -372,10 +375,10 @@ RenderingSimulator::noteFrameReuse(SimResult &r, u64 unique_blocks,
     r.seqUniqueBlocks = unique_blocks;
     r.seqBlocksReusedPrev = reused_prev;
     if (seq_stats_) {
-        ++seq_stats_->counter("frames");
-        seq_stats_->counter("unique_blocks") += unique_blocks;
-        seq_stats_->counter("blocks_reused_prev") += reused_prev;
-        seq_stats_->counter("interframe_tag_hits") += r.interFrameTagHits;
+        ++seq_stats_->frames;
+        seq_stats_->uniqueBlocks += unique_blocks;
+        seq_stats_->blocksReusedPrev += reused_prev;
+        seq_stats_->interframeTagHits += r.interFrameTagHits;
     }
     if (attrib_)
         attrib_->setSequenceReuse(unique_blocks, reused_prev,

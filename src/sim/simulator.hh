@@ -222,7 +222,8 @@ class RenderingSimulator
      *  the first beginSequence so single-frame runs don't carry it.
      *  Lives on the simulator: it must outlive the sequence for
      *  post-run stat export. */
-    std::unique_ptr<StatGroup> seq_stats_;
+    struct SequenceStats;
+    std::unique_ptr<SequenceStats> seq_stats_;
     MemorySystem *mem_ = nullptr;
 };
 

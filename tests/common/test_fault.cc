@@ -12,10 +12,10 @@ namespace {
 TEST(FaultParams, FromConfigReadsKeys)
 {
     Config cfg;
-    cfg.setInt("fault_seed", 123);
-    cfg.setDouble("fault_link_ber", 0.25);
-    cfg.setDouble("fault_vault_ber", 0.125);
-    cfg.setInt("fault_burst_len", 4);
+    cfg.set("fault_seed", "123");
+    cfg.set("fault_link_ber", "0.25");
+    cfg.set("fault_vault_ber", "0.125");
+    cfg.set("fault_burst_len", "4");
     FaultParams p = FaultParams::fromConfig(cfg);
     EXPECT_EQ(p.seed, 123u);
     EXPECT_DOUBLE_EQ(p.linkBer, 0.25);
@@ -36,7 +36,7 @@ TEST(FaultParams, DefaultsAreDisabled)
 TEST(FaultParamsDeath, BerOutOfRangeIsFatal)
 {
     Config cfg;
-    cfg.setDouble("fault_link_ber", 1.5);
+    cfg.set("fault_link_ber", "1.5");
     EXPECT_EXIT({ (void)FaultParams::fromConfig(cfg); },
                 testing::ExitedWithCode(1), "fault_link_ber");
 }

@@ -65,10 +65,11 @@ TEST(StatRegistry, DuplicateNamesGetStableSuffixes)
 TEST(StatRegistry, SnapshotCoversEveryStatKind)
 {
     StatGroup g("reg_snap");
-    g.counter("c") += 7;
-    g.average("a").sample(2.0);
-    g.average("a").sample(4.0);
-    g.histogram("h", 0.0, 10.0, 4).sample(3.0);
+    g.counter("c", "a counter") += 7;
+    StatAverage &a = g.average("a", "an average");
+    a.sample(2.0);
+    a.sample(4.0);
+    g.histogram("h", 0.0, 10.0, 4, "a histogram").sample(3.0);
 
     StatRegistry::Snapshot s = StatRegistry::instance().snapshot();
     EXPECT_DOUBLE_EQ(s.at("reg_snap.c"), 7.0);
@@ -80,11 +81,12 @@ TEST(StatRegistry, SnapshotCoversEveryStatKind)
 TEST(StatRegistry, DeltaIsCurrentMinusSnapshot)
 {
     StatGroup g("reg_delta");
-    g.counter("c") += 10;
+    StatCounter &c = g.counter("c", "a counter");
+    c += 10;
     StatRegistry::Snapshot before = StatRegistry::instance().snapshot();
 
-    g.counter("c") += 5;
-    g.average("a").sample(1.0); // new stat after the snapshot
+    c += 5;
+    g.average("a", "an average").sample(1.0); // new stat after the snapshot
 
     StatRegistry::Snapshot d = StatRegistry::instance().delta(before);
     EXPECT_DOUBLE_EQ(d.at("reg_delta.c"), 5.0);
@@ -95,14 +97,15 @@ TEST(StatRegistry, DeltaIsCurrentMinusSnapshot)
 TEST(StatRegistry, ResetAllZeroesLiveGroupsAndDeltaFollows)
 {
     StatGroup g("reg_reset");
-    g.counter("c") += 42;
-    g.histogram("h", 0.0, 1.0, 2).sample(0.5);
+    StatCounter &c = g.counter("c", "a counter");
+    c += 42;
+    g.histogram("h", 0.0, 1.0, 2, "a histogram").sample(0.5);
 
     StatRegistry::Snapshot before = StatRegistry::instance().snapshot();
-    StatRegistry::instance().resetAll();
+    g.resetAll();
 
-    EXPECT_EQ(g.findCounter("c").value(), 0u);
-    EXPECT_EQ(g.histogram("h", 0.0, 1.0, 2).samples(), 0u);
+    EXPECT_EQ(c.value(), 0u);
+    EXPECT_EQ(g.histograms().at("h").samples(), 0u);
 
     // Documented contract: post-reset deltas against a pre-reset
     // snapshot go negative; per-frame users re-snapshot after reset.
@@ -110,7 +113,7 @@ TEST(StatRegistry, ResetAllZeroesLiveGroupsAndDeltaFollows)
     EXPECT_DOUBLE_EQ(d.at("reg_reset.c"), -42.0);
 
     StatRegistry::Snapshot fresh = StatRegistry::instance().snapshot();
-    g.counter("c") += 3;
+    c += 3;
     EXPECT_DOUBLE_EQ(
         StatRegistry::instance().delta(fresh).at("reg_reset.c"), 3.0);
 }
@@ -122,13 +125,14 @@ TEST(StatRegistry, PerFrameDeltaAcrossTwoFrames)
     StatGroup g("reg_frame");
     StatRegistry &reg = StatRegistry::instance();
 
+    StatCounter &tiles = g.counter("tiles", "tiles rendered");
     StatRegistry::Snapshot s0 = reg.snapshot();
-    g.counter("tiles") += 4;
+    tiles += 4;
     EXPECT_DOUBLE_EQ(reg.delta(s0).at("reg_frame.tiles"), 4.0);
 
     g.resetAll();
     StatRegistry::Snapshot s1 = reg.snapshot();
-    g.counter("tiles") += 9;
+    tiles += 9;
     EXPECT_DOUBLE_EQ(reg.delta(s1).at("reg_frame.tiles"), 9.0);
 }
 

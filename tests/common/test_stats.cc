@@ -49,19 +49,17 @@ TEST(StatHistogram, BucketsAndSaturation)
 TEST(StatGroup, RegistrationIsStableAndNamed)
 {
     StatGroup g("gpu");
-    StatCounter &c1 = g.counter("frags");
+    StatCounter &c1 = g.counter("frags", "fragments");
     c1 += 5;
-    StatCounter &c2 = g.counter("frags");
-    EXPECT_EQ(&c1, &c2);
+    // Reading by name finds the registered object for every stat kind.
+    EXPECT_EQ(&g.findCounter("frags"), &c1);
     EXPECT_EQ(g.findCounter("frags").value(), 5u);
     EXPECT_TRUE(g.hasCounter("frags"));
     EXPECT_FALSE(g.hasCounter("absent"));
-    // A later same-name registration returns the held object for every
-    // stat kind.
     StatAverage &a = g.average("lat", "latency");
-    EXPECT_EQ(&g.average("lat"), &a);
+    EXPECT_EQ(&g.findAverage("lat"), &a);
     StatHistogram &h = g.histogram("hist", 0, 1, 2, "latency spread");
-    EXPECT_EQ(&g.histogram("hist", 0, 1, 2), &h);
+    EXPECT_EQ(&g.histograms().at("hist"), &h);
 }
 
 TEST(StatGroup, HeldReferencesSurviveResetAll)
@@ -94,10 +92,10 @@ TEST(StatGroup, HeldReferencesSurviveLaterRegistrations)
     StatAverage &a = g.average("a", "an average");
     StatHistogram &h = g.histogram("h", 0, 1, 2, "a histogram");
     for (int i = 0; i < 100; ++i) {
-        std::string n = "n" + std::to_string(i);
-        g.counter(n, "filler") += 1;
-        g.average(n, "filler").sample(1.0);
-        g.histogram(n, 0, 1, 2, "filler").sample(0.5);
+        std::string n = std::to_string(i);
+        g.counter("c" + n, "filler") += 1;
+        g.average("a" + n, "filler").sample(1.0);
+        g.histogram("h" + n, 0, 1, 2, "filler").sample(0.5);
     }
     c += 7;
     a.sample(4.0);
@@ -113,13 +111,13 @@ TEST(StatGroup, HeldReferencesSurviveLaterRegistrations)
 TEST(StatGroup, ResetAllClearsEverything)
 {
     StatGroup g("x");
-    g.counter("c") += 3;
-    g.average("a").sample(1.0);
-    g.histogram("h", 0, 1, 2).sample(0.5);
+    g.counter("c", "a counter") += 3;
+    g.average("a", "an average").sample(1.0);
+    g.histogram("h", 0, 1, 2, "a histogram").sample(0.5);
     g.resetAll();
     EXPECT_EQ(g.findCounter("c").value(), 0u);
-    EXPECT_EQ(g.average("a").count(), 0u);
-    EXPECT_EQ(g.histogram("h", 0, 1, 2).samples(), 0u);
+    EXPECT_EQ(g.findAverage("a").count(), 0u);
+    EXPECT_EQ(g.histograms().at("h").samples(), 0u);
 }
 
 TEST(StatGroupDeath, FindMissingCounterPanics)
@@ -181,7 +179,7 @@ TEST(StatHistogram, ExposesBounds)
 TEST(StatGroup, FindAverageAndHasAverage)
 {
     StatGroup g("g");
-    g.average("lat").sample(3.0);
+    g.average("lat", "latency").sample(3.0);
     ASSERT_TRUE(g.hasAverage("lat"));
     EXPECT_FALSE(g.hasAverage("nope"));
     EXPECT_DOUBLE_EQ(g.findAverage("lat").mean(), 3.0);
@@ -196,38 +194,53 @@ TEST(StatGroupDeath, FindMissingAveragePanics)
 
 TEST(StatGroupDeath, HistogramShapeMismatchPanics)
 {
+    // A second registration never hands back the first histogram, so
+    // later samples cannot land in a silently different shape.
     StatGroup g("g");
-    g.histogram("h", 0.0, 10.0, 4);
-    EXPECT_DEATH({ (void)g.histogram("h", 0.0, 20.0, 4); },
-                 "different shape");
-    EXPECT_DEATH({ (void)g.histogram("h", 0.0, 10.0, 8); },
-                 "different shape");
+    g.histogram("h", 0.0, 10.0, 4, "a histogram");
+    EXPECT_DEATH({ (void)g.histogram("h", 0.0, 20.0, 4, "wider"); },
+                 "stat 'h' registered twice in group 'g'");
+    EXPECT_DEATH({ (void)g.histogram("h", 0.0, 10.0, 8, "finer"); },
+                 "stat 'h' registered twice in group 'g'");
+}
+
+TEST(StatGroupDeath, RegisteringANameTwicePanics)
+{
+    // Same kind or another kind: a name belongs to one stat per group.
+    StatGroup g("g");
+    g.counter("c", "a counter");
+    g.average("a", "an average");
+    EXPECT_DEATH({ (void)g.counter("c", "a counter"); },
+                 "stat 'c' registered twice in group 'g'");
+    EXPECT_DEATH({ (void)g.average("a", "an average"); },
+                 "stat 'a' registered twice in group 'g'");
+    EXPECT_DEATH({ (void)g.histogram("c", 0.0, 1.0, 2, "a histogram"); },
+                 "stat 'c' registered twice in group 'g'");
 }
 
 TEST(StatGroup, HistogramRefindKeepsShape)
 {
     StatGroup g("g");
-    StatHistogram &h1 = g.histogram("h", 0.0, 10.0, 4);
+    StatHistogram &h1 = g.histogram("h", 0.0, 10.0, 4, "a histogram");
     h1.sample(5.0);
-    StatHistogram &h2 = g.histogram("h", 0.0, 10.0, 4);
+    const StatHistogram &h2 = g.histograms().at("h");
     EXPECT_EQ(&h1, &h2);
     EXPECT_EQ(h2.samples(), 1u);
+    EXPECT_DOUBLE_EQ(h2.lo(), 0.0);
+    EXPECT_DOUBLE_EQ(h2.hi(), 10.0);
+    EXPECT_EQ(h2.buckets(), 4u);
 }
 
-TEST(StatGroup, DescriptionsRecordedOnFirstMention)
+TEST(StatGroup, RegistrationRecordsTheDescription)
 {
     StatGroup g("g");
     g.counter("c", "counts things");
-    g.counter("c"); // a later lookup without a description
     g.average("a", "averages things");
     g.histogram("h", 0.0, 1.0, 2, "bins things");
     EXPECT_EQ(g.description("c"), "counts things");
     EXPECT_EQ(g.description("a"), "averages things");
     EXPECT_EQ(g.description("h"), "bins things");
     EXPECT_EQ(g.description("absent"), "");
-    // First non-empty mention wins; later text does not overwrite.
-    g.counter("c", "other text");
-    EXPECT_EQ(g.description("c"), "counts things");
 }
 
 TEST(StatHistogram, PercentileClampsOutOfRangeP)

@@ -19,7 +19,7 @@ TEST(GpuParams, RenderThreadsFromConfigKey)
 {
     EXPECT_EQ(GpuParams::fromConfig(Config{}).renderThreads, 1u);
     Config cfg;
-    cfg.setInt("gpu.render_threads", 2);
+    cfg.set("gpu.render_threads", "2");
     EXPECT_EQ(GpuParams::fromConfig(cfg).renderThreads, 2u);
 }
 
@@ -40,7 +40,7 @@ TEST(GpuParamsDeath, CountsBelowOneAreFatal)
         for (int v : {-1, 0}) {
             SCOPED_TRACE(std::string(key) + "=" + std::to_string(v));
             Config cfg;
-            cfg.setInt(key, v);
+            cfg.set(key, std::to_string(v));
             EXPECT_EXIT({ (void)GpuParams::fromConfig(cfg); },
                         testing::ExitedWithCode(1),
                         std::string(key) + " must be between 1 and " +

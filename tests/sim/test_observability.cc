@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/stat_export.hh"
 #include "common/stat_registry.hh"
@@ -157,6 +159,44 @@ TEST_F(ObservabilityTest, PerFrameSnapshotDeltaTracksOneFrame)
     EXPECT_DOUBLE_EQ(d.at("renderer.frames"), 1.0);
     EXPECT_DOUBLE_EQ(d.at("renderer.fragments_shaded"),
                      double(r.frame.fragmentsShaded));
+}
+
+TEST_F(ObservabilityTest, EveryRegisteredStatIsDescribed)
+{
+    // The compiler rejects an empty or missing description at each
+    // registration call; this walks what actually got registered,
+    // including stats registered lazily under run-time names (GDDR5's
+    // per-traffic-class latencies), across every design and the
+    // "sequence" group.
+    const Workload wl{Game::Doom3, 32, 24};
+    std::vector<std::unique_ptr<RenderingSimulator>> sims;
+    for (Design d : {Design::Baseline, Design::BPim, Design::STfim,
+                     Design::ATfim}) {
+        SimConfig cfg;
+        cfg.design = d;
+        sims.push_back(std::make_unique<RenderingSimulator>(cfg));
+        (void)sims.back()->renderScene(buildGameScene(wl, 3));
+    }
+    SimConfig cfg;
+    cfg.design = Design::ATfim;
+    sims.push_back(std::make_unique<RenderingSimulator>(cfg));
+    (void)sims.back()->renderSequence(wl, 2);
+
+    std::set<std::string> seen;
+    for (const auto &[display, g] : StatRegistry::instance().groups()) {
+        auto check = [&](const std::string &n) {
+            seen.insert(display + "." + n);
+            EXPECT_FALSE(g->description(n).empty()) << display << "." << n;
+        };
+        for (const auto &kv : g->counters())
+            check(kv.first);
+        for (const auto &kv : g->averages())
+            check(kv.first);
+        for (const auto &kv : g->histograms())
+            check(kv.first);
+    }
+    EXPECT_TRUE(seen.count("gddr5.latency_texture"));
+    EXPECT_TRUE(seen.count("sequence.frames"));
 }
 
 } // namespace

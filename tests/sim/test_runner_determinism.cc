@@ -268,13 +268,13 @@ TEST(SimContextIsolation, ThreadsSeeTheirOwnContexts)
     std::thread ta([&] {
         SimContext::Scope scope(a);
         StatGroup g("thread_a");
-        g.counter("c", "") += 1;
+        g.counter("c", "a counter") += 1;
         seen_a = &SimContext::current().stats();
     });
     std::thread tb([&] {
         SimContext::Scope scope(b);
         StatGroup g("thread_b");
-        g.counter("c", "") += 1;
+        g.counter("c", "a counter") += 1;
         seen_b = &SimContext::current().stats();
     });
     ta.join();

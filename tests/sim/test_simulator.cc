@@ -147,7 +147,7 @@ TEST(Simulator, ConfigRoundTrip)
 {
     Config cfg;
     cfg.set("design", "a-tfim");
-    cfg.setDouble("atfim.angle_threshold_rad", 0.1);
+    cfg.set("atfim.angle_threshold_rad", "0.1");
     SimConfig sc = SimConfig::fromConfig(cfg);
     EXPECT_EQ(sc.design, Design::ATfim);
     EXPECT_FLOAT_EQ(sc.atfim.angleThresholdRad, 0.1f);

@@ -22,16 +22,6 @@
  *        not thread_local, const/constexpr, or a registry-owned
  *        singleton (annotated): racy statics broke parallel sweeps in
  *        PR 3.
- *   [S1] every Stat* registered in a StatGroup must pass a non-empty
- *        description somewhere (the PR-1 registry contract keeps
- *        `texpim stats` and the JSON export self-documenting).
- *   [S2] every TEXPIM_PROF_CYCLES/COUNT zone argument must be a
- *        constant registered in the zone table in
- *        src/common/prof/zones.hh (between the `texpim-lint:
- *        zone-table begin/end` markers), and every table row must
- *        carry a non-empty description — ad-hoc zone names would
- *        fragment the profile tree and strand `texpim report` rows
- *        without documentation.
  *   [C1] every config key referenced in source must appear in the
  *        known-key table in src/gpu/params.cc and in the README
  *        configuration-reference table, and vice versa (catches dead
@@ -137,15 +127,9 @@ struct Options
 {
     std::string repoRoot = ".";
     std::vector<std::string> roots; //!< scan roots relative to repoRoot
-    std::vector<std::string> excludes;
     std::set<std::string> rules;    //!< empty = all rules
     std::string keyTablePath;       //!< default src/gpu/params.cc
-    std::string zoneTablePath;      //!< default src/common/prof/zones.hh
     std::vector<std::string> docPaths; //!< default README.md DESIGN.md
-    /** Extra phase roots ("Class::method", "function" or
-     *  "<lambda path:line>") declared on the command line; unioned
-     *  with the in-tree `texpim-lint: phase-root` annotations. */
-    std::vector<std::string> phaseRoots;
     bool callgraphDump = false;     //!< print the call graph and exit
 };
 
@@ -160,7 +144,7 @@ bool isAllowed(const SourceFile &f, int line, const std::string &rule);
 SourceFile loadSource(const std::string &absPath,
                       const std::string &relPath);
 
-/** Rules D1-D4 and S1 over the scanned file set. */
+/** Rules D1-D4 and A0 over the scanned file set. */
 void runTextRules(const std::vector<SourceFile> &files, const Options &opt,
                   std::vector<Finding> &out);
 
@@ -168,11 +152,6 @@ void runTextRules(const std::vector<SourceFile> &files, const Options &opt,
  *  known-key table and the documentation table. */
 void runConfigRule(const std::vector<SourceFile> &files, const Options &opt,
                    std::vector<Finding> &out);
-
-/** Rule S2: every profile-zone macro argument must be a constant
- *  registered (with a description) in the zone table. */
-void runZoneRule(const std::vector<SourceFile> &files, const Options &opt,
-                 std::vector<Finding> &out);
 
 /** Call-graph rules P1/P2/T1/E1/R1 (see tools/lint/callgraph.hh). When
  *  opt.callgraphDump is set, prints the graph to stdout instead. */

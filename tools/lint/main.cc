@@ -5,21 +5,16 @@
  *   texpim-lint [options] [scan-root ...]
  *     --repo-root DIR       repository root (default: .)
  *     --rules LIST          comma-separated rule ids (default: all)
- *     --exclude SUBSTR      skip paths containing SUBSTR (repeatable)
  *     --key-table FILE      known-key table (default src/gpu/params.cc)
- *     --zone-table FILE     profile-zone table for S2
- *                           (default src/common/prof/zones.hh)
  *     --doc FILE            documentation file for C1 (repeatable;
  *                           default README.md DESIGN.md)
- *     --phase-root SPEC     extra functional-phase root for P1/P2/T1
- *                           ("Class::method" or "function"; repeatable;
- *                           unioned with in-tree phase-root markers)
  *     --callgraph-dump      print the call-graph index and exit 0
  *
  * Scan roots default to src bench tests examples (relative to the repo
- * root). Exit status: 0 clean, 1 findings, 2 usage/configuration
- * error. A finding is fixed or justified in place with an allow()
- * annotation; nothing is grandfathered.
+ * root); paths under tests/lint/fixtures are skipped. Exit status: 0
+ * clean, 1 findings, 2 usage/configuration error. A finding is fixed or
+ * justified in place with an allow() annotation; nothing is
+ * grandfathered.
  */
 
 #include "lint.hh"
@@ -64,9 +59,7 @@ main(int argc, char **argv)
 {
     Options opt;
     opt.keyTablePath = "src/gpu/params.cc";
-    opt.zoneTablePath = "src/common/prof/zones.hh";
     opt.docPaths = {"README.md", "DESIGN.md"};
-    opt.excludes = {"tests/lint/fixtures"};
     bool docsOverridden = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -83,18 +76,12 @@ main(int argc, char **argv)
             opt.repoRoot = value("--repo-root");
         } else if (a == "--key-table") {
             opt.keyTablePath = value("--key-table");
-        } else if (a == "--zone-table") {
-            opt.zoneTablePath = value("--zone-table");
         } else if (a == "--doc") {
             if (!docsOverridden) {
                 opt.docPaths.clear();
                 docsOverridden = true;
             }
             opt.docPaths.push_back(value("--doc"));
-        } else if (a == "--exclude") {
-            opt.excludes.push_back(value("--exclude"));
-        } else if (a == "--phase-root") {
-            opt.phaseRoots.push_back(value("--phase-root"));
         } else if (a == "--callgraph-dump") {
             opt.callgraphDump = true;
         } else if (a == "--rules") {
@@ -145,15 +132,9 @@ main(int argc, char **argv)
                    relPaths.end());
 
     std::vector<SourceFile> files;
-    for (const std::string &rel : relPaths) {
-        bool skip = false;
-        for (const std::string &ex : opt.excludes)
-            if (rel.find(ex) != std::string::npos)
-                skip = true;
-        if (skip)
-            continue;
-        files.push_back(loadSource(opt.repoRoot + "/" + rel, rel));
-    }
+    for (const std::string &rel : relPaths)
+        if (rel.find("tests/lint/fixtures") == std::string::npos)
+            files.push_back(loadSource(opt.repoRoot + "/" + rel, rel));
     if (files.empty()) {
         std::fprintf(stderr, "texpim-lint: nothing to scan under '%s'\n",
                      opt.repoRoot.c_str());
@@ -170,8 +151,6 @@ main(int argc, char **argv)
     runTextRules(files, opt, findings);
     if (ruleEnabled(opt, "C1"))
         runConfigRule(files, opt, findings);
-    if (ruleEnabled(opt, "S2"))
-        runZoneRule(files, opt, findings);
     if (ruleEnabled(opt, "P1") || ruleEnabled(opt, "P2") ||
         ruleEnabled(opt, "T1") || ruleEnabled(opt, "E1") ||
         ruleEnabled(opt, "R1"))

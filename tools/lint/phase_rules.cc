@@ -76,41 +76,27 @@ struct Ctx
     }
 };
 
-/** Root ids: definitions with `flag` set, every override of a marked
- *  declaration in `declRoots`, and the command-line `specs`. */
+/** Root ids: definitions with `flag` set and every override of a
+ *  marked declaration in `declRoots`. */
 std::vector<int>
 rootIds(const CallGraph &g, bool FunctionDef::*flag,
-        const std::vector<std::pair<std::string, std::string>> &declRoots,
-        const std::vector<std::string> &specs)
+        const std::vector<std::pair<std::string, std::string>> &declRoots)
 {
     std::set<int> roots;
     for (const FunctionDef &fn : g.funcs)
         if (fn.*flag)
             roots.insert(fn.id);
-    auto addHierarchy = [&](const std::string &cls,
-                            const std::string &method) {
+    for (const auto &[cls, method] : declRoots) {
         std::set<std::string> leafs = {cls};
         auto di = g.derived.find(cls);
         if (di != g.derived.end())
             leafs.insert(di->second.begin(), di->second.end());
         auto bi = g.byName.find(method);
         if (bi == g.byName.end())
-            return;
+            continue;
         for (int id : bi->second)
             if (leafs.count(g.funcs[id].className))
                 roots.insert(id);
-    };
-    for (const auto &dr : declRoots)
-        addHierarchy(dr.first, dr.second);
-    for (const std::string &spec : specs) {
-        size_t sep = spec.find("::");
-        if (sep != std::string::npos) {
-            addHierarchy(spec.substr(0, sep), spec.substr(sep + 2));
-        } else {
-            for (const FunctionDef &fn : g.funcs)
-                if (fn.name == spec || fn.display == spec)
-                    roots.insert(fn.id);
-        }
     }
     return std::vector<int>(roots.begin(), roots.end());
 }
@@ -328,7 +314,7 @@ runR1(Ctx &c)
     static const std::set<std::string> kNameKeyed = {
         "counter", "average", "histogram"};
     std::vector<int> roots =
-        rootIds(c.g, &FunctionDef::replayRoot, c.g.replayDeclRoots, {});
+        rootIds(c.g, &FunctionDef::replayRoot, c.g.replayDeclRoots);
     std::map<int, int> pred;
     std::set<int> reach = reachableFrom(c.g, roots, &pred);
     for (int id : reach) {
@@ -365,7 +351,7 @@ runPhaseRules(const std::vector<SourceFile> &files, const Options &opt,
     Ctx c{g, files, opt, out, {}};
 
     std::vector<int> roots =
-        rootIds(g, &FunctionDef::phaseRoot, g.declRoots, opt.phaseRoots);
+        rootIds(g, &FunctionDef::phaseRoot, g.declRoots);
     std::map<int, int> pred;
     std::set<int> reach = reachableFrom(g, roots, &pred);
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * texpim-lint rules D1-D4 and S1 (see lint.hh for the catalog).
+ * texpim-lint rules D1-D4 and A0 (see lint.hh for the catalog).
  *
  * Everything here works on the comment/string-stripped views produced
  * by file_scan.cc, so matches inside comments or literals never fire.
@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <regex>
 
 namespace texpim_lint {
@@ -274,306 +273,7 @@ ruleD4(const SourceFile &f, std::vector<Finding> &out)
     }
 }
 
-// ---------------------------------------------------------------- S1
-
-struct StatCall
-{
-    const SourceFile *file;
-    int line;
-    std::string kind; //!< counter / average / histogram
-    std::string name;
-    bool described;
-};
-
-/** Split a call's argument text on top-level commas. */
-std::vector<std::string>
-splitArgs(const std::string &args)
-{
-    std::vector<std::string> out;
-    int depth = 0;
-    std::string cur;
-    for (char c : args) {
-        if (c == '(' || c == '<' || c == '[' || c == '{')
-            ++depth;
-        else if (c == ')' || c == '>' || c == ']' || c == '}')
-            --depth;
-        if (c == ',' && depth == 0) {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
-void
-collectStatCalls(const SourceFile &f, std::vector<StatCall> &calls)
-{
-    static const std::regex callRe(
-        R"(\.\s*(counter|average|histogram)\s*\()");
-    JoinedText j(f.codeStr);
-    const std::string &t = j.text;
-    for (auto it = std::sregex_iterator(t.begin(), t.end(), callRe);
-         it != std::sregex_iterator(); ++it) {
-        size_t open = size_t(it->position() + it->length()) - 1;
-        // Match the argument list.
-        int depth = 0;
-        size_t p = open;
-        while (p < t.size()) {
-            if (t[p] == '(')
-                ++depth;
-            else if (t[p] == ')' && --depth == 0)
-                break;
-            ++p;
-        }
-        if (p >= t.size())
-            continue;
-        std::string argText = t.substr(open + 1, p - open - 1);
-        std::vector<std::string> args = splitArgs(argText);
-        if (args.empty())
-            continue;
-        // The name must be exactly one plain string literal. Dynamic
-        // names (concatenation) and conditional lookups
-        // (cond ? "a" : "b") cannot be registrations — the described
-        // registration is always a plain literal — so skip them.
-        std::string first = args[0];
-        size_t b = first.find_first_not_of(" \t\n");
-        size_t e = first.find_last_not_of(" \t\n");
-        if (b == std::string::npos)
-            continue;
-        first = first.substr(b, e - b + 1);
-        if (first.size() < 2 || first.front() != '"' ||
-            first.back() != '"' ||
-            std::count(first.begin(), first.end(), '"') != 2)
-            continue;
-        StatCall c;
-        c.file = &f;
-        c.line = j.lineAt(size_t(it->position()));
-        c.kind = (*it)[1].str();
-        c.name = first.substr(1, first.size() - 2);
-        size_t needed = c.kind == "histogram" ? 5 : 2;
-        c.described = args.size() >= needed &&
-                      args.back().find("\"\"") == std::string::npos &&
-                      args.back().find_first_not_of(" \t\n") !=
-                          std::string::npos;
-        calls.push_back(c);
-    }
-}
-
-void
-ruleS1(const std::vector<SourceFile> &files, const Options &opt,
-       std::vector<Finding> &out)
-{
-    std::vector<StatCall> calls;
-    for (const SourceFile &f : files)
-        if (f.inSrc || f.inBench)
-            collectStatCalls(f, calls);
-
-    std::set<std::string> described;
-    for (const StatCall &c : calls)
-        if (c.described)
-            described.insert(c.name);
-
-    // One finding per (file, name): flag the first undescribed
-    // registration of a stat that is never described anywhere (later
-    // mentions are hot-path re-lookups of the same defect).
-    std::set<std::pair<std::string, std::string>> seen;
-    for (const StatCall &c : calls) {
-        if (described.count(c.name))
-            continue;
-        if (!seen.insert({c.file->path, c.name}).second)
-            continue;
-        report(out, *c.file, c.line, "S1", c.name,
-               "stat '" + c.name + "' (" + c.kind +
-                   ") is registered without a description anywhere; the "
-                   "StatGroup contract requires a non-empty description "
-                   "at construction so `texpim stats` and the JSON "
-                   "export stay self-documenting");
-    }
-    (void)opt;
-}
-
-// ---------------------------------------------------------------- S2
-
-std::vector<std::string>
-readFileLines(const std::string &path)
-{
-    std::vector<std::string> lines;
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return lines;
-    std::string l;
-    while (std::getline(in, l))
-        lines.push_back(l);
-    return lines;
-}
-
-std::string
-trimWs(const std::string &s)
-{
-    size_t b = s.find_first_not_of(" \t\n\r");
-    if (b == std::string::npos)
-        return {};
-    size_t e = s.find_last_not_of(" \t\n\r");
-    return s.substr(b, e - b + 1);
-}
-
-/**
- * Parse the zone table between the `texpim-lint: zone-table begin/end`
- * markers: each `Z(kZoneX, "name", kParent, "description")` row
- * registers kZoneX; rows with an empty or missing description are
- * flagged. Returns the registered constants (empty when the table file
- * is absent, e.g. a single-rule fixture run).
- */
-std::set<std::string>
-parseZoneTable(const Options &opt, std::vector<Finding> &out,
-               bool &haveTable)
-{
-    std::set<std::string> zones;
-    haveTable = false;
-    std::vector<std::string> lines =
-        readFileLines(opt.repoRoot + "/" + opt.zoneTablePath);
-    if (lines.empty())
-        return zones;
-
-    // Join the marker region, keeping an offset -> line map.
-    bool inTable = false;
-    std::vector<std::string> region(lines.size());
-    for (size_t i = 0; i < lines.size(); ++i) {
-        if (lines[i].find("texpim-lint: zone-table begin") !=
-            std::string::npos) {
-            inTable = true;
-            haveTable = true;
-            continue;
-        }
-        if (lines[i].find("texpim-lint: zone-table end") !=
-            std::string::npos)
-            inTable = false;
-        if (inTable) {
-            region[i] = lines[i];
-            // The table is a macro: blank the line-continuation
-            // backslashes so they never leak into parsed arguments.
-            std::replace(region[i].begin(), region[i].end(), '\\', ' ');
-        }
-    }
-    if (!haveTable)
-        return zones;
-
-    JoinedText j(region);
-    const std::string &t = j.text;
-    static const std::regex rowRe(R"(\bZ\s*\(\s*(kZone\w+))");
-    for (auto it = std::sregex_iterator(t.begin(), t.end(), rowRe);
-         it != std::sregex_iterator(); ++it) {
-        std::string zone = (*it)[1].str();
-        int line = j.lineAt(size_t(it->position()));
-        zones.insert(zone);
-
-        // Bracket-match the row's argument list, then check the
-        // description argument is a non-empty string literal.
-        size_t open = t.find('(', size_t(it->position()));
-        int depth = 0;
-        size_t p = open;
-        while (p < t.size()) {
-            if (t[p] == '(')
-                ++depth;
-            else if (t[p] == ')' && --depth == 0)
-                break;
-            ++p;
-        }
-        std::vector<std::string> args =
-            splitArgs(t.substr(open + 1, p - open - 1));
-        bool described = false;
-        if (args.size() >= 4) {
-            std::string desc = trimWs(args[3]);
-            described = desc.size() > 2 && desc.front() == '"' &&
-                        desc.find_first_not_of('"') != std::string::npos;
-        }
-        if (!described) {
-            Finding fd;
-            fd.rule = "S2";
-            fd.path = opt.zoneTablePath;
-            fd.line = line;
-            fd.key = zone;
-            fd.message =
-                "zone '" + zone +
-                "' is registered without a description; every zone-table "
-                "row must say what the zone measures so the profile "
-                "export and `texpim report` stay self-documenting";
-            out.push_back(fd);
-        }
-    }
-    return zones;
-}
-
-void
-ruleS2Uses(const SourceFile &f, const std::set<std::string> &zones,
-           const Options &opt, std::vector<Finding> &out)
-{
-    if (f.path == opt.zoneTablePath)
-        return; // the table itself
-    static const std::regex useRe(
-        R"(\bTEXPIM_PROF_(CYCLES|COUNT)\s*\()");
-    JoinedText j(f.codeStr);
-    const std::string &t = j.text;
-    for (auto it = std::sregex_iterator(t.begin(), t.end(), useRe);
-         it != std::sregex_iterator(); ++it) {
-        int line = j.lineAt(size_t(it->position()));
-        // Skip the macro definitions themselves (preprocessor lines).
-        std::string firstLine = trimWs(f.code[size_t(line) - 1]);
-        if (!firstLine.empty() && firstLine[0] == '#')
-            continue;
-
-        size_t open = size_t(it->position() + it->length()) - 1;
-        int depth = 0;
-        size_t p = open;
-        while (p < t.size()) {
-            if (t[p] == '(')
-                ++depth;
-            else if (t[p] == ')' && --depth == 0)
-                break;
-            ++p;
-        }
-        if (p >= t.size())
-            continue;
-        std::vector<std::string> args =
-            splitArgs(t.substr(open + 1, p - open - 1));
-        std::string arg = args.empty() ? std::string() : trimWs(args[0]);
-        // The last ::-component must be a registered constant; any
-        // namespace qualification (prof::, ::texpim::prof::) is fine.
-        std::string leaf = arg;
-        size_t colon = leaf.rfind("::");
-        if (colon != std::string::npos)
-            leaf = leaf.substr(colon + 2);
-        bool qualifierOk =
-            arg.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
-                                  "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                                  "0123456789_:") == std::string::npos;
-        if (qualifierOk && zones.count(leaf))
-            continue;
-        report(out, f, line, "S2", arg.empty() ? "<empty>" : arg,
-               "profile zone '" + (arg.empty() ? "<empty>" : arg) +
-                   "' is not a registered zone constant; add a described "
-                   "row to the zone table in " + opt.zoneTablePath +
-                   " and charge prof::kZone* instead of an ad-hoc name");
-    }
-}
-
 } // namespace
-
-void
-runZoneRule(const std::vector<SourceFile> &files, const Options &opt,
-            std::vector<Finding> &out)
-{
-    bool haveTable = false;
-    std::set<std::string> zones = parseZoneTable(opt, out, haveTable);
-    if (!haveTable)
-        return; // no zone table (e.g. fixture run for another rule)
-    for (const SourceFile &f : files)
-        ruleS2Uses(f, zones, opt, out);
-}
 
 void
 runTextRules(const std::vector<SourceFile> &files, const Options &opt,
@@ -596,8 +296,6 @@ runTextRules(const std::vector<SourceFile> &files, const Options &opt,
             for (const Finding &a0 : f.annotationFindings)
                 out.push_back(a0);
     }
-    if (ruleEnabled(opt, "S1"))
-        ruleS1(files, opt, out);
 }
 
 } // namespace texpim_lint
